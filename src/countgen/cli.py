@@ -151,13 +151,7 @@ def _cmd_nfa(args, src):
                 raise OracleMismatch(f"rank {value} != brute {brute}")
         return value, 0
     if args.op == "unrank":
-        word = nfa.unrank_slice(
-            lambda w: nfa.nfa_rank_slice(automaton, args.n, w),
-            automaton.alphabet,
-            args.n,
-            args.k,
-        )
-        return word, 0
+        return nfa.nfa_unrank_slice(automaton, args.n, args.k), 0
     if args.op == "sample":
         word = nfa.nfa_sample_slice(automaton, args.n, src, delta=args.delta)
         if args.oracle and word is not FAIL:

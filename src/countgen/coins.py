@@ -126,6 +126,8 @@ def lcm_upto(n: int) -> int:
 def retries_for(delta) -> int:
     """Smallest t >= 1 with 2**-t <= delta: attempts for a half-good trial."""
     delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0,1)")
     t = 1
     while (1 << t) * delta.numerator < delta.denominator:
         t += 1
@@ -140,9 +142,6 @@ def gen_uniform(src, n: int, delta=Fraction(1, 4)):
     """
     if n < 1:
         raise ValueError("range must contain at least 1")
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
     width = bit_size(n)
     for _ in range(retries_for(delta)):
         u = src.draw(width) + 1

@@ -7,16 +7,22 @@ the interpolation polynomial q with q(0) = 0 and q(c) = 1 for c up to the
 ambiguity bound.  Powers of path counts summed over whole prefix cones
 collapse to products of Kronecker powers of the transition matrices,
 which is what makes the rank of a slice computable in polynomial time.
+Each call builds the sparse lifts and suffix columns of its slice once;
+unranking and sampling walk prefix cones greedily over that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import reduce
+from itertools import islice, product as iproduct
+from math import lcm
+from typing import NamedTuple
 
 from .coins import FAIL, gen_uniform
-from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
+from .exceptions import AmbiguityExceeded, EmptySlice, FormatError
+from .exceptions import RankOutOfRange, SizeGuard
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,13 @@ class Nfa:
 
 
 def _row_times_matrix(row, matrix):
-    dim = len(matrix[0]) if matrix else 0
-    return tuple(
-        sum(row[i] * matrix[i][j] for i in range(len(row))) for j in range(dim)
-    )
+    """Dense row times a sparse square matrix (rows of (column, value))."""
+    out = [0] * len(matrix)
+    for i, x in enumerate(row):
+        if x:
+            for j, v in matrix[i]:
+                out[j] += x * v
+    return out
 
 
 def _dot(u, v):
@@ -67,17 +76,16 @@ def path_count(a: Nfa, word: str) -> int:
     """Number of accepting paths on ``word``."""
     row = a.start
     for sym in word:
-        row = _row_times_matrix(row, a.matrix(sym))
+        row = _row_times_matrix(row, _kron_power_matrix(a.matrix(sym), 1))
     return _dot(row, a.accept)
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
+def _bounded_path_count(a: Nfa, word: str) -> int:
+    """path_count, raising AmbiguityExceeded above the declared bound."""
+    c = path_count(a, word)
+    if c > a.ambiguity:
+        raise AmbiguityExceeded(f"{word!r} has {c} accepting paths > {a.ambiguity}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -87,71 +95,114 @@ class QPoly:
     coefficients: tuple  # a_1..a_d (zero constant term omitted)
 
     def __call__(self, x):
-        value = Fraction(0)
-        power = Fraction(x)
-        for a in self.coefficients:
-            value += a * power
-            power *= x
-        return value
+        return sum(a * Fraction(x) ** i for i, a in enumerate(self.coefficients, 1))
 
 
 def build_q(d: int) -> QPoly:
-    """Interpolate through (0,0), (1,1), ..., (d,1) by Lagrange bases."""
+    """The interpolant through (0,0), (1,1), ..., (d,1): 1 - prod (1 - x/i)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    points = [(0, Fraction(0))] + [(c, Fraction(1)) for c in range(1, d + 1)]
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        scale = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            scale *= xi - xj
-        for k, b in enumerate(basis):
-            coeffs[k] += yi * b / scale
-    assert coeffs[0] == 0
-    poly = QPoly(tuple(coeffs[1:]))
+    factors = [Fraction(1)]  # coefficients of prod over i <= d of (1 - x/i)
+    for i in range(1, d + 1):
+        factors = [f - Fraction(g, i) for f, g in zip(factors + [0], [0] + factors)]
+    poly = QPoly(tuple(-f for f in factors[1:]))  # factors[0] is 1
     assert poly(0) == 0 and all(poly(c) == 1 for c in range(1, d + 1))
     return poly
 
 
-def _kron(a, b):
-    bn = len(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(bn)
-    )
-
-
-def _kron_vec(u, v):
-    return tuple(ui * vj for ui in u for vj in v)
-
-
 def _kron_power_matrix(m, k):
-    out = m
+    """k-th Kronecker power of a dense matrix, as sparse rows of (column, value)."""
+    base = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+    out = base
     for _ in range(k - 1):
-        out = _kron(out, m)
+        out = tuple(
+            tuple((j * len(m) + l, x * y) for j, x in ra for l, y in rb)
+            for ra in out
+            for rb in base
+        )
     return out
 
 
 def _kron_power_vec(v, k):
     out = v
     for _ in range(k - 1):
-        out = _kron_vec(out, v)
+        out = tuple(x * y for x in out for y in v)
     return out
 
 
 def _matrix_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    # a sparse row may list a column twice; every product adds both values
+    return tuple(ra + rb for ra, rb in zip(a, b))
 
 
 def _matrix_times_col(matrix, col):
-    return tuple(_dot(row, col) for row in matrix)
+    return tuple(sum(x * col[j] for j, x in row) for row in matrix)
+
+
+class _SliceTable(NamedTuple):
+    """What a slice's census, rank and unrank read, built once per call.
+
+    The row a prefix reaches, dotted with ``suffix[j]``, is ``scale`` times
+    the sum of q(paths), the accepted-word count, over its j-letter cone.
+    """
+
+    lifts: tuple  # per symbol: sparse direct sum of its k-th Kronecker powers, k = 1..d
+    start: list  # lifted start row, block k weighted by scale * (q's k-th coefficient)
+    suffix: list  # suffix[j] = (sum of the lifts)**j times the lifted accept column
+    scale: int  # least common denominator of q's coefficients
+
+    def words(self, scaled: int) -> int:
+        assert scaled % self.scale == 0, "word counts must be integral"
+        return scaled // self.scale
+
+    def census(self, length: int) -> int:
+        return self.words(_dot(self.start, self.suffix[length]))
+
+
+def _slice_table(a: Nfa, n: int, lift_ceiling: int = 4096) -> _SliceTable:
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    d = a.ambiguity
+    if a.dim**d > lift_ceiling:
+        raise SizeGuard(f"lift dimension {a.dim}**{d} above {lift_ceiling}")
+    coefficients = build_q(d).coefficients
+    scale = lcm(*(c.denominator for c in coefficients))
+    start, accept, lifts = [], [], tuple([] for _ in a.matrices)
+    for k, coeff in enumerate(coefficients, start=1):
+        offset = len(start)
+        start += [int(coeff * scale) * x for x in _kron_power_vec(a.start, k)]
+        accept += _kron_power_vec(a.accept, k)
+        for rows, m in zip(lifts, a.matrices):
+            power = _kron_power_matrix(m, k)
+            rows += [tuple((offset + j, x) for j, x in r) for r in power]
+    alphabet_sum = reduce(_matrix_add, lifts, ((),) * len(start))
+    suffix = [tuple(accept)]
+    for _ in range(n):
+        suffix.append(_matrix_times_col(alphabet_sum, suffix[-1]))
+    return _SliceTable(lifts, start, suffix, scale)
+
+
+def _cones(table: _SliceTable, row, j: int):
+    """(scaled count, row) of each one-letter extension of a prefix, in order."""
+    for lift in table.lifts:
+        child = _row_times_matrix(row, lift)
+        yield _dot(child, table.suffix[j]), child
+
+
+def _unrank(a: Nfa, table: _SliceTable, n: int, r: int) -> str:
+    """The r-th accepted word, 1 <= r <= census, by greedy prefix cones."""
+    row, r, word = table.start, r * table.scale, ""
+    for i in range(n):
+        for s, (count, child) in enumerate(_cones(table, row, n - 1 - i)):
+            if r <= count:
+                break
+            r -= count
+        else:
+            raise AssertionError("rank exceeded slice census")
+        word += a.alphabet[s]
+        row = child
+    _bounded_path_count(a, word)
+    return word
 
 
 def nfa_rank_slice(
@@ -165,70 +216,40 @@ def nfa_rank_slice(
     single products of Kronecker-power matrices, so no word is
     enumerated.
     """
+    table = _slice_table(a, n, lift_ceiling)
     if len(beta) != n:
         raise ValueError("beta must have length n")
-    d = a.ambiguity
-    if a.dim**d > lift_ceiling:
-        raise SizeGuard(f"lift dimension {a.dim}**{d} above {lift_ceiling}")
     if validate:
         validate_ambiguity(a, n)
-    observed = path_count(a, beta)
-    if observed > d:
-        raise AmbiguityExceeded(f"{beta!r} has {observed} accepting paths > {d}")
-    q = build_q(d)
-    total = Fraction(0)
-    for k in range(1, d + 1):
-        lifted = {sym: _kron_power_matrix(a.matrix(sym), k) for sym in a.alphabet}
-        alphabet_sum = None
-        for sym in a.alphabet:
-            alphabet_sum = (
-                lifted[sym]
-                if alphabet_sum is None
-                else _matrix_add(alphabet_sum, lifted[sym])
-            )
-        eta = _kron_power_vec(a.accept, k)
-        # suffix[j] = (sum over symbols)**j applied to the accept vector
-        suffix = [eta]
-        for _ in range(n - 1):
-            suffix.append(_matrix_times_col(alphabet_sum, suffix[-1]))
-        row = _kron_power_vec(a.start, k)
-        coeff = q.coefficients[k - 1]
-        sum_k = 0
-        for i, sym in enumerate(beta):
-            for smaller_index in range(a.alphabet.index(sym)):
-                branch = _row_times_matrix(row, lifted[a.alphabet[smaller_index]])
-                sum_k += _dot(branch, suffix[n - 1 - i])
-            row = _row_times_matrix(row, lifted[sym])
-        sum_k += _dot(row, eta)  # the word beta itself
-        total += coeff * sum_k
-    assert total.denominator == 1, "rank must be integral"
-    return int(total)
+    below, row, member = 0, table.start, _bounded_path_count(a, beta) > 0
+    for i, sym in enumerate(beta):
+        cones = list(islice(_cones(table, row, n - 1 - i), a.alphabet.index(sym) + 1))
+        below += sum(count for count, _ in cones[:-1])
+        row = cones[-1][1]
+    return table.words(below) + member
 
 
 def nfa_slice_census(a: Nfa, n: int, lift_ceiling: int = 4096) -> int:
     """Number of accepted words of length n (not paths)."""
-    d = a.ambiguity
-    if a.dim**d > lift_ceiling:
-        raise SizeGuard(f"lift dimension {a.dim}**{d} above {lift_ceiling}")
-    q = build_q(d)
-    total = Fraction(0)
-    for k in range(1, d + 1):
-        lifted_sum = None
-        for sym in a.alphabet:
-            m = _kron_power_matrix(a.matrix(sym), k)
-            lifted_sum = m if lifted_sum is None else _matrix_add(lifted_sum, m)
-        col = _kron_power_vec(a.accept, k)
-        for _ in range(n):
-            col = _matrix_times_col(lifted_sum, col)
-        total += q.coefficients[k - 1] * _dot(_kron_power_vec(a.start, k), col)
-    assert total.denominator == 1
-    return int(total)
+    return _slice_table(a, n, lift_ceiling).census(n)
 
 
 def nfa_rank(a: Nfa, beta: str) -> int:
     """Rank over all lengths: shorter accepted words plus the slice rank."""
-    shorter = sum(nfa_slice_census(a, length) for length in range(len(beta)))
+    table = _slice_table(a, len(beta))
+    shorter = sum(table.census(m) for m in range(len(beta)))
     return shorter + nfa_rank_slice(a, len(beta), beta)
+
+
+def nfa_unrank_slice(a: Nfa, n: int, k: int) -> str:
+    """The k-th (1-based) accepted word of length n; inverse of nfa_rank_slice."""
+    if k < 1:
+        raise RankOutOfRange("ranks are 1-based")
+    table = _slice_table(a, n)
+    census = table.census(n)
+    if k > census:
+        raise EmptySlice(f"slice holds {census} accepted words, fewer than {k}")
+    return _unrank(a, table, n, k)
 
 
 def validate_ambiguity(a: Nfa, n: int, max_words: int = 1 << 16) -> None:
@@ -237,12 +258,7 @@ def validate_ambiguity(a: Nfa, n: int, max_words: int = 1 << 16) -> None:
         raise SizeGuard(f"{len(a.alphabet)}**{n} words is too many to probe")
     for length in range(n + 1):
         for tup in iproduct(a.alphabet, repeat=length):
-            word = "".join(tup)
-            c = path_count(a, word)
-            if c > a.ambiguity:
-                raise AmbiguityExceeded(
-                    f"{word!r} has {c} accepting paths > {a.ambiguity}"
-                )
+            _bounded_path_count(a, "".join(tup))
 
 
 def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:
@@ -252,14 +268,14 @@ def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:
     full slice; the result is the k-th accepted word when ranks count
     accepted words only.
     """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if k < 1:
+        raise RankOutOfRange("ranks are 1-based")
     base = len(alphabet)
 
     def decode(code):
-        digits = []
-        for _ in range(n):
-            code, digit = divmod(code, base)
-            digits.append(alphabet[digit])
-        return "".join(reversed(digits))
+        return "".join(alphabet[code // base**i % base] for i in reversed(range(n)))
 
     lo, hi = 0, base**n - 1
     if rank_fn(decode(hi)) < k:
@@ -273,41 +289,32 @@ def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:
     return decode(lo)
 
 
-def rank_sampler(rank_fn, census: int, alphabet, n: int, src, delta=Fraction(1, 4)):
-    """Uniform accepted word of the slice via rank/unrank.
+def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):
+    """Uniform word of length n accepted by the NFA, or FAIL.
 
-    Draws a rank uniformly and inverts it by bisection; uniform
-    conditioned on the integer draw not failing, which happens with
-    probability below ``delta``.
+    Draws a rank below the census and walks it to its word over one slice
+    table; uniform unless the draw fails, with probability below ``delta``.
     """
+    table = _slice_table(a, n)
+    census = table.census(n)
     if census <= 0:
         raise EmptySlice("slice census is 0")
     k = gen_uniform(src, census, delta)
     if k is FAIL:
         return FAIL
-    return unrank_slice(rank_fn, alphabet, n, k)
-
-
-def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):
-    """Uniform word of length n accepted by the NFA, or FAIL."""
-    census = nfa_slice_census(a, n)
-    return rank_sampler(
-        lambda w: nfa_rank_slice(a, n, w), census, a.alphabet, n, src, delta
-    )
+    return _unrank(a, table, n, k)
 
 
 def nfa_from_dfa(dfa) -> Nfa:
     """0/1 matrix view of a DFA (every word has at most one path)."""
-    dim = dfa.n_states
-    matrices = []
-    for s in range(len(dfa.alphabet)):
-        m = [[0] * dim for _ in range(dim)]
-        for q in range(dim):
-            m[q][dfa.trans[q][s]] = 1
-        matrices.append(tuple(tuple(row) for row in m))
-    start = tuple(1 if q == dfa.start else 0 for q in range(dim))
-    accept = tuple(1 if q in dfa.finals else 0 for q in range(dim))
-    return Nfa(dfa.alphabet, tuple(matrices), start, accept, 1)
+    states = range(dfa.n_states)
+    matrices = tuple(
+        tuple(tuple(int(p == dfa.trans[q][s]) for p in states) for q in states)
+        for s in range(len(dfa.alphabet))
+    )
+    start = tuple(int(q == dfa.start) for q in states)
+    accept = tuple(int(q in dfa.finals) for q in states)
+    return Nfa(dfa.alphabet, matrices, start, accept, 1)
 
 
 def load_nfa(text: str) -> Nfa:
@@ -317,12 +324,8 @@ def load_nfa(text: str) -> Nfa:
     and ``finals`` take several states, and ``ambiguity d`` declares the
     path bound.
     """
-    n_states = None
-    alphabet = None
-    starts = []
-    finals = []
-    ambiguity = None
-    edges = []
+    n_states = alphabet = ambiguity = None
+    starts, finals, edges = [], [], []
     for raw in text.splitlines():
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#") or tokens[0] == "indep":
@@ -345,19 +348,15 @@ def load_nfa(text: str) -> Nfa:
     if None in (n_states, alphabet, ambiguity) or not starts or not finals:
         raise FormatError("missing states/alphabet/start/finals/ambiguity")
     index = {sym: i for i, sym in enumerate(alphabet)}
-    matrices = [
-        [[0] * n_states for _ in range(n_states)] for _ in alphabet
-    ]
+    matrices = [[[0] * n_states for _ in range(n_states)] for _ in alphabet]
     for q, sym, p in edges:
         if sym not in index:
             raise FormatError(f"edge symbol {sym!r} not in alphabet")
         matrices[index[sym]][q][p] += 1
-    start = tuple(1 if q in set(starts) else 0 for q in range(n_states))
-    accept = tuple(1 if q in set(finals) else 0 for q in range(n_states))
     return Nfa(
         alphabet,
         tuple(tuple(tuple(row) for row in m) for m in matrices),
-        start,
-        accept,
+        tuple(int(q in starts) for q in range(n_states)),
+        tuple(int(q in finals) for q in range(n_states)),
         ambiguity,
     )

@@ -42,6 +42,29 @@ trans 0 a 1
 trans 0 a 1
 """
 
+# b(a|b)*, unambiguous
+B_THEN_ANY_NFA = """
+states 2
+alphabet a b
+start 0
+finals 1
+ambiguity 1
+trans 0 b 1
+trans 1 a 1
+trans 1 b 1
+"""
+
+# a*: both start states are final, so the empty word has two accepting
+# paths and every other member one
+EPS_NFA = """
+states 2
+alphabet a
+start 0 1
+finals 0 1
+ambiguity 2
+trans 0 a 0
+"""
+
 ANBN_PDA = """
 state load drain pusha popb
 input a b
@@ -81,6 +104,8 @@ def files(tmp_path):
         ("ab.dfa", AB_STAR),
         ("catalan.cfg", CATALAN),
         ("two.nfa", TWO_ROUTE_NFA),
+        ("b_then_any.nfa", B_THEN_ANY_NFA),
+        ("eps.nfa", EPS_NFA),
         ("anbn.pda", ANBN_PDA),
         ("trace.dfa", TRACE_FILE),
         ("ones3.mat", ONES3),
@@ -267,6 +292,50 @@ class TestFormatsAndErrors:
             if code == 2:
                 assert "FAIL (⊥)" in out
         assert 2 in seen
+
+
+class TestRangeValidation:
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_nfa_unrank_rank_below_one(self, files, capsys, k):
+        code, out, err = run_cli(
+            ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", k], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "RankOutOfRange" in err
+
+    def test_nfa_unrank_members_then_above_census(self, files, capsys):
+        words = []
+        for k in range(1, 5):
+            argv = ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", str(k)]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            words.append(out.splitlines()[0])
+        assert words == ["baa", "bab", "bba", "bbb"]
+        code, out, err = run_cli(
+            ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", "5"], capsys
+        )
+        assert code == 1
+        assert "EmptySlice" in err
+
+    @pytest.mark.parametrize("op", ["count", "sample", "unrank"])
+    def test_nfa_negative_length(self, files, capsys, op):
+        # eps.nfa accepts the empty word: a length-0 answer would print 1
+        code, out, err = run_cli(["nfa", op, "-a", files["eps.nfa"], "-n", "-2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "length must be nonnegative" in err
+
+    @pytest.mark.parametrize("delta", ["0", "2", "1", "-1/2"])
+    def test_dfa_sample_delta_outside_unit_interval(self, files, delta):
+        argv = [
+            sys.executable, "-m", "countgen.cli",
+            "dfa", "sample", "-a", files["ab.dfa"], "-n", "2", f"--delta={delta}",
+        ]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """Bit sources, uniform integers, bit sizes and lcm."""
 
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from countgen.coins import (
     gen_uniform,
     lcm_upto,
     outcome_law,
+    retries_for,
 )
 from countgen.exceptions import TapeExhausted
 
@@ -129,6 +132,46 @@ class TestGenUniform:
     def test_determinism(self):
         runs = [gen_uniform(CoinSource(99), 13) for _ in range(3)]
         assert len(set(runs)) == 1
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRetriesFor:
+    @pytest.mark.parametrize(
+        "delta", [0, Fraction(0), -1, Fraction(-1, 3), 1, Fraction(2), "3/2"]
+    )
+    def test_outside_open_unit_interval_rejected(self, delta):
+        with deadline(5):
+            with pytest.raises(ValueError, match="delta"):
+                retries_for(delta)
+
+    @pytest.mark.parametrize(
+        "delta, t",
+        [(Fraction(1, 2), 1), (Fraction(1, 4), 2), (Fraction(1, 5), 3), (Fraction(99, 100), 1)],
+    )
+    def test_smallest_sufficient_attempts(self, delta, t):
+        assert retries_for(delta) == t
+
+    def test_gen_uniform_rejects_bad_delta_before_drawing(self):
+        src = CoinSource(0)
+        for delta in (0, 1, 2):
+            with pytest.raises(ValueError):
+                gen_uniform(src, 5, delta)
+        assert src.bits_consumed == 0
 
 
 class TestBitSize:

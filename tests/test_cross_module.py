@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from countgen.cfg import CnfGrammar, earley_count
-from countgen.coins import FAIL, CoinSource, outcome_law
+from countgen.coins import FAIL, CoinSource, gen_uniform, outcome_law
 from countgen.describe import (
     amplify_urg,
     estimate_census,
@@ -14,8 +14,15 @@ from countgen.describe import (
     sample_described,
     union,
 )
-from countgen.dfa import dfa_census, dfa_from_regex, dfa_language, dfa_sample
-from countgen.nfa import nfa_from_dfa, nfa_rank_slice, nfa_sample_slice, nfa_slice_census
+from countgen.dfa import dfa_census, dfa_from_regex, dfa_language, dfa_sample, dfa_unrank
+from countgen.nfa import (
+    Nfa,
+    nfa_from_dfa,
+    nfa_rank_slice,
+    nfa_sample_slice,
+    nfa_slice_census,
+    nfa_unrank_slice,
+)
 from countgen.traces import indep_alphabet, normal_form, trace_description
 from countgen.describe import Bound
 
@@ -45,6 +52,48 @@ class TestSamplerAgreement:
         table = dfa_census(automaton, 6)
         for n in range(7):
             assert nfa_slice_census(lifted, n) == table.count(automaton.start, n)
+
+    def test_nfa_sampler_consumes_exactly_the_rank_draw(self):
+        # the census fixes gen_uniform's width and attempts and the greedy
+        # walk draws nothing, so every tape must give the same bits and the
+        # k-th word.  The automaton is the block-diagonal union of (a|b)*a
+        # and a(a|b)*, where aaa and aba have two accepting paths.
+        ends_a = nfa_from_dfa(dfa_from_regex("(a|b)*a"))
+        starts_a = nfa_from_dfa(dfa_from_regex("a(a|b)*"))
+        pad_e, pad_s = (0,) * starts_a.dim, (0,) * ends_a.dim
+        union = Nfa(
+            ("a", "b"),
+            tuple(
+                tuple(row + pad_e for row in me) + tuple(pad_s + row for row in ms)
+                for me, ms in zip(ends_a.matrices, starts_a.matrices)
+            ),
+            ends_a.start + starts_a.start,
+            ends_a.accept + starts_a.accept,
+            2,
+        )
+        n = 3
+        census = nfa_slice_census(union, n)
+        assert census == 6
+
+        def by_rank(src):
+            k = gen_uniform(src, census)
+            word = FAIL if k is FAIL else nfa_unrank_slice(union, n, k)
+            return word, src.bits_consumed
+
+        law_sampler = outcome_law(
+            lambda src: (nfa_sample_slice(union, n, src), src.bits_consumed)
+        )
+        assert law_sampler == outcome_law(by_rank)
+
+    def test_nfa_unrank_equals_dfa_unrank(self):
+        automaton = dfa_from_regex("(a|b)*aa(a|b)*")
+        lifted = nfa_from_dfa(automaton)
+        shorter = 0
+        for n in range(6):
+            census = nfa_slice_census(lifted, n)
+            for k in range(1, census + 1):
+                assert nfa_unrank_slice(lifted, n, k) == dfa_unrank(automaton, shorter + k)
+            shorter += census
 
 
 class TestCombinatorsOverAutomata:

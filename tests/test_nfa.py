@@ -7,7 +7,7 @@ import pytest
 
 from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.dfa import dfa_from_regex, slice_rank
-from countgen.exceptions import AmbiguityExceeded, EmptySlice, SizeGuard
+from countgen.exceptions import AmbiguityExceeded, EmptySlice, RankOutOfRange, SizeGuard
 from countgen.nfa import (
     Nfa,
     build_q,
@@ -17,6 +17,7 @@ from countgen.nfa import (
     nfa_rank_slice,
     nfa_sample_slice,
     nfa_slice_census,
+    nfa_unrank_slice,
     path_count,
     unrank_slice,
     validate_ambiguity,
@@ -270,6 +271,71 @@ class TestUnrankAndSampling:
         odd = nfa_from_dfa(dfa_from_regex("(ab)*"))
         with pytest.raises(EmptySlice):
             nfa_sample_slice(odd, 3, CoinSource(0))
+
+
+class TestGreedyUnrank:
+    @pytest.mark.parametrize("a", RANK_AUTOMATA)
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_bisection(self, a, n):
+        census = nfa_slice_census(a, n)
+        rank_fn = lambda w: nfa_rank_slice(a, n, w)
+        for k in range(1, census + 1):
+            assert nfa_unrank_slice(a, n, k) == unrank_slice(rank_fn, a.alphabet, n, k)
+
+    @pytest.mark.parametrize("a", RANK_AUTOMATA)
+    def test_inverts_rank_on_members(self, a):
+        n = 4
+        members = [w for w in words_of(a.alphabet, n) if path_count(a, w) >= 1]
+        for k, w in enumerate(members, start=1):
+            assert nfa_unrank_slice(a, n, k) == w
+            assert nfa_rank_slice(a, n, w) == k
+
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_rank_below_one_rejected(self, k):
+        with pytest.raises(RankOutOfRange):
+            nfa_unrank_slice(UNION_OVERLAP, 3, k)
+        with pytest.raises(RankOutOfRange):
+            unrank_slice(lambda w: nfa_rank_slice(UNION_OVERLAP, 3, w), ("a", "b"), 3, k)
+
+    def test_rank_above_census_rejected(self):
+        census = nfa_slice_census(UNION_OVERLAP, 3)
+        assert nfa_unrank_slice(UNION_OVERLAP, 3, census) == "bba"
+        with pytest.raises(EmptySlice):
+            nfa_unrank_slice(UNION_OVERLAP, 3, census + 1)
+        with pytest.raises(EmptySlice):
+            nfa_unrank_slice(DFA_AS_NFA, 3, 1)
+
+    def test_unranked_word_above_bound_raises(self):
+        # "a" has 2 accepting paths but the bound says 1: q(2) = 2 makes the
+        # census 2, and the greedy walk lands on the offending word
+        bad = Nfa(("a",), (((0, 2), (0, 0)),), (1, 0), (0, 1), 1)
+        assert nfa_slice_census(bad, 1) == 2
+        for k in (1, 2):
+            with pytest.raises(AmbiguityExceeded):
+                nfa_unrank_slice(bad, 1, k)
+        with pytest.raises(AmbiguityExceeded):
+            nfa_sample_slice(bad, 1, CoinSource(0))
+
+    def test_empty_word_slice(self):
+        assert nfa_unrank_slice(DOUBLED, 0, 1) == ""
+        with pytest.raises(EmptySlice):
+            nfa_unrank_slice(TWO_PATHS_A, 0, 1)
+
+
+class TestNegativeLength:
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_every_entry_point_rejects(self, n):
+        # DOUBLED accepts the empty word, so a silent length-0 answer would show
+        calls = [
+            lambda: nfa_slice_census(DOUBLED, n),
+            lambda: nfa_rank_slice(DOUBLED, n, ""),
+            lambda: nfa_unrank_slice(DOUBLED, n, 1),
+            lambda: nfa_sample_slice(DOUBLED, n, CoinSource(0)),
+            lambda: unrank_slice(lambda w: 1, DOUBLED.alphabet, n, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="length must be nonnegative"):
+                call()
 
 
 class TestLoader:
