@@ -1,6 +1,6 @@
 """Counting, ranking and uniform random generation over language slices."""
 
-from .coins import FAIL, CoinSource, TapeSource, bit_size, draw_bits, gen_uniform, lcm_upto, outcome_law
+from .coins import FAIL, CoinSource, TapeSource, bit_size, gen_uniform, lcm_upto, outcome_law
 from .describe import (
     Bound,
     Description,

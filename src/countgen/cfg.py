@@ -2,7 +2,7 @@
 multiplicity Earley parsing, and the word sampler built from them.
 
 Derivation trees of a fixed yield length are counted exactly by the
-binary-production convolution; the same table drives a uniform tree
+binary-production convolution; the same (growable) table drives a uniform tree
 sampler whose split point is found by a two-ended (boustrophedonic)
 prefix-sum search.  The weighted Earley chart counts the derivation trees
 of a given word, which is the multiplicity needed to flatten trees into
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .coins import FAIL, bit_size
+from .coins import FAIL, bit_size, draw_uniform
 from .describe import Bound, Description
 from .exceptions import (
     AmbiguityExceeded,
@@ -111,19 +111,22 @@ class CnfGrammar:
 
 def tree_census_table(g: CnfGrammar, n: int) -> dict:
     """table[a][l] = number of derivation trees from a with yield length l."""
-    table = {a: [0] * (n + 1) for a in g.variables}
-    for a in g.variables:
-        if n >= 1:
-            table[a][1] = len(g.unary[a])
-    for length in range(2, n + 1):
+    return grow_tree_table(g, {a: [0] for a in g.variables}, n)
+
+
+def grow_tree_table(g: CnfGrammar, table: dict, n: int) -> dict:
+    """Append yield lengths to ``table`` until every row covers 0..n."""
+    if n < 0:
+        raise ValueError("yield length must be nonnegative")
+    for length in range(len(table[g.start]), n + 1):
         for a in g.variables:
-            total = 0
+            total = len(g.unary[a]) if length == 1 else 0
             for b, c in g.binary[a]:
                 row_b, row_c = table[b], table[c]
                 total += sum(
                     row_b[i] * row_c[length - i] for i in range(1, length)
                 )
-            table[a][length] = total
+            table[a].append(total)
     return table
 
 
@@ -134,6 +137,7 @@ def tree_census(g: CnfGrammar, a, n: int) -> int:
     return tree_census_table(g, n)[a][n]
 
 
+# Single-ended reference scan; tests check the two-ended one against it.
 def _locate_linear(g, table, a, length, r):
     acc = 0
     for k in range(1, length):
@@ -185,43 +189,29 @@ def _locate_boustrophedon(g, table, a, length, r):
 
 
 def random_tree(
-    g: CnfGrammar,
-    n: int,
-    src,
-    confidence: int = 0,
-    table: dict | None = None,
-    search: str = "boustrophedon",
+    g: CnfGrammar, n: int, src, confidence: int = 0, table: dict | None = None
 ):
     """Uniform derivation tree with yield length n, or FAIL.
 
     The per-node rejection uses kappa = 3 + ceil(log n) + confidence
     attempts (kappa is global, not per recursion level); the failure
     probability is at most (2n - 1) / 2**kappa, below 1/4 at
-    confidence 0.
+    confidence 0.  A given ``table`` is grown to n in place.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    if table is None:
-        table = tree_census_table(g, n)
+    table = tree_census_table(g, n) if table is None else grow_tree_table(g, table, n)
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
     kappa = 3 + bit_size(n) + confidence
-    locate = _locate_boustrophedon if search == "boustrophedon" else _locate_linear
 
     def generate(a, length):
-        total = table[a][length]
-        width = bit_size(total)
-        r = None
-        for _ in range(kappa):
-            u = src.draw(width) + 1
-            if u <= total:
-                r = u
-                break
-        if r is None:
+        r = draw_uniform(src, table[a][length], kappa)
+        if r is FAIL:
             return FAIL
         if length == 1:
             return (a, g.unary[a][r - 1])
-        b, c, k = locate(g, table, a, length, r)
+        b, c, k = _locate_boustrophedon(g, table, a, length, r)
         left = generate(b, k)
         if left is FAIL:
             return FAIL
@@ -249,9 +239,14 @@ def format_tree(tree) -> str:
 
 def enumerate_trees(g: CnfGrammar, a, n: int, guard: int = 200_000):
     """All derivation trees from ``a`` with yield length n (oracle use)."""
-    if tree_census(g, a, n) > guard:
+    if n < 1:
+        raise ValueError("yield length must be >= 1")
+    return _enumerate(g, tree_census_table(g, n), a, n, guard)
+
+
+def _enumerate(g: CnfGrammar, table: dict, a, n: int, guard: int = 200_000):
+    if table[a][n] > guard:
         raise SizeGuard("too many trees to enumerate")
-    table = tree_census_table(g, n)
 
     def build(sym, length):
         if length == 1:
@@ -513,15 +508,10 @@ def cfl_description(
     counted by the weighted Earley chart.  Words whose tree count exceeds
     the declared bound raise AmbiguityExceeded.
     """
-    tables: dict = {}
-
-    def table_for(n):
-        if n not in tables:
-            tables[n] = tree_census_table(g, n)
-        return tables[n]
+    table = tree_census_table(g, 0)
 
     def sampler(n, src):
-        return random_tree(g, n, src, confidence=confidence, table=table_for(n))
+        return random_tree(g, n, src, confidence=confidence, table=table)
 
     def ambiguity(word):
         count = earley_count(g, word)
@@ -538,17 +528,18 @@ def cfl_description(
         project=tree_yield,
         ambiguity=ambiguity,
         bound=bound,
-        census=lambda n: table_for(n)[g.start][n],
+        census=lambda n: grow_tree_table(g, table, n)[g.start][n],
     )
 
 
 def validate_cfl_bound(g: CnfGrammar, bound: Bound, up_to: int) -> None:
     """Check the tree-count bound on every derivable word of length <= up_to."""
+    table = tree_census_table(g, max(up_to, 0))
     for n in range(1, up_to + 1):
-        if tree_census(g, g.start, n) == 0:
+        if table[g.start][n] == 0:
             continue
         seen = set()
-        for tree in enumerate_trees(g, g.start, n):
+        for tree in _enumerate(g, table, g.start, n):
             w = tree_yield(tree)
             if w in seen:
                 continue

@@ -42,6 +42,13 @@ def _fraction_arg(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _bound_arg(text: str) -> Bound:
     """Parse 'K' as a constant bound or 'c,p,k' as c*n**p + k."""
     parts = text.split(",")
@@ -319,11 +326,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--delta", type=_fraction_arg, default=Fraction(1, 4))
         p.add_argument("--epsilon", type=_fraction_arg, default=Fraction(1, 4))
-        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--trials", type=_positive_int, default=None)
         p.add_argument("--ceiling", type=int, default=512)
         p.add_argument("--format", choices=("text", "json-lines"), default="text")
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--repeat", type=int, default=1)
+        p.add_argument("--repeat", type=_positive_int, default=1)
 
     p = sub.add_parser("dfa")
     p.add_argument("op", choices=("count", "sample", "rank", "unrank"))
@@ -387,7 +394,7 @@ def dispatch(argv) -> int:
     failed = False
     lines = []
     try:
-        for index in range(max(1, args.repeat)):
+        for index in range(args.repeat):
             seed = _derive_seed(args.seed, index)
             src = CoinSource(seed)
             value, trials = handler(args, src)

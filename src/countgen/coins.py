@@ -98,11 +98,6 @@ class TapeSource:
         return value
 
 
-def draw_bits(src, k: int) -> int:
-    """Integer formed by the next k bits of ``src`` (little-endian)."""
-    return src.draw(k)
-
-
 def bit_size(n: int) -> int:
     """Bits needed to index {1..n}: the unique b with 2**(b-1) < n <= 2**b.
 
@@ -142,10 +137,18 @@ def gen_uniform(src, n: int, delta=Fraction(1, 4)):
     """
     if n < 1:
         raise ValueError("range must contain at least 1")
-    width = bit_size(n)
-    for _ in range(retries_for(delta)):
+    return draw_uniform(src, n, retries_for(delta))
+
+
+def draw_uniform(src, total: int, attempts: int):
+    """Uniform integer in {1..total}, or FAIL after ``attempts`` rejections.
+
+    Each attempt draws ``bit_size(total)`` bits and rejects values above total.
+    """
+    width = bit_size(total)
+    for _ in range(attempts):
         u = src.draw(width) + 1
-        if u <= n:
+        if u <= total:
             return u
     return FAIL
 

@@ -101,6 +101,10 @@ class SampleReport:
 
 
 def _sample_loop(desc: Description, n: int, src, trials=None):
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
+    if desc.census is not None and desc.census(n) == 0:
+        raise EmptySlice(f"carrier census is 0 at size {n}")
     d_max = desc.bound(n)
     m = lcm_upto(d_max)
     width = bit_size(m)
@@ -129,16 +133,12 @@ def sample_described(desc: Description, n: int, src, trials=None):
     ``trials`` overrides the computed retry budget; the conditional output
     law does not depend on it.
     """
-    if desc.census is not None and desc.census(n) == 0:
-        raise EmptySlice(f"carrier census is 0 at size {n}")
     value, _ = _sample_loop(desc, n, src, trials)
     return value
 
 
 def sample_report(desc: Description, n: int, src, trials=None) -> SampleReport:
     """Like ``sample_described`` but reporting trials and bits used."""
-    if desc.census is not None and desc.census(n) == 0:
-        raise EmptySlice(f"carrier census is 0 at size {n}")
     before = src.bits_consumed
     value, used = _sample_loop(desc, n, src, trials)
     return SampleReport(value, used, src.bits_consumed - before)

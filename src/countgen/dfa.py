@@ -2,7 +2,8 @@
 
 Words of a fixed length accepted by a DFA are counted exactly by dynamic
 programming over states; the same table drives a per-letter rejection
-sampler, lexicographic ranking by prefix sums, and unranking.
+sampler, lexicographic ranking by prefix sums, and unranking.  The table
+is prefix-closed, so one table per automaton grows to any length read.
 
 Word order is length-first, then lexicographic in the declared alphabet
 order; ranks are 1-based and a word counts itself when it is a member.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coins import FAIL, bit_size
+from .coins import FAIL, bit_size, draw_uniform
 from .describe import WordLanguage
 from .exceptions import EmptySlice, FormatError, RankOutOfRange
 
@@ -59,30 +60,39 @@ class Dfa:
         return self.walk(word) in self.finals
 
 
-@dataclass(frozen=True)
 class CensusTable:
-    """counts[q][l] = number of words of length l accepted from state q."""
+    """counts[q][l] = number of words of length l accepted from state q.
 
-    counts: tuple
+    Every row grows to a length the first time a count there is read.
+    """
+
+    def __init__(self, a: Dfa):
+        self.dfa = a
+        self.counts = [[1 if q in a.finals else 0] for q in range(a.n_states)]
 
     def count(self, q: int, length: int) -> int:
-        return self.counts[q][length]
+        row = self.counts[q]
+        if not 0 <= length < len(row):
+            self.grow(length)
+        return row[length]
 
     def bits(self, q: int, length: int) -> int:
-        return bit_size(self.counts[q][length])
+        return bit_size(self.count(q, length))
+
+    def grow(self, n: int) -> "CensusTable":
+        """Extend every row to cover lengths 0..n."""
+        if n < 0:
+            raise ValueError("census length must be nonnegative")
+        counts, trans = self.counts, self.dfa.trans
+        for length in range(len(counts[0]), n + 1):
+            for q, row in enumerate(counts):
+                row.append(sum(counts[p][length - 1] for p in trans[q]))
+        return self
 
 
 def dfa_census(a: Dfa, n: int) -> CensusTable:
     """Exact per-state census of accepted words for every length <= n."""
-    if n < 0:
-        raise ValueError("census length must be nonnegative")
-    counts = [[1 if q in a.finals else 0] for q in range(a.n_states)]
-    for length in range(1, n + 1):
-        for q in range(a.n_states):
-            counts[q].append(
-                sum(counts[a.trans[q][s]][length - 1] for s in range(len(a.alphabet)))
-            )
-    return CensusTable(tuple(tuple(row) for row in counts))
+    return CensusTable(a).grow(n)
 
 
 def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | None = None):
@@ -103,29 +113,12 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     q = a.start
     word = []
     for length in range(n, 0, -1):
-        total = table.count(q, length)
-        width = table.bits(q, length)
-        r = None
-        for _ in range(kappa):
-            u = src.draw(width) + 1
-            if u <= total:
-                r = u
-                break
-        if r is None:
+        r = draw_uniform(src, table.count(q, length), kappa)
+        if r is FAIL:
             return FAIL
-        if length == 1:
-            finals = [
-                s for s in range(len(a.alphabet)) if a.trans[q][s] in a.finals
-            ]
-            word.append(a.alphabet[finals[r - 1]])
-        else:
-            acc = 0
-            for s in range(len(a.alphabet)):
-                acc += table.count(a.trans[q][s], length - 1)
-                if acc >= r:
-                    break
-            word.append(a.alphabet[s])
-            q = a.trans[q][s]
+        s, _ = _next_letter(a, table, q, length, r)
+        word.append(a.alphabet[s])
+        q = a.trans[q][s]
     return "".join(word)
 
 
@@ -198,37 +191,36 @@ def dfa_unrank(a: Dfa, k: int) -> str:
     """The unique accepted word of rank k (1-based); inverse of dfa_rank."""
     if k < 1:
         raise RankOutOfRange("ranks are 1-based")
+    table = CensusTable(a)
     if _is_finite(a):
-        horizon = a.n_states  # longest member of a finite language
-        table = dfa_census(a, horizon)
-        size = sum(table.count(a.start, length) for length in range(horizon + 1))
+        # members of a finite language are shorter than its state count
+        size = sum(table.count(a.start, length) for length in range(a.n_states + 1))
         if k > size:
             raise RankOutOfRange(f"language has only {size} members")
-    horizon = 1
-    while True:
-        table = dfa_census(a, horizon)
-        cumulative = 0
-        for n in range(horizon + 1):
-            here = table.count(a.start, n)
-            if cumulative + here >= k:
-                return _unrank_slice(a, table, n, k - cumulative)
-            cumulative += here
-        horizon *= 2
+    n = 0
+    while k > table.count(a.start, n):
+        k -= table.count(a.start, n)
+        n += 1
+    return _unrank_slice(a, table, n, k)
+
+
+def _next_letter(a: Dfa, table: CensusTable, q: int, length: int, r: int):
+    """Letter index whose prefix cone from q holds rank r, and r inside it."""
+    for s, p in enumerate(a.trans[q]):
+        below = table.count(p, length - 1)
+        if r <= below:
+            return s, r
+        r -= below
+    raise AssertionError("rank exceeded slice census")
 
 
 def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
     q = a.start
     word = []
     for length in range(n, 0, -1):
-        for s in range(len(a.alphabet)):
-            below = table.count(a.trans[q][s], length - 1)
-            if r <= below:
-                word.append(a.alphabet[s])
-                q = a.trans[q][s]
-                break
-            r -= below
-        else:
-            raise AssertionError("rank exceeded slice census")
+        s, r = _next_letter(a, table, q, length, r)
+        word.append(a.alphabet[s])
+        q = a.trans[q][s]
     return "".join(word)
 
 
@@ -243,23 +235,18 @@ def slice_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
 
 def dfa_language(a: Dfa, confidence: int = 3, max_len: int = 4096) -> WordLanguage:
     """WordLanguage view of the DFA for the union/product combinators."""
-    cache: dict = {}
-
-    def table_for(n: int) -> CensusTable:
-        if n not in cache:
-            cache[n] = dfa_census(a, n)
-        return cache[n]
+    table = CensusTable(a)
 
     def census(n: int) -> int:
         if n > max_len:
             raise ValueError(f"census length {n} above limit {max_len}")
-        return table_for(n).count(a.start, n)
+        return table.count(a.start, n)
 
     def sample(n: int, src):
-        return dfa_sample(a, n, src, confidence=confidence, table=table_for(n))
+        return dfa_sample(a, n, src, confidence=confidence, table=table)
 
     def unrank(n: int, i: int) -> str:
-        return _unrank_slice(a, table_for(n), n, i)
+        return _unrank_slice(a, table, n, i)
 
     return WordLanguage(sample, a.accepts, census, unrank)
 
@@ -301,6 +288,9 @@ def load_dfa(text: str) -> Dfa:
         raise FormatError("missing states/alphabet/start/finals")
     if any(len(sym) != 1 for sym in alphabet):
         raise FormatError("alphabet symbols must be single characters")
+    for state in (start, *finals, *(x for q, _, p in edges for x in (q, p))):
+        if not 0 <= state < n_states:
+            raise FormatError(f"state {state} outside 0..{n_states - 1}")
     table = [[None] * len(alphabet) for _ in range(n_states)]
     index = {sym: i for i, sym in enumerate(alphabet)}
     for q, sym, p in edges:

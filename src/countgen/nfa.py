@@ -221,6 +221,11 @@ def nfa_rank_slice(
         raise ValueError("beta must have length n")
     if validate:
         validate_ambiguity(a, n)
+    return _rank(a, table, beta)
+
+
+def _rank(a: Nfa, table: _SliceTable, beta: str) -> int:
+    n = len(beta)
     below, row, member = 0, table.start, _bounded_path_count(a, beta) > 0
     for i, sym in enumerate(beta):
         cones = list(islice(_cones(table, row, n - 1 - i), a.alphabet.index(sym) + 1))
@@ -238,7 +243,7 @@ def nfa_rank(a: Nfa, beta: str) -> int:
     """Rank over all lengths: shorter accepted words plus the slice rank."""
     table = _slice_table(a, len(beta))
     shorter = sum(table.census(m) for m in range(len(beta)))
-    return shorter + nfa_rank_slice(a, len(beta), beta)
+    return shorter + _rank(a, table, beta)
 
 
 def nfa_unrank_slice(a: Nfa, n: int, k: int) -> str:
@@ -347,6 +352,9 @@ def load_nfa(text: str) -> Nfa:
             raise FormatError(f"unknown directive {key!r}")
     if None in (n_states, alphabet, ambiguity) or not starts or not finals:
         raise FormatError("missing states/alphabet/start/finals/ambiguity")
+    for state in (*starts, *finals, *(x for q, _, p in edges for x in (q, p))):
+        if not 0 <= state < n_states:
+            raise FormatError(f"state {state} outside 0..{n_states - 1}")
     index = {sym: i for i, sym in enumerate(alphabet)}
     matrices = [[[0] * n_states for _ in range(n_states)] for _ in alphabet]
     for q, sym, p in edges:

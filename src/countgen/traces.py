@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .describe import Bound, Description
-from .dfa import Dfa, dfa_census, dfa_sample
+from .dfa import CensusTable, Dfa, dfa_sample
 from .exceptions import AmbiguityExceeded, SizeGuard
 
 
@@ -171,15 +171,10 @@ def trace_description(
     """
     if tuple(dfa.alphabet) != tuple(alph.symbols):
         raise ValueError("automaton and independence alphabets must agree")
-    tables: dict = {}
-
-    def table_for(n):
-        if n not in tables:
-            tables[n] = dfa_census(dfa, n)
-        return tables[n]
+    table = CensusTable(dfa)
 
     def sampler(n, src):
-        return dfa_sample(dfa, n, src, confidence=confidence, table=table_for(n))
+        return dfa_sample(dfa, n, src, confidence=confidence, table=table)
 
     def ambiguity(trace):
         d = count_representatives(dfa, trace, alph)
@@ -196,7 +191,7 @@ def trace_description(
         project=lambda w: normal_form(w, alph),
         ambiguity=ambiguity,
         bound=bound,
-        census=lambda n: table_for(n).count(dfa.start, n),
+        census=lambda n: table.count(dfa.start, n),
     )
 
 

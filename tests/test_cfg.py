@@ -14,6 +14,7 @@ from countgen.cfg import (
     earley_count,
     enumerate_trees,
     format_tree,
+    grow_tree_table,
     load_grammar,
     random_tree,
     to_cnf,
@@ -111,6 +112,22 @@ class TestTreeCensus:
     def test_matches_tree_enumeration(self, g, n):
         assert tree_census(g, g.start, n) == len(enumerate_trees(g, g.start, n))
 
+    @pytest.mark.parametrize("g", GRAMMARS)
+    def test_grown_out_of_order_matches_fresh(self, g):
+        table = tree_census_table(g, 0)
+        for n in (3, 9, 5):
+            assert grow_tree_table(g, table, n) is table
+        for n in range(10):
+            fresh = tree_census_table(g, n)
+            assert {a: row[: n + 1] for a, row in table.items()} == fresh
+        assert table == tree_census_table(g, 9)
+
+    @pytest.mark.parametrize("g", GRAMMARS)
+    def test_description_census_out_of_order(self, g):
+        desc = cfl_description(g, Bound(const=100))
+        for n in (3, 9, 5, 1, 7):
+            assert desc.census(n) == tree_census(g, g.start, n)
+
 
 class TestRandomTree:
     def test_two_trees_uniform_by_enumeration(self):
@@ -149,6 +166,20 @@ class TestRandomTree:
             for seed in range(runs)
         )
         assert fails / runs <= (2 * n - 1) / 2**kappa
+
+    @pytest.mark.parametrize("g", GRAMMARS)
+    def test_shared_grown_table_keeps_law_and_bits(self, g):
+        shared = tree_census_table(g, 9)
+        for n in range(1, 4):
+            if tree_census(g, g.start, n) == 0:
+                continue
+
+            def run(src, table=None):
+                return random_tree(g, n, src, table=table), src.bits_consumed
+
+            fresh = outcome_law(run)
+            assert outcome_law(lambda src: run(src, shared)) == fresh
+            assert outcome_law(lambda src: run(src, tree_census_table(g, 0))) == fresh
 
     def test_yields_have_requested_length(self):
         for seed in range(100):

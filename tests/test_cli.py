@@ -337,6 +337,33 @@ class TestRangeValidation:
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "family, text, old, new",
+        [
+            ("dfa", AB_STAR, "trans 1 b 0", "trans -1 b 0"),
+            ("dfa", AB_STAR, "start 0", "start 3"),
+            ("nfa", B_THEN_ANY_NFA, "trans 0 b 1", "trans -1 b 1"),
+            ("nfa", B_THEN_ANY_NFA, "start 0", "start 0 7"),
+        ],
+        ids=["dfa-negative-source", "dfa-start", "nfa-negative-source", "nfa-extra-start"],
+    )
+    def test_state_out_of_range_exits_one(self, tmp_path, capsys, family, text, old, new):
+        spec = tmp_path / f"bad.{family}"
+        spec.write_text(text.replace(old, new))
+        code, out, err = run_cli([family, "count", "-a", str(spec), "-n", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: state ")
+
+    @pytest.mark.parametrize("flag", ["--trials", "--repeat"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_exit_one(self, files, capsys, flag, value):
+        argv = ["cfg", "sample", "-g", files["catalan.cfg"], "-n", "3", flag, value]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: {value} is below 1" in err
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, files):

@@ -14,7 +14,7 @@ from countgen.coins import (
     CoinSource,
     TapeSource,
     bit_size,
-    draw_bits,
+    draw_uniform,
     gen_uniform,
     lcm_upto,
     outcome_law,
@@ -53,31 +53,31 @@ def iterated_gcd_lcm(n):
 class TestDrawBits:
     def test_empty_draw(self):
         src = TapeSource(())
-        assert draw_bits(src, 0) == 0
+        assert src.draw(0) == 0
         assert src.bits_consumed == 0
 
     def test_little_endian(self):
         # tape 101... reads as 1 + 4 = 5
         src = TapeSource((1, 0, 1))
-        assert draw_bits(src, 3) == 5
+        assert src.draw(3) == 5
 
     def test_successive_draws_partition_tape(self):
         src = TapeSource((1, 1, 0, 1))
-        first = draw_bits(src, 2)
-        second = draw_bits(src, 2)
+        first = src.draw(2)
+        second = src.draw(2)
         assert (first, second) == (0b11, 0b10)
         assert src.bits_consumed == 4
 
     def test_exhaustion(self):
         src = TapeSource((1,))
         with pytest.raises(TapeExhausted):
-            draw_bits(src, 2)
+            src.draw(2)
 
     def test_consumption_counter(self):
         src = CoinSource(1)
         for k in (0, 3, 7, 64, 130):
             before = src.bits_consumed
-            draw_bits(src, k)
+            src.draw(k)
             assert src.bits_consumed - before == k
 
     def test_seed_replay(self):
@@ -148,6 +148,22 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestDrawUniform:
+    def test_law_and_tape_use(self):
+        # five values on three bits: each attempt accepts with probability 5/8
+        law = outcome_law(lambda src: (draw_uniform(src, 5, 2), src.bits_consumed))
+        for u in range(1, 6):
+            assert law[u, 3] == Fraction(1, 8)
+            assert law[u, 6] == Fraction(3, 8) * Fraction(1, 8)
+        assert law[FAIL, 6] == Fraction(3, 8) ** 2
+        assert len(law) == 11
+
+    def test_no_attempts_draws_nothing(self):
+        src = TapeSource(())
+        assert draw_uniform(src, 7, 0) is FAIL
+        assert src.bits_consumed == 0
 
 
 class TestRetriesFor:

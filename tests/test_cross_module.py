@@ -97,6 +97,24 @@ class TestSamplerAgreement:
 
 
 class TestCombinatorsOverAutomata:
+    @pytest.mark.parametrize(
+        "left, right", [("(a|b)*a", "a(a|b)*"), ("(ab)*", "(a|b)*"), ("ab|ba|aab", "b*")]
+    )
+    def test_census_equals_independent_sum(self, left, right):
+        first, second = dfa_from_regex(left, "ab"), dfa_from_regex(right, "ab")
+        count = {
+            (a, n): sum(a.accepts(w) for w in words_of("ab", n))
+            for a in (first, second)
+            for n in range(9)
+        }
+        both = union(dfa_language(first), dfa_language(second))
+        concat = product(dfa_language(first), dfa_language(second))
+        for n in (3, 8, 5, 0):
+            assert both.census(n) == count[first, n] + count[second, n]
+            assert concat.census(n) == sum(
+                count[first, k] * count[second, n - k] for k in range(n + 1)
+            )
+
     def test_union_of_dfa_languages(self):
         ends_a = dfa_language(dfa_from_regex("(a|b)*a"))
         starts_a = dfa_language(dfa_from_regex("a(a|b)*"))

@@ -129,6 +129,14 @@ class TestSampleDescribed:
         with pytest.raises(EmptySlice):
             sample_described(desc, 3, CoinSource(0))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        desc = two_copy_description(["x", "y"])
+        with pytest.raises(ValueError, match="trials"):
+            sample_described(desc, 1, CoinSource(0), trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            sample_report(desc, 1, CoinSource(0), trials=trials)
+
     def test_report_counts_trials_and_bits(self):
         desc = two_copy_description(["x", "y"])
         src = CoinSource(5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from countgen.coins import FAIL, CoinSource, bit_size, outcome_law
 from countgen.dfa import (
+    CensusTable,
     Dfa,
     dfa_census,
     dfa_from_regex,
@@ -74,6 +75,23 @@ class TestCensus:
         expected = sum(a.accepts(w) for w in words_of(a.alphabet, n))
         assert table.count(a.start, n) == expected
 
+    @pytest.mark.parametrize("a", AUTOMATA)
+    def test_grown_out_of_order_matches_fresh(self, a):
+        table = CensusTable(a)
+        for n in (3, 9, 5):
+            table.count(a.start, n)
+        table.grow(4)
+        for n in range(10):
+            fresh = dfa_census(a, n)
+            for q in range(a.n_states):
+                assert table.count(q, n) == fresh.count(q, n)
+        assert all(len(row) == 10 for row in table.counts)
+
+    def test_negative_length_rejected(self):
+        table = dfa_census(ALL_WORDS, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.count(ALL_WORDS.start, -1)
+
 
 class TestSample:
     def test_singleton_slice(self):
@@ -118,6 +136,21 @@ class TestSample:
             w = dfa_sample(EVEN_A, 5, CoinSource(seed))
             if w is not FAIL:
                 assert EVEN_A.accepts(w) and len(w) == 5
+
+    @pytest.mark.parametrize("a", AUTOMATA)
+    def test_shared_grown_table_keeps_law_and_bits(self, a):
+        shared = CensusTable(a)
+        shared.count(a.start, 9)
+        for n in (1, 2, 3):
+            if dfa_census(a, n).count(a.start, n) == 0:
+                continue
+
+            def run(src, table=None):
+                return dfa_sample(a, n, src, confidence=2, table=table), src.bits_consumed
+
+            fresh = outcome_law(run)
+            assert outcome_law(lambda src: run(src, shared)) == fresh
+            assert outcome_law(lambda src: run(src, CensusTable(a))) == fresh
 
 
 class TestRank:
@@ -215,6 +248,20 @@ trans 1 b 1
     def test_load_rejects_partial(self):
         with pytest.raises(FormatError):
             load_dfa("states 1\nalphabet a\nstart 0\nfinals 0\n")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("trans 1 b 1", "trans -1 b 1"),
+            ("trans 1 b 1", "trans 2 b 1"),
+            ("trans 0 a 1", "trans 0 a -1"),
+            ("start 0", "start 2"),
+            ("finals 0", "finals 0 -2"),
+        ],
+    )
+    def test_load_rejects_state_out_of_range(self, old, new):
+        with pytest.raises(FormatError, match="outside 0..1"):
+            load_dfa(self.DFA_TEXT.replace(old, new))
 
     def test_regex_language(self):
         a = dfa_from_regex("(a|b)*abb")

@@ -7,7 +7,8 @@ import pytest
 
 from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.dfa import dfa_from_regex, slice_rank
-from countgen.exceptions import AmbiguityExceeded, EmptySlice, RankOutOfRange, SizeGuard
+from countgen import nfa
+from countgen.exceptions import AmbiguityExceeded, EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from countgen.nfa import (
     Nfa,
     build_q,
@@ -237,6 +238,16 @@ class TestRankSlice:
             )
             assert nfa_rank(UNION_OVERLAP, beta) == shorter + inslice
 
+    def test_rank_builds_one_slice_table(self, monkeypatch):
+        expected = nfa_rank_slice(UNION_OVERLAP, 4, "abab") + sum(
+            nfa_slice_census(UNION_OVERLAP, m) for m in range(4)
+        )
+        built = []
+        original = nfa._slice_table
+        monkeypatch.setattr(nfa, "_slice_table", lambda *args: built.append(args) or original(*args))
+        assert nfa_rank(UNION_OVERLAP, "abab") == expected
+        assert len(built) == 1
+
 
 class TestUnrankAndSampling:
     def test_bisection_roundtrip(self):
@@ -353,3 +364,16 @@ trans 0 a 1
         a = load_nfa(self.NFA_TEXT)
         assert a.matrices[0][0][1] == 2
         assert path_count(a, "a") == 2
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("trans 0 a 1\n", "trans -1 a 1\n"),
+            ("trans 0 a 1\n", "trans 0 a 2\n"),
+            ("start 0", "start 0 7"),
+            ("finals 1", "finals -1"),
+        ],
+    )
+    def test_load_rejects_state_out_of_range(self, old, new):
+        with pytest.raises(FormatError, match="outside 0..1"):
+            load_nfa(self.NFA_TEXT.replace(old, new, 1))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countgen.coins import FAIL, CoinSource
+from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
-from countgen.dfa import dfa_census, dfa_from_regex
+from countgen.dfa import dfa_census, dfa_from_regex, dfa_sample
 from countgen.exceptions import AmbiguityExceeded
 from countgen.traces import (
     class_size,
@@ -178,6 +178,18 @@ class TestTraceDescription:
             if Fraction(brute, 2) <= est <= Fraction(3 * brute, 2):
                 hits += 1
         assert hits / runs > 0.7
+
+    def test_shared_table_keeps_carrier_law_and_bits(self):
+        lang = dfa_from_regex("(a|b)*ab")
+        desc = trace_description(lang, AB_FREE, Bound(const=4))
+        for n in (3, 9, 5):
+            assert desc.census(n) == dfa_census(lang, n).count(lang.start, n)
+        for n in (2, 3):
+            carrier = outcome_law(lambda src: (desc.sampler(n, src), src.bits_consumed))
+            fresh = outcome_law(
+                lambda src: (dfa_sample(lang, n, src, confidence=3), src.bits_consumed)
+            )
+            assert carrier == fresh
 
     def test_ambiguity_guard(self):
         lang = dfa_from_regex("ab|ba")
