@@ -6,6 +6,10 @@ the trials and bits consumed.  Identical seeds and inputs give
 byte-identical output.  Exit codes: 0 on success, 1 on parse or
 validation errors, 2 when a randomized routine returns the failure
 outcome.
+
+The table ``_FAMILIES`` drives parser and dispatch: each op names its
+library call, the oracle ``--oracle`` runs, and the flags it reads; a
+family accepts only the flags its ops read.
 """
 
 from __future__ import annotations
@@ -16,17 +20,13 @@ import json
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import Callable, NamedTuple, Optional
 
-from . import cfg, dfa, nfa, pda, pseudobool, traces
+from . import cfg, describe, dfa, nfa, pda, pseudobool, traces
 from .coins import FAIL, CoinSource, retries_for
-from .describe import Bound, estimate_census, exact_count, sample_report
+from .describe import Bound, SampleReport
 from .exceptions import FormatError
 from .pseudobool import PbProblem
-
-
-def _confidence(delta) -> int:
-    # attempts that push a per-call failure of 1/2 strictly under delta
-    return retries_for(delta) + 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
 class OracleMismatch(Exception):
     pass
-
-
-def _fraction_arg(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _positive_int(text: str) -> int:
@@ -93,184 +89,140 @@ def _words(alphabet, n):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (value, trials) and may raise.
+# Oracles.  Each is called as oracle(family, spec, args, value) on a value
+# that is not FAIL and raises OracleMismatch.  The brute-force ones walk
+# every word of a slice, so they are meant for small inputs.
 
 
-def _cmd_dfa(args, src):
-    automaton = dfa.load_dfa(_read(args.automaton))
-    if args.op == "count":
-        table = dfa.dfa_census(automaton, args.n)
-        value = table.count(automaton.start, args.n)
-        if args.oracle:
-            brute = sum(automaton.accepts(w) for w in _words(automaton.alphabet, args.n))
-            if brute != value:
-                raise OracleMismatch(f"census {value} != brute {brute}")
-        return value, 0
-    if args.op == "sample":
-        word = dfa.dfa_sample(automaton, args.n, src, confidence=_confidence(args.delta))
-        if args.oracle and word is not FAIL:
-            if not (automaton.accepts(word) and len(word) == args.n):
-                raise OracleMismatch(f"sampled non-member {word!r}")
-        return word, 1
-    if args.op == "rank":
-        value = dfa.dfa_rank(automaton, args.word)
-        if args.oracle:
-            brute = 0
-            for length in range(len(args.word)):
-                brute += sum(automaton.accepts(w) for w in _words(automaton.alphabet, length))
-            brute += sum(
-                automaton.accepts(w)
-                for w in _words(automaton.alphabet, len(args.word))
-                if w <= args.word
-            )
-            if brute != value:
-                raise OracleMismatch(f"rank {value} != brute {brute}")
-        return value, 0
-    if args.op == "unrank":
-        word = dfa.dfa_unrank(automaton, args.k)
-        if args.oracle and dfa.dfa_rank(automaton, word) != args.k:
-            raise OracleMismatch("unrank/rank mismatch")
-        return word, 0
-    raise FormatError(f"dfa does not support {args.op!r}")
+def _slice_census(fam, spec, args) -> int:
+    return sum(fam.member(spec, w) for w in _words(fam.alphabet(spec), args.n))
 
 
-def _cmd_nfa(args, src):
-    automaton = nfa.load_nfa(_read(args.automaton))
-    if args.op == "count":
-        value = nfa.nfa_slice_census(automaton, args.n)
-        if args.oracle:
-            brute = sum(
-                nfa.path_count(automaton, w) >= 1
-                for w in _words(automaton.alphabet, args.n)
-            )
-            if brute != value:
-                raise OracleMismatch(f"census {value} != brute {brute}")
-        return value, 0
-    if args.op == "rank":
-        value = nfa.nfa_rank_slice(automaton, len(args.word), args.word)
-        if args.oracle:
-            brute = sum(
-                1
-                for w in _words(automaton.alphabet, len(args.word))
-                if w <= args.word and nfa.path_count(automaton, w) >= 1
-            )
-            if brute != value:
-                raise OracleMismatch(f"rank {value} != brute {brute}")
-        return value, 0
-    if args.op == "unrank":
-        return nfa.nfa_unrank_slice(automaton, args.n, args.k), 0
-    if args.op == "sample":
-        word = nfa.nfa_sample_slice(automaton, args.n, src, delta=args.delta)
-        if args.oracle and word is not FAIL:
-            if nfa.path_count(automaton, word) < 1:
-                raise OracleMismatch(f"sampled non-member {word!r}")
-        return word, 1
-    raise FormatError(f"nfa does not support {args.op!r}")
+def _equal(brute):
+    """Oracle: the value equals ``brute(family, spec, args)``."""
+
+    def check(fam, spec, args, value):
+        expected = brute(fam, spec, args)
+        if value != expected:
+            raise OracleMismatch(f"{args.op} {value} != brute {expected}")
+
+    return check
 
 
-def _load_cnf_grammar(path):
-    return cfg.to_cnf(cfg.load_grammar(_read(path)))
+def _brute_rank(all_lengths: bool):
+    """Members up to ``args.word`` in length-first alphabet order; shorter
+    lengths count only for a rank over the whole language."""
+
+    def rank(fam, spec, args):
+        total = 0
+        for length in range(0 if all_lengths else len(args.word), len(args.word) + 1):
+            for w in _words(fam.alphabet(spec), length):
+                total += fam.member(spec, w)
+                if w == args.word:
+                    break
+        return total
+
+    return rank
 
 
-def _cmd_cfg(args, src):
-    grammar = _load_cnf_grammar(args.grammar)
-    if args.op == "count":
-        value = cfg.tree_census(grammar, grammar.start, args.n)
-        if args.oracle:
-            brute = len(cfg.enumerate_trees(grammar, grammar.start, args.n))
-            if brute != value:
-                raise OracleMismatch(f"census {value} != brute {brute}")
-        return value, 0
-    if args.op == "sample" and args.tree:
-        tree = cfg.random_tree(grammar, args.n, src)
-        if tree is FAIL:
-            return FAIL, 1
-        return cfg.format_tree(tree), 1
-    description = cfg.cfl_description(grammar, args.ambiguity)
-    if args.op == "sample":
-        report = sample_report(description, args.n, src, trials=args.trials)
-        if args.oracle and report.value is not FAIL:
-            if cfg.earley_count(grammar, report.value) < 1:
-                raise OracleMismatch(f"sampled non-member {report.value!r}")
-        return report.value, report.trials
-    if args.op == "estimate":
-        value = estimate_census(description, args.n, args.epsilon, src)
-        if args.oracle:
-            brute = sum(
-                cfg.earley_count(grammar, w) > 0
-                for w in _words(grammar.terminals, args.n)
-            )
-            if value is not FAIL and not (
-                (1 - args.epsilon) * brute <= value <= (1 + args.epsilon) * brute
-            ):
-                raise OracleMismatch(f"estimate {value} outside brute {brute}")
-        return value, 1
-    if args.op == "exact":
-        value = exact_count(description, args.n, src, ceiling=args.ceiling)
-        if args.oracle and value is not FAIL:
-            brute = sum(
-                cfg.earley_count(grammar, w) > 0
-                for w in _words(grammar.terminals, args.n)
-            )
-            if brute != value:
-                raise OracleMismatch(f"count {value} != brute {brute}")
-        return value, 1
-    raise FormatError(f"cfg does not support {args.op!r}")
+def _sampled(fam, spec, args, value):
+    if len(value) != args.n or not fam.member(spec, value):
+        raise OracleMismatch(f"sampled {value!r} is not a member of length {args.n}")
 
 
-def _cmd_pda(args, src):
-    machine = pda.load_pda(_read(args.machine))
-    if args.op == "grammar":
-        sliced = pda.build_slice_grammar(machine, args.n)
-        return cfg.dump_grammar(sliced.grammar).rstrip("\n"), 0
-    description = pda.pda_slice_description(machine, args.n, args.ambiguity)
-    if args.op == "sample":
-        report = sample_report(description, args.n, src, trials=args.trials)
-        if args.oracle and report.value is not FAIL:
-            if not pda.pda_accepts(machine, report.value):
-                raise OracleMismatch(f"sampled non-member {report.value!r}")
-        return report.value, report.trials
-    if args.op == "estimate":
-        value = estimate_census(description, args.n, args.epsilon, src)
-        return value, 1
-    if args.op == "exact":
-        value = exact_count(description, args.n, src, ceiling=args.ceiling)
-        if args.oracle and value is not FAIL:
-            brute = sum(
-                pda.pda_accepts(machine, w)
-                for w in _words(machine.input_alphabet, args.n)
-            )
-            if brute != value:
-                raise OracleMismatch(f"count {value} != brute {brute}")
-        return value, 1
-    raise FormatError(f"pda does not support {args.op!r}")
+def _sampled_tree(fam, g, args, value):
+    if value not in map(cfg.format_tree, cfg.enumerate_trees(g, g.start, args.n)):
+        raise OracleMismatch(f"sampled {value} is not a tree of yield length {args.n}")
 
 
-def _cmd_trace(args, src):
+def _round_trip(rank):
+    """Oracle: the unranked word is a member and ``rank(spec, args, word)`` is k."""
+
+    def check(fam, spec, args, value):
+        if not fam.member(spec, value) or rank(spec, args, value) != args.k:
+            raise OracleMismatch(f"unranked {value!r} does not rank back to {args.k}")
+
+    return check
+
+
+def _band(fam, spec, args, value):
+    brute = _slice_census(fam, spec, args)
+    if not (1 - args.epsilon) * brute <= value <= (1 + args.epsilon) * brute:
+        raise OracleMismatch(f"estimate {_render(value)} outside brute {brute} ± {args.epsilon}")
+
+
+def _above_expectation(fam, problem, args, value):
+    if problem.value(value) < pseudobool.cond_expectation(problem, []):
+        raise OracleMismatch("derandomized value below the expectation")
+
+
+# ---------------------------------------------------------------------------
+# The family table.  Calls look library functions up through their modules
+# when they run, so patched module attributes are seen.
+
+
+class Op(NamedTuple):
+    """One op: ``call(spec, args, src)``, its oracle (None: ``--oracle`` is
+    refused) and the flags it reads.  An op that reads ``seed`` reports one
+    trial unless it returns a SampleReport, which carries its own count."""
+
+    call: Callable
+    oracle: Optional[Callable]
+    flags: tuple
+
+
+class Family(NamedTuple):
+    spec: tuple  # spec-file flags; pb perm reads its matrix through -m
+    load: Callable  # args -> spec
+    ops: dict  # "sample --tree" is what cfg sample runs under --tree
+    member: Optional[Callable] = None  # (spec, word) -> bool, for brute oracles
+    alphabet: Optional[Callable] = None  # spec -> letters of the brute slices
+
+
+def _described(desc, ops=("sample", "estimate", "exact")) -> dict:
+    """Ops served through the Description ``desc(spec, args)``."""
+    flags = ("n", "ambiguity", "seed")
+    made = {
+        "sample": Op(lambda s, args, src: describe.sample_report(
+                         desc(s, args), args.n, src, trials=args.trials),
+                     _sampled, flags + ("trials",)),
+        "estimate": Op(lambda s, args, src: describe.estimate_census(
+                           desc(s, args), args.n, args.epsilon, src),
+                       _band, flags + ("epsilon",)),
+        "exact": Op(lambda s, args, src: describe.exact_count(
+                        desc(s, args), args.n, src, ceiling=args.ceiling),
+                    _equal(_slice_census), flags + ("ceiling",)),
+    }
+    return {op: made[op] for op in ops}
+
+
+def _sample_tree(g, args, src):
+    tree = cfg.random_tree(g, args.n, src)
+    return tree if tree is FAIL else cfg.format_tree(tree)
+
+
+class _TraceSpec(NamedTuple):
+    automaton: dfa.Dfa
+    alph: traces.IndepAlphabet
+
+
+def _load_trace(args) -> _TraceSpec:
     text = _read(args.automaton)
     automaton = dfa.load_dfa(text)
-    alphabet = traces.load_indep(text, automaton.alphabet)
-    if args.op == "count":
-        value = traces.count_representatives(automaton, args.word, alphabet)
-        if args.oracle:
-            brute = sum(
-                automaton.accepts(v)
-                for v in traces.swap_closure(args.word, alphabet)
-            )
-            if brute != value:
-                raise OracleMismatch(f"count {value} != brute {brute}")
-        return value, 0
-    description = traces.trace_description(automaton, alphabet, args.ambiguity)
-    if args.op == "sample":
-        report = sample_report(description, args.n, src, trials=args.trials)
-        return report.value, report.trials
-    if args.op == "estimate":
-        value = estimate_census(description, args.n, args.epsilon, src)
-        return value, 1
-    raise FormatError(f"trace does not support {args.op!r}")
+    return _TraceSpec(automaton, traces.load_indep(text, automaton.alphabet))
 
 
-def _load_problem(args) -> PbProblem:
+def _trace_member(s: _TraceSpec, word: str) -> bool:
+    # a trace is named by its least representative and needs one in the language
+    closure = traces.swap_closure(word, s.alph)
+    return word == min(closure) and any(s.automaton.accepts(v) for v in closure)
+
+
+def _load_pb(args):
+    if args.op == "perm":
+        if args.matrix is None:
+            raise FormatError("perm needs -m/--matrix")
+        return pseudobool.load_matrix(_read(args.matrix))
     if args.circuit:
         circuit = pseudobool.load_circuit(_read(args.circuit))
         return PbProblem(circuit.n_vars, circuit)
@@ -283,104 +235,149 @@ def _load_problem(args) -> PbProblem:
     raise FormatError("one of --circuit/--cnf/--graph is required")
 
 
-def _cmd_pb(args, src):
-    if args.op == "perm":
-        matrix = pseudobool.load_matrix(_read(args.matrix))
-        value = pseudobool.permanent(matrix, args.method, ceiling=args.ceiling)
-        if args.oracle:
-            brute = pseudobool.permanent(matrix, "bruteforce", ceiling=args.ceiling)
-            if brute != value:
-                raise OracleMismatch(f"permanent {value} != brute {brute}")
-        return value, 0
-    problem = _load_problem(args)
-    if args.op == "derand":
-        out = pseudobool.derandomize(problem)
-        if args.local_radius:
-            out = pseudobool.local_search(problem, args.local_radius, out)
-        if args.oracle:
-            expected = pseudobool.cond_expectation(problem, [])
-            if problem.value(out) < expected:
-                raise OracleMismatch("derandomized value below the expectation")
-        return out, 0
-    if args.op == "search":
-        out = pseudobool.random_search(problem, args.epsilon, args.delta, src)
-        return out, 1
-    raise FormatError(f"pb does not support {args.op!r}")
+def _derand(problem, args, src):
+    out = pseudobool.derandomize(problem)
+    if args.local_radius:
+        out = pseudobool.local_search(problem, args.local_radius, out)
+    return out
 
 
-_HANDLERS = {
-    "dfa": _cmd_dfa,
-    "nfa": _cmd_nfa,
-    "cfg": _cmd_cfg,
-    "pda": _cmd_pda,
-    "trace": _cmd_trace,
-    "pb": _cmd_pb,
+_FAMILIES = {
+    "dfa": Family(
+        spec=("automaton",),
+        load=lambda args: dfa.load_dfa(_read(args.automaton)),
+        member=lambda a, w: a.accepts(w),
+        alphabet=lambda a: a.alphabet,
+        ops={
+            "count": Op(lambda a, args, src: dfa.dfa_census(a, args.n).count(a.start, args.n),
+                        _equal(_slice_census), ("n",)),
+            # confidence: attempts that push a per-call failure of 1/2 under delta
+            "sample": Op(lambda a, args, src: dfa.dfa_sample(
+                             a, args.n, src, confidence=retries_for(args.delta) + 1),
+                         _sampled, ("n", "seed", "delta")),
+            "rank": Op(lambda a, args, src: dfa.dfa_rank(a, args.word),
+                       _equal(_brute_rank(all_lengths=True)), ("word",)),
+            "unrank": Op(lambda a, args, src: dfa.dfa_unrank(a, args.k),
+                         _round_trip(lambda a, args, w: dfa.dfa_rank(a, w)), ("k",)),
+        },
+    ),
+    "nfa": Family(
+        spec=("automaton",),
+        load=lambda args: nfa.load_nfa(_read(args.automaton)),
+        member=lambda a, w: nfa.path_count(a, w) >= 1,
+        alphabet=lambda a: a.alphabet,
+        ops={
+            "count": Op(lambda a, args, src: nfa.nfa_slice_census(a, args.n),
+                        _equal(_slice_census), ("n",)),
+            "sample": Op(lambda a, args, src: nfa.nfa_sample_slice(a, args.n, src, args.delta),
+                         _sampled, ("n", "seed", "delta")),
+            "rank": Op(lambda a, args, src: nfa.nfa_rank_slice(a, len(args.word), args.word),
+                       _equal(_brute_rank(all_lengths=False)), ("word",)),
+            "unrank": Op(lambda a, args, src: nfa.nfa_unrank_slice(a, args.n, args.k),
+                         _round_trip(lambda a, args, w: nfa.nfa_rank_slice(a, args.n, w)),
+                         ("n", "k")),
+        },
+    ),
+    "cfg": Family(
+        spec=("grammar",),
+        load=lambda args: cfg.to_cnf(cfg.load_grammar(_read(args.grammar))),
+        member=lambda g, w: cfg.earley_count(g, w) > 0,
+        alphabet=lambda g: g.terminals,
+        ops={
+            "count": Op(lambda g, args, src: cfg.tree_census(g, g.start, args.n),
+                        _equal(lambda fam, g, args: len(cfg.enumerate_trees(g, g.start, args.n))),
+                        ("n",)),
+            **_described(lambda g, args: cfg.cfl_description(g, args.ambiguity)),
+            "sample --tree": Op(_sample_tree, _sampled_tree, ("n", "tree", "seed")),
+        },
+    ),
+    "pda": Family(
+        spec=("machine",),
+        load=lambda args: pda.load_pda(_read(args.machine)),
+        member=lambda m, w: pda.pda_accepts(m, w),
+        alphabet=lambda m: m.input_alphabet,
+        ops={
+            "grammar": Op(lambda m, args, src: cfg.dump_grammar(
+                              pda.build_slice_grammar(m, args.n).grammar).rstrip("\n"),
+                          None, ("n",)),
+            **_described(lambda m, args: pda.pda_slice_description(m, args.n, args.ambiguity)),
+        },
+    ),
+    "trace": Family(
+        spec=("automaton",),
+        load=_load_trace,
+        member=_trace_member,
+        alphabet=lambda s: s.automaton.alphabet,
+        ops={
+            "count": Op(lambda s, args, src: traces.count_representatives(
+                            s.automaton, args.word, s.alph),
+                        _equal(lambda fam, s, args: sum(
+                            map(s.automaton.accepts, traces.swap_closure(args.word, s.alph)))),
+                        ("word",)),
+            **_described(
+                lambda s, args: traces.trace_description(s.automaton, s.alph, args.ambiguity),
+                ("sample", "estimate")),
+        },
+    ),
+    "pb": Family(
+        spec=("circuit", "cnf", "graph"),
+        load=_load_pb,
+        ops={
+            "derand": Op(_derand, _above_expectation, ("local_radius",)),
+            "search": Op(lambda p, args, src: pseudobool.random_search(
+                             p, args.epsilon, args.delta, src),
+                         None, ("seed", "epsilon", "delta")),
+            "perm": Op(lambda a, args, src: pseudobool.permanent(a, args.method),
+                       _equal(lambda fam, a, args: pseudobool.permanent(a, "bruteforce")),
+                       ("matrix", "method")),
+        },
+    ),
 }
+
+# dest -> (flag names, argparse options), in the order the parser adds them
+_FLAGS = {
+    "automaton": ("-a --automaton", dict(required=True)),
+    "grammar": ("-g --grammar", dict(required=True)),
+    "machine": ("-m --machine", dict(required=True)),
+    "circuit": ("--circuit", {}),
+    "cnf": ("--cnf", {}),
+    "graph": ("--graph", {}),
+    "matrix": ("-m --matrix", {}),
+    "n": ("-n", dict(type=int, default=1)),
+    "word": ("-w --word", dict(default="")),
+    "k": ("-k", dict(type=int, default=1)),
+    "ambiguity": ("--ambiguity", dict(type=_bound_arg, default=Bound(const=1))),
+    "tree": ("--tree", dict(action="store_true", help="sample a derivation tree")),
+    "method": ("--method", dict(choices=("bruteforce", "coefficient", "fraction"),
+                                default="bruteforce")),
+    "local_radius": ("--local-radius", dict(type=int, default=0, help="polish with local search")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "delta": ("--delta", dict(type=Fraction, default=Fraction(1, 4))),
+    "epsilon": ("--epsilon", dict(type=Fraction, default=Fraction(1, 4))),
+    "trials": ("--trials", dict(type=_positive_int, default=None)),
+    "ceiling": ("--ceiling", dict(type=int, default=512)),
+    "format": ("--format", dict(choices=("text", "json-lines"), default="text")),
+    "oracle": ("--oracle", dict(action="store_true")),
+    "repeat": ("--repeat", dict(type=_positive_int, default=1)),
+}
+
+
+def _family_flags(fam: Family) -> set:
+    """Dests of a family's flags: its spec, its ops' flags, the output flags."""
+    reads = [op.flags for op in fam.ops.values()]
+    return set(fam.spec).union(*reads, ("format", "oracle", "repeat"))
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="countgen")
     sub = parser.add_subparsers(dest="family", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--delta", type=_fraction_arg, default=Fraction(1, 4))
-        p.add_argument("--epsilon", type=_fraction_arg, default=Fraction(1, 4))
-        p.add_argument("--trials", type=_positive_int, default=None)
-        p.add_argument("--ceiling", type=int, default=512)
-        p.add_argument("--format", choices=("text", "json-lines"), default="text")
-        p.add_argument("--oracle", action="store_true")
-        p.add_argument("--repeat", type=_positive_int, default=1)
-
-    p = sub.add_parser("dfa")
-    p.add_argument("op", choices=("count", "sample", "rank", "unrank"))
-    p.add_argument("-a", "--automaton", required=True)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("-w", "--word", default="")
-    p.add_argument("-k", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("nfa")
-    p.add_argument("op", choices=("count", "sample", "rank", "unrank"))
-    p.add_argument("-a", "--automaton", required=True)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("-w", "--word", default="")
-    p.add_argument("-k", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("cfg")
-    p.add_argument("op", choices=("count", "sample", "estimate", "exact"))
-    p.add_argument("-g", "--grammar", required=True)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--ambiguity", type=_bound_arg, default=Bound(const=1))
-    p.add_argument("--tree", action="store_true", help="sample a derivation tree")
-    common(p)
-
-    p = sub.add_parser("pda")
-    p.add_argument("op", choices=("grammar", "sample", "estimate", "exact"))
-    p.add_argument("-m", "--machine", required=True)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--ambiguity", type=_bound_arg, default=Bound(const=1))
-    common(p)
-
-    p = sub.add_parser("trace")
-    p.add_argument("op", choices=("count", "sample", "estimate"))
-    p.add_argument("-a", "--automaton", required=True)
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("-w", "--word", default="")
-    p.add_argument("--ambiguity", type=_bound_arg, default=Bound(const=1))
-    common(p)
-
-    p = sub.add_parser("pb")
-    p.add_argument("op", choices=("derand", "search", "perm"))
-    p.add_argument("--circuit")
-    p.add_argument("--cnf")
-    p.add_argument("--graph")
-    p.add_argument("-m", "--matrix")
-    p.add_argument("--method", choices=("bruteforce", "coefficient", "fraction"), default="bruteforce")
-    p.add_argument("--local-radius", type=int, default=0, help="polish with local search")
-    common(p)
-
+    for name, fam in _FAMILIES.items():
+        p = sub.add_parser(name)
+        p.add_argument("op", choices=[op for op in fam.ops if " " not in op])
+        accepted = _family_flags(fam)
+        for dest, (names, options) in _FLAGS.items():
+            if dest in accepted:
+                p.add_argument(*names.split(), **options)
     return parser
 
 
@@ -388,37 +385,36 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        fam = _FAMILIES[args.family]
+        key = f"{args.op} --tree" if getattr(args, "tree", False) else args.op
+        op = fam.ops.get(key) or fam.ops[args.op]
+        if args.oracle and op.oracle is None:
+            parser.error(f"no oracle for {args.family} {key}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handler = _HANDLERS[args.family]
     failed = False
     lines = []
     try:
+        spec = fam.load(args)
         for index in range(args.repeat):
             seed = _derive_seed(args.seed, index)
             src = CoinSource(seed)
-            value, trials = handler(args, src)
+            value = op.call(spec, args, src)
+            trials = int("seed" in op.flags)
+            if isinstance(value, SampleReport):
+                value, trials = value.value, value.trials
             if value is FAIL:
                 failed = True
-            record = {
-                "value": _render(value),
-                "trials": trials,
-                "bits": src.bits_consumed,
-                "seed": seed,
-            }
+            elif args.oracle:
+                op.oracle(fam, spec, args, value)
+            shown, bits = _render(value), src.bits_consumed
             if args.format == "json-lines":
+                record = {"value": shown, "trials": trials, "bits": bits, "seed": seed}
                 lines.append(json.dumps(record))
-            elif value is FAIL:
-                lines.append("FAIL (⊥)")
+            elif trials and value is not FAIL:
+                lines.append(f"{shown}  [trials={trials} bits={bits} seed={seed}]")
             else:
-                lines.append(
-                    f"{record['value']}"
-                    + (
-                        f"  [trials={trials} bits={record['bits']} seed={seed}]"
-                        if trials
-                        else ""
-                    )
-                )
+                lines.append(shown)
             if args.oracle and index == 0 and not failed:
                 lines.append("oracle ok")
     except OracleMismatch as exc:

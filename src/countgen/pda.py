@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import CnfGrammar, Grammar, cfl_description, to_cnf
-from .describe import Bound, Description, estimate_census, sample_described
+from .describe import Bound, Description
 from .exceptions import FormatError, SizeGuard
 
 
@@ -191,16 +191,6 @@ def pda_slice_description(m: Pda, n: int, bound: Bound) -> Description:
     """Description of the PDA's length-n slice through its slice grammar."""
     sliced = build_slice_grammar(m, n)
     return cfl_description(sliced.grammar, bound)
-
-
-def pda_sample(m: Pda, n: int, bound: Bound, src, trials=None):
-    """Uniform accepted word of length n, or FAIL."""
-    return sample_described(pda_slice_description(m, n, bound), n, src, trials)
-
-
-def pda_census_estimate(m: Pda, n: int, bound: Bound, epsilon, src):
-    """Census estimate for the length-n slice within (1 +- epsilon)."""
-    return estimate_census(pda_slice_description(m, n, bound), n, epsilon, src)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from countgen import cfg, cli, describe, dfa, nfa, pseudobool, traces
 from countgen.cli import dispatch
+from countgen.describe import SampleReport
 
 
 AB_STAR = """
@@ -93,6 +98,7 @@ indep a b
 """
 
 ONES3 = "3\n1 1 1\n1 1 1\n1 1 1\n"
+ONES9 = "9\n" + "1 1 1 1 1 1 1 1 1\n" * 9
 CNF2 = "3 2\n1 2 3\n-1 2 -3\n"
 K3 = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -109,6 +115,7 @@ def files(tmp_path):
         ("anbn.pda", ANBN_PDA),
         ("trace.dfa", TRACE_FILE),
         ("ones3.mat", ONES3),
+        ("ones9.mat", ONES9),
         ("two.cnf", CNF2),
         ("k3.graph", K3),
     ]:
@@ -376,3 +383,145 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# ---------------------------------------------------------------------------
+# The CLI's family table: every (family, op) entry below is taken from it,
+# so a new op fails these tests until it has a command, and a wrong-answer
+# patch when it has an oracle.
+
+ENTRIES = [(family, key) for family, row in cli._FAMILIES.items() for key in row.ops]
+WITH_ORACLE = [e for e in ENTRIES if cli._FAMILIES[e[0]].ops[e[1]].oracle is not None]
+
+# one small command per entry, after "<family> <op>"
+ENTRY_ARGS = {
+    ("dfa", "count"): "-a {ab.dfa} -n 4",
+    ("dfa", "sample"): "-a {ab.dfa} -n 4 --seed 7",
+    ("dfa", "rank"): "-a {ab.dfa} -w abab",
+    ("dfa", "unrank"): "-a {ab.dfa} -k 3",
+    ("nfa", "count"): "-a {b_then_any.nfa} -n 3",
+    ("nfa", "sample"): "-a {b_then_any.nfa} -n 3 --seed 3",
+    ("nfa", "rank"): "-a {b_then_any.nfa} -w bab",
+    ("nfa", "unrank"): "-a {b_then_any.nfa} -n 3 -k 2",
+    ("cfg", "count"): "-g {catalan.cfg} -n 4",
+    ("cfg", "sample"): "-g {catalan.cfg} -n 3 --ambiguity 2 --seed 5",
+    ("cfg", "sample --tree"): "-g {catalan.cfg} -n 3 --seed 1",
+    ("cfg", "estimate"): "-g {catalan.cfg} -n 3 --ambiguity 2 --epsilon 1/2 --seed 2",
+    ("cfg", "exact"): "-g {catalan.cfg} -n 3 --ambiguity 2 --seed 2",
+    ("pda", "grammar"): "-m {anbn.pda} -n 2",
+    ("pda", "sample"): "-m {anbn.pda} -n 4",
+    ("pda", "estimate"): "-m {anbn.pda} -n 4",
+    ("pda", "exact"): "-m {anbn.pda} -n 4",
+    ("trace", "count"): "-a {trace.dfa} -w ab",
+    ("trace", "sample"): "-a {trace.dfa} -n 3 --ambiguity 0,0,6 --seed 4",
+    ("trace", "estimate"): "-a {trace.dfa} -n 2 --ambiguity 2 --epsilon 1/2 --seed 4",
+    ("pb", "derand"): "--cnf {two.cnf}",
+    ("pb", "search"): "--graph {k3.graph} --seed 8",
+    ("pb", "perm"): "-m {ones3.mat} --method fraction",
+}
+
+
+def entry_argv(files, family, key):
+    tail = [files[t[1:-1]] if t.startswith("{") else t for t in ENTRY_ARGS[family, key].split()]
+    return [family, *key.split(), *tail]
+
+
+def _returns(value):
+    return lambda *args, **kwargs: value
+
+
+_permanent = pseudobool.permanent
+
+# (module, attribute, replacement): the entry's library call gives a wrong answer
+WRONG = {
+    ("dfa", "count"): (dfa, "dfa_census", _returns(SimpleNamespace(count=_returns(99)))),
+    ("dfa", "sample"): (dfa, "dfa_sample", _returns("baab")),
+    ("dfa", "rank"): (dfa, "dfa_rank", _returns(99)),
+    ("dfa", "unrank"): (dfa, "dfa_unrank", _returns("ba")),
+    ("nfa", "count"): (nfa, "nfa_slice_census", _returns(99)),
+    ("nfa", "sample"): (nfa, "nfa_sample_slice", _returns("abb")),
+    ("nfa", "rank"): (nfa, "nfa_rank_slice", _returns(99)),
+    ("nfa", "unrank"): (nfa, "nfa_unrank_slice", _returns("bbb")),
+    ("cfg", "count"): (cfg, "tree_census", _returns(99)),
+    ("cfg", "sample"): (describe, "sample_report", _returns(SampleReport("aa", 1, 0))),
+    ("cfg", "sample --tree"): (cfg, "random_tree", _returns(("S", "a"))),
+    ("cfg", "estimate"): (describe, "estimate_census", _returns(Fraction(99))),
+    ("cfg", "exact"): (describe, "exact_count", _returns(99)),
+    ("pda", "sample"): (describe, "sample_report", _returns(SampleReport("abab", 1, 0))),
+    ("pda", "estimate"): (describe, "estimate_census", _returns(Fraction(99))),
+    ("pda", "exact"): (describe, "exact_count", _returns(99)),
+    ("trace", "count"): (traces, "count_representatives", _returns(99)),
+    # "bab" is not the least word of its class {abb, bab, bba}
+    ("trace", "sample"): (describe, "sample_report", _returns(SampleReport("bab", 1, 0))),
+    ("trace", "estimate"): (describe, "estimate_census", _returns(Fraction(99))),
+    ("pb", "derand"): (pseudobool, "derandomize", _returns((0, 0, 0))),
+    ("pb", "perm"): (
+        pseudobool,
+        "permanent",
+        lambda a, method="bruteforce": _permanent(a, method) + (method != "bruteforce"),
+    ),
+}
+
+
+class TestFamilyTable:
+    def test_every_entry_has_a_command(self):
+        assert set(ENTRY_ARGS) == set(ENTRIES)
+
+    def test_only_grammar_and_search_lack_an_oracle(self):
+        assert set(ENTRIES) - set(WITH_ORACLE) == {("pda", "grammar"), ("pb", "search")}
+
+    @pytest.mark.parametrize("family, key", ENTRIES)
+    def test_oracle_checks_or_refuses(self, files, capsys, family, key):
+        code, out, err = run_cli(entry_argv(files, family, key) + ["--oracle"], capsys)
+        if (family, key) in WITH_ORACLE:
+            assert code == 0, err
+            assert out.splitlines()[1] == "oracle ok"
+        else:
+            assert code == 1
+            assert out == ""
+            assert err == f"error: no oracle for {family} {key}\n"
+
+    @pytest.mark.parametrize("family, key", WITH_ORACLE)
+    def test_wrong_answer_is_caught(self, files, capsys, monkeypatch, family, key):
+        module, name, wrong = WRONG[family, key]
+        monkeypatch.setattr(module, name, wrong)
+        code, out, err = run_cli(entry_argv(files, family, key) + ["--oracle"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("oracle mismatch: ")
+
+    @pytest.mark.parametrize("family", cli._FAMILIES)
+    def test_flags_the_family_does_not_read_are_refused(self, files, capsys, family):
+        row = cli._FAMILIES[family]
+        base = entry_argv(files, family, next(iter(row.ops)))
+        refused = [d for d in cli._FLAGS if d not in cli._family_flags(row)]
+        assert refused
+        for dest in refused:
+            flag = cli._FLAGS[dest][0].split()[-1]
+            value = [] if cli._FLAGS[dest][1].get("action") == "store_true" else ["1"]
+            code, out, err = run_cli(base + [flag] + value, capsys)
+            assert code == 1, flag
+            assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dfa", "count", "-a", "{ab.dfa}", "-n", "2", "--epsilon", "1/2"],
+            ["trace", "sample", "-a", "{trace.dfa}", "-n", "2", "--ceiling", "3"],
+            ["pb", "derand", "--cnf", "{two.cnf}", "--trials", "2"],
+        ],
+    )
+    def test_unread_flag_exits_one(self, files, capsys, argv):
+        argv = [files[t[1:-1]] if t.startswith("{") else t for t in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_perm_keeps_the_library_guard(self, files, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["pb", "perm", "-m", files["ones9.mat"]], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "SizeGuard" in err

@@ -7,7 +7,7 @@ import pytest
 
 from countgen.cfg import earley_count, tree_census
 from countgen.coins import FAIL, CoinSource
-from countgen.describe import Bound, sample_described
+from countgen.describe import Bound, estimate_census, sample_described
 from countgen.exceptions import SizeGuard
 from countgen.pda import (
     Pda,
@@ -15,8 +15,6 @@ from countgen.pda import (
     count_accepting,
     load_pda,
     pda_accepts,
-    pda_census_estimate,
-    pda_sample,
     pda_slice_description,
     surface_configs,
 )
@@ -187,9 +185,13 @@ class TestSliceGrammar:
 
 class TestSampling:
     def test_unambiguous_unique_word(self):
-        w = pda_sample(ANBN, 4, Bound(const=1), CoinSource(1))
+        desc = pda_slice_description(ANBN, 4, Bound(const=1))
+        w = sample_described(desc, 4, CoinSource(1))
         assert w in ("aabb", FAIL)
-        got = {pda_sample(ANBN, 4, Bound(const=1), CoinSource(s)) for s in range(12)}
+        got = {
+            sample_described(pda_slice_description(ANBN, 4, Bound(const=1)), 4, CoinSource(s))
+            for s in range(12)
+        }
         assert "aabb" in got
 
     def test_two_route_uniform_over_slice(self):
@@ -207,9 +209,8 @@ class TestSampling:
         hits = 0
         runs = 25
         for seed in range(runs):
-            est = pda_census_estimate(
-                DYCK, n, Bound(coeff=1, power=1, const=1), Fraction(1, 2), CoinSource(seed)
-            )
+            desc = pda_slice_description(DYCK, n, Bound(coeff=1, power=1, const=1))
+            est = estimate_census(desc, n, Fraction(1, 2), CoinSource(seed))
             assert est is not FAIL
             if Fraction(brute, 2) <= est <= Fraction(3 * brute, 2):
                 hits += 1
