@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import Bound, Description
@@ -74,6 +75,35 @@ class CnfGrammar:
             letters.sort(key=lambda t: term_index[t])
             self.binary[a] = tuple(pairs)
             self.unary[a] = tuple(letters)
+
+    @cached_property
+    def earley_tables(self) -> tuple:
+        """Prediction tables of the Earley chart, built on first use.
+
+        Four dicts keyed by variable A: ``corner``, the variables reached
+        from A through leftmost children (A included); ``binary``, for
+        each production A -> B C its predicted state, B, the state with
+        the dot after B, C, and the completed state; ``unary``, the
+        predicted state A -> .t of each letter t; ``scanned``, letter t ->
+        the state A -> t. it scans into.
+        """
+        corner = {}
+        for a in self.variables:
+            reach = {a}
+            frontier = [a]
+            while frontier:
+                for b, _ in self.binary[frontier.pop()]:
+                    if b not in reach:
+                        reach.add(b)
+                        frontier.append(b)
+            corner[a] = frozenset(reach)
+        binary = {
+            a: tuple(((a, bc, 0), bc[0], (a, bc, 1), bc[1], (a, bc, 2)) for bc in self.binary[a])
+            for a in self.variables
+        }
+        unary = {a: tuple((a, (t,), 0) for t in self.unary[a]) for a in self.variables}
+        scanned = {a: {t: (a, (t,), 1) for t in self.unary[a]} for a in self.variables}
+        return corner, binary, unary, scanned
 
     def productive_variables(self):
         productive = {a for a in self.variables if self.unary[a]}
@@ -268,105 +298,75 @@ def _enumerate(g: CnfGrammar, table: dict, a, n: int, guard: int = 200_000):
 # Weighted Earley chart: counting derivation trees of one word.
 
 
-def _leftmost_corner_closure(g: CnfGrammar):
-    reach = {g.start}
-    frontier = [g.start]
-    while frontier:
-        a = frontier.pop()
-        for b, _ in g.binary[a]:
-            if b not in reach:
-                reach.add(b)
-                frontier.append(b)
-    return reach
-
-
 def earley_chart(g: CnfGrammar, word: str) -> dict:
     """Weighted Earley chart of ``word``: {(i, j): {(A, rhs, dot): weight}}.
 
-    Each cell keeps at most one weighted state per dotted production; a
-    state's weight is the number of leftmost derivations of the span it
-    consumed.
+    Each non-empty cell keeps at most one weighted state per dotted
+    production; a state's weight is the number of leftmost derivations of
+    the span it consumed.  States whose dot sits before a variable B are
+    indexed by (B, start of the dot), so a completed B reads only the
+    states waiting for it.  In CNF a completed state in (i, j) completes
+    states only in cells (k, j) with k < i, so one pass over each column
+    with descending i reads every completed weight after its last update.
     """
     n = len(word)
     if n < 1:
         raise ValueError("word must be non-empty")
-    # state key: (A, rhs, dot); rhs is a tuple of 1 terminal or 2 variables
-    cells: dict = defaultdict(dict)
-    marked: dict = defaultdict(set)
-    waiting = defaultdict(set)  # (B, i) -> cells k with a dot before B at (k, i)
+    corner, binary, unary, scanned = g.earley_tables
+    cells = {}
+    # (B, i) -> [(k, cell, key, advanced, then)] for states at (k, i) with
+    # the dot before B; ``then`` is (C, key advanced twice) while the
+    # advanced state still waits for C, else None
+    waiting = defaultdict(list)
 
-    def add(i, j, key, weight):
-        cell = cells[i, j]
-        if key in cell:
-            cell[key] += weight
-            return
-        cell[key] = weight
-        a, rhs, dot = key
-        if dot < len(rhs) and rhs[dot] in g.var_index:
-            waiting[rhs[dot], j].add(i)
+    def predict(j, needed):
+        closure = set().union(*(corner[b] for b in needed))
+        cell = cells[j, j] = {}
+        for a in closure:
+            for key in unary[a]:
+                cell[key] = 1
+            for key, b, advanced, c, done in binary[a]:
+                cell[key] = 1
+                waiting[b, j].append((j, cell, key, advanced, (c, done)))
+        return closure
 
-    def predictions(a):
-        out = [(a, (t,), 0) for t in g.unary[a]]
-        out.extend((a, bc, 0) for bc in g.binary[a])
-        return out
-
-    for a in _leftmost_corner_closure(g):
-        for key in predictions(a):
-            add(0, 0, key, 1)
-
+    closure = predict(0, (g.start,))
     for j in range(1, n + 1):
-        # scanner
-        for i in range(j - 1, -1, -1):
-            for key, weight in list(cells[i, j - 1].items()):
-                a, rhs, dot = key
-                if dot == 0 and len(rhs) == 1:
-                    marked[i, j - 1].add(key)
-                    if rhs[0] == word[j - 1]:
-                        add(i, j, (a, rhs, 1), weight)
+        column = {}  # i -> cell (i, j)
+        complete = defaultdict(lambda: defaultdict(int))  # i -> {A: weight of A over (i, j)}
+        # scanner: unscanned letter states live only in cell (j - 1, j - 1)
+        letter = word[j - 1]
+        for a in closure:
+            key = scanned[a].get(letter)
+            if key is not None:
+                column.setdefault(j - 1, {})[key] = 1
+                complete[j - 1][a] += 1
         # completer: descending start index so weights are final when read
+        needed = set()
         for i in range(j - 1, -1, -1):
-            while True:
-                ready = [
-                    key
-                    for key, _ in cells[i, j].items()
-                    if key[2] == len(key[1]) and key not in marked[i, j]
-                ]
-                if not ready:
-                    break
-                for key in ready:
-                    marked[i, j].add(key)
-                    b = key[0]
-                    weight = cells[i, j][key]
-                    for k in sorted(waiting.get((b, i), ()), reverse=True):
-                        for pkey, pweight in list(cells[k, i].items()):
-                            pa, prhs, pdot = pkey
-                            if pdot < len(prhs) and prhs[pdot] == b:
-                                add(k, j, (pa, prhs, pdot + 1), weight * pweight)
+            for b, weight in complete.pop(i, {}).items():
+                for k, pcell, pkey, advanced, then in waiting.get((b, i), ()):
+                    cell = column.get(k)
+                    if cell is None:
+                        cell = column[k] = {}
+                    product = weight * pcell[pkey]
+                    if advanced in cell:
+                        cell[advanced] += product
+                    else:
+                        cell[advanced] = product
+                        if then is not None:
+                            c, done = then
+                            waiting[c, j].append((k, cell, advanced, done, None))
+                            needed.add(c)
+                    if then is None:
+                        complete[k][advanced[0]] += product
+        for i, cell in column.items():
+            cells[i, j] = cell
+        if not needed:
+            break
         # predictor
-        to_predict = set()
-        for i in range(j):
-            for key in list(cells[i, j]):
-                a, rhs, dot = key
-                if key in marked[i, j] or dot >= len(rhs):
-                    continue
-                after = rhs[dot]
-                if after in g.var_index:
-                    marked[i, j].add(key)
-                    to_predict.add(after)
-        frontier = list(to_predict)
-        predicted = set()
-        while frontier:
-            b = frontier.pop()
-            if b in predicted:
-                continue
-            predicted.add(b)
-            for key in predictions(b):
-                if key not in cells[j, j]:
-                    add(j, j, key, 1)
-                a, rhs, dot = key
-                if rhs[0] in g.var_index and rhs[0] not in predicted:
-                    frontier.append(rhs[0])
-    return dict(cells)
+        closure = predict(j, needed)
+    return cells
 
 
 def earley_count(g: CnfGrammar, word: str) -> int:

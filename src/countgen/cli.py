@@ -9,7 +9,8 @@ outcome.
 
 The table ``_FAMILIES`` drives parser and dispatch: each op names its
 library call, the oracle ``--oracle`` runs, and the flags it reads; a
-family accepts only the flags its ops read.
+family accepts only the flags its ops read, and an op refuses any flag
+given on the command line that it does not read.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class Op(NamedTuple):
 
 
 class Family(NamedTuple):
-    spec: tuple  # spec-file flags; pb perm reads its matrix through -m
+    spec: tuple  # spec-file flags every op reads; pb ops name theirs in Op.flags
     load: Callable  # args -> spec
     ops: dict  # "sample --tree" is what cfg sample runs under --tree
     member: Optional[Callable] = None  # (spec, word) -> bool, for brute oracles
@@ -241,6 +242,8 @@ def _derand(problem, args, src):
         out = pseudobool.local_search(problem, args.local_radius, out)
     return out
 
+
+_PB_SPEC = ("circuit", "cnf", "graph")  # derand and search; perm reads -m
 
 _FAMILIES = {
     "dfa": Family(
@@ -320,13 +323,13 @@ _FAMILIES = {
         },
     ),
     "pb": Family(
-        spec=("circuit", "cnf", "graph"),
+        spec=(),
         load=_load_pb,
         ops={
-            "derand": Op(_derand, _above_expectation, ("local_radius",)),
+            "derand": Op(_derand, _above_expectation, _PB_SPEC + ("local_radius",)),
             "search": Op(lambda p, args, src: pseudobool.random_search(
                              p, args.epsilon, args.delta, src),
-                         None, ("seed", "epsilon", "delta")),
+                         None, _PB_SPEC + ("seed", "epsilon", "delta")),
             "perm": Op(lambda a, args, src: pseudobool.permanent(a, args.method),
                        _equal(lambda fam, a, args: pseudobool.permanent(a, "bruteforce")),
                        ("matrix", "method")),
@@ -347,7 +350,7 @@ _FLAGS = {
     "word": ("-w --word", dict(default="")),
     "k": ("-k", dict(type=int, default=1)),
     "ambiguity": ("--ambiguity", dict(type=_bound_arg, default=Bound(const=1))),
-    "tree": ("--tree", dict(action="store_true", help="sample a derivation tree")),
+    "tree": ("--tree", dict(action="store_true", default=False, help="sample a derivation tree")),
     "method": ("--method", dict(choices=("bruteforce", "coefficient", "fraction"),
                                 default="bruteforce")),
     "local_radius": ("--local-radius", dict(type=int, default=0, help="polish with local search")),
@@ -357,15 +360,18 @@ _FLAGS = {
     "trials": ("--trials", dict(type=_positive_int, default=None)),
     "ceiling": ("--ceiling", dict(type=int, default=512)),
     "format": ("--format", dict(choices=("text", "json-lines"), default="text")),
-    "oracle": ("--oracle", dict(action="store_true")),
+    "oracle": ("--oracle", dict(action="store_true", default=False)),
     "repeat": ("--repeat", dict(type=_positive_int, default=1)),
 }
+
+
+_OUTPUT_FLAGS = ("format", "oracle", "repeat")
 
 
 def _family_flags(fam: Family) -> set:
     """Dests of a family's flags: its spec, its ops' flags, the output flags."""
     reads = [op.flags for op in fam.ops.values()]
-    return set(fam.spec).union(*reads, ("format", "oracle", "repeat"))
+    return set(fam.spec).union(*reads, _OUTPUT_FLAGS)
 
 
 def _build_parser() -> _Parser:
@@ -377,7 +383,8 @@ def _build_parser() -> _Parser:
         accepted = _family_flags(fam)
         for dest, (names, options) in _FLAGS.items():
             if dest in accepted:
-                p.add_argument(*names.split(), **options)
+                # absent flags stay unset, so dispatch sees which were given
+                p.add_argument(*names.split(), **{**options, "default": argparse.SUPPRESS})
     return parser
 
 
@@ -386,8 +393,17 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         fam = _FAMILIES[args.family]
-        key = f"{args.op} --tree" if getattr(args, "tree", False) else args.op
-        op = fam.ops.get(key) or fam.ops[args.op]
+        given = set(vars(args)) - {"family", "op"}
+        key = f"{args.op} --tree"
+        if "tree" not in given or key not in fam.ops:
+            key = args.op
+        op = fam.ops[key]
+        read = set(fam.spec).union(op.flags, _OUTPUT_FLAGS)
+        unread = [_FLAGS[d][0].split()[-1] for d in _FLAGS if d in given - read]
+        if unread:
+            parser.error(f"{args.family} {key} does not read {', '.join(unread)}")
+        for dest in _family_flags(fam) - given:
+            setattr(args, dest, _FLAGS[dest][1].get("default"))
         if args.oracle and op.oracle is None:
             parser.error(f"no oracle for {args.family} {key}")
     except SystemExit as exc:

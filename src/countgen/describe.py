@@ -11,6 +11,7 @@ a sharp enough estimate recovers the exact count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,7 +82,9 @@ class Description:
     ``sampler(n, src)`` must be uniform on the size-n carrier slice when it
     does not FAIL and must FAIL with probability below 1/4.  ``ambiguity``
     gives, for an element of S, the number of carrier elements projecting
-    onto it, and is bounded by ``bound`` at every size.  ``census`` (the
+    onto it, and is bounded by ``bound`` at every size.  It must be a pure
+    function of the element, and projected elements must be hashable: an
+    estimate calls it once per distinct element it draws.  ``census`` (the
     carrier census, optional) is required for estimation and exact
     counting.
     """
@@ -150,7 +153,7 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     Averages 1/ambiguity over carrier draws and scales by the carrier
     census; the relative error is within epsilon with probability above
     3/4 conditioned on not failing, and the failure probability is below
-    1/4.
+    1/4.  Each distinct projected element costs one ``ambiguity`` call.
     """
     if desc.census is None:
         raise ValueError("estimation needs the carrier census")
@@ -164,17 +167,22 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     budget = trial_budget(
         Fraction(8, 3), Fraction(3, 4), (epsilon / d_max) ** 2, Fraction(1, 4)
     )
-    successes = 0
-    acc = Fraction(0)
+    multiplicity = {}  # projected element -> ambiguity, for this call only
+    hits = Counter()  # multiplicity d -> successful trials that drew it
     for _ in range(budget):
         t = desc.sampler(n, src)
         if t is FAIL:
             continue
-        successes += 1
-        acc += Fraction(1, desc.ambiguity(desc.project(t)))
-    if successes == 0:
+        s = desc.project(t)
+        if s not in multiplicity:
+            multiplicity[s] = desc.ambiguity(s)
+        hits[multiplicity[s]] += 1
+    if not hits:
         return FAIL
-    return acc * total / successes
+    # sum of 1/d over successes, over the common denominator lcm(d)
+    common = math.lcm(*hits)
+    weight = sum(count * (common // d) for d, count in hits.items())
+    return Fraction(weight * total, common * hits.total())
 
 
 def exact_count(desc: Description, n: int, src, ceiling: int = 512):

@@ -1,5 +1,7 @@
 """CNF grammars: census, tree sampling, weighted Earley chart, conversion."""
 
+import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -28,6 +30,8 @@ from countgen.cfg import (
 from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage
+from countgen.pda import build_slice_grammar
+from test_pda import DYCK
 
 
 CATALAN = CnfGrammar(
@@ -65,6 +69,22 @@ MIXED = CnfGrammar(
 )
 
 GRAMMARS = [CATALAN, PAIR, ANBN, MIXED]
+
+# concatenation of two even palindromes, ambiguity linear in n
+PALINDROME_PAIRS = Grammar(
+    ("S", "A", "B"),
+    ("a", "b"),
+    "S",
+    (
+        ("S", ("A", "B")),
+        ("A", ("a", "A", "a")),
+        ("A", ("b", "A", "b")),
+        ("A", ()),
+        ("B", ("a", "B", "a")),
+        ("B", ("b", "B", "b")),
+        ("B", ()),
+    ),
+)
 
 
 def leftmost_derivation_count(g, word):
@@ -268,6 +288,153 @@ class TestEarley:
         assert sum(complete.values()) == 2
 
 
+def reference_earley_chart(g, word):
+    """The chart without prediction tables or the index by the symbol after
+    the dot: every cell is rescanned and completed until nothing is new."""
+    n = len(word)
+    if n < 1:
+        raise ValueError("word must be non-empty")
+    cells = defaultdict(dict)
+    marked = defaultdict(set)
+    waiting = defaultdict(set)  # (B, i) -> cells k with a dot before B at (k, i)
+
+    def add(i, j, key, weight):
+        cell = cells[i, j]
+        if key in cell:
+            cell[key] += weight
+            return
+        cell[key] = weight
+        a, rhs, dot = key
+        if dot < len(rhs) and rhs[dot] in g.var_index:
+            waiting[rhs[dot], j].add(i)
+
+    def predictions(a):
+        out = [(a, (t,), 0) for t in g.unary[a]]
+        out.extend((a, bc, 0) for bc in g.binary[a])
+        return out
+
+    reach = {g.start}
+    frontier = [g.start]
+    while frontier:
+        for b, _ in g.binary[frontier.pop()]:
+            if b not in reach:
+                reach.add(b)
+                frontier.append(b)
+    for a in reach:
+        for key in predictions(a):
+            add(0, 0, key, 1)
+
+    for j in range(1, n + 1):
+        for i in range(j - 1, -1, -1):
+            for key, weight in list(cells[i, j - 1].items()):
+                a, rhs, dot = key
+                if dot == 0 and len(rhs) == 1:
+                    marked[i, j - 1].add(key)
+                    if rhs[0] == word[j - 1]:
+                        add(i, j, (a, rhs, 1), weight)
+        for i in range(j - 1, -1, -1):
+            while True:
+                ready = [
+                    key
+                    for key, _ in cells[i, j].items()
+                    if key[2] == len(key[1]) and key not in marked[i, j]
+                ]
+                if not ready:
+                    break
+                for key in ready:
+                    marked[i, j].add(key)
+                    b = key[0]
+                    weight = cells[i, j][key]
+                    for k in sorted(waiting.get((b, i), ()), reverse=True):
+                        for pkey, pweight in list(cells[k, i].items()):
+                            pa, prhs, pdot = pkey
+                            if pdot < len(prhs) and prhs[pdot] == b:
+                                add(k, j, (pa, prhs, pdot + 1), weight * pweight)
+        to_predict = set()
+        for i in range(j):
+            for key in list(cells[i, j]):
+                a, rhs, dot = key
+                if key in marked[i, j] or dot >= len(rhs):
+                    continue
+                if rhs[dot] in g.var_index:
+                    marked[i, j].add(key)
+                    to_predict.add(rhs[dot])
+        frontier = list(to_predict)
+        predicted = set()
+        while frontier:
+            b = frontier.pop()
+            if b in predicted:
+                continue
+            predicted.add(b)
+            for key in predictions(b):
+                if key not in cells[j, j]:
+                    add(j, j, key, 1)
+                if key[1][0] in g.var_index and key[1][0] not in predicted:
+                    frontier.append(key[1][0])
+    return dict(cells)
+
+
+def non_empty(chart):
+    return {span: cell for span, cell in chart.items() if cell}
+
+
+def reference_count(g, word):
+    return sum(
+        weight
+        for (a, rhs, dot), weight in reference_earley_chart(g, word).get((0, len(word)), {}).items()
+        if a == g.start and dot == len(rhs)
+    )
+
+
+PALINDROME_PAIRS_CNF = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
+CHART_GRAMMARS = {
+    "catalan": CATALAN,
+    "pair": PAIR,
+    "anbn": ANBN,
+    "mixed": MIXED,
+    "palindrome-pairs": PALINDROME_PAIRS_CNF,
+    "dyck-slice-6": build_slice_grammar(DYCK, 6).grammar,
+}
+
+
+def palindrome_pair_words(count, length, seed):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        half = rng.randrange(length // 2 + 1)
+        left = "".join(rng.choice("ab") for _ in range(half))
+        right = "".join(rng.choice("ab") for _ in range(length // 2 - half))
+        words.append(left + left[::-1] + right + right[::-1])
+    return words
+
+
+class TestIndexedChart:
+    """The indexed chart against the rescanning reference it replaced."""
+
+    @pytest.mark.parametrize("name", CHART_GRAMMARS)
+    def test_same_cells_on_short_words(self, name):
+        g = CHART_GRAMMARS[name]
+        for n in range(1, 8):
+            for w in words_of(g.terminals, n):
+                assert non_empty(earley_chart(g, w)) == non_empty(reference_earley_chart(g, w)), w
+                assert earley_count(g, w) == reference_count(g, w), w
+
+    def test_same_cells_on_long_palindrome_pairs(self):
+        g = PALINDROME_PAIRS_CNF
+        for w in palindrome_pair_words(50, 32, seed=7):
+            assert non_empty(earley_chart(g, w)) == non_empty(reference_earley_chart(g, w)), w
+            assert earley_count(g, w) == reference_count(g, w) >= 1, w
+
+    def test_tables_belong_to_the_grammar(self):
+        g = CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]}, {"S": ["a"]})
+        assert "earley_tables" not in vars(g)
+        earley_count(g, "aaa")
+        tables = g.earley_tables
+        earley_count(g, "aaaa")
+        assert g.earley_tables is tables
+        assert tables[0] == {"S": frozenset({"S"})}
+
+
 class TestToCnf:
     def test_forced_shape(self):
         g = Grammar(("S",), ("a", "b"), "S", (("S", ("a", "b")),))
@@ -311,22 +478,7 @@ class TestToCnf:
             assert tree_census(cnf, "S", n) == 1
 
     def test_palindrome_pair_grammar(self):
-        # concatenation of two even palindromes, ambiguity linear in n
-        g = Grammar(
-            ("S", "A", "B"),
-            ("a", "b"),
-            "S",
-            (
-                ("S", ("A", "B")),
-                ("A", ("a", "A", "a")),
-                ("A", ("b", "A", "b")),
-                ("A", ()),
-                ("B", ("a", "B", "a")),
-                ("B", ("b", "B", "b")),
-                ("B", ()),
-            ),
-        )
-        cnf = to_cnf(g, drop_epsilon=True)
+        cnf = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
 
         def is_even_palindrome(w):
             return len(w) % 2 == 0 and w == w[::-1]
@@ -360,21 +512,7 @@ class TestDescription:
             validate_cfl_bound(CATALAN, Bound(const=2), 4)
 
     def test_census_estimate_palindrome_pairs(self):
-        g = Grammar(
-            ("S", "A", "B"),
-            ("a", "b"),
-            "S",
-            (
-                ("S", ("A", "B")),
-                ("A", ("a", "A", "a")),
-                ("A", ("b", "A", "b")),
-                ("A", ()),
-                ("B", ("a", "B", "a")),
-                ("B", ("b", "B", "b")),
-                ("B", ()),
-            ),
-        )
-        cnf = to_cnf(g, drop_epsilon=True)
+        cnf = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
         bound = Bound(coeff=1, power=1, const=1)
         validate_cfl_bound(cnf, bound, 6)
         desc = cfl_description(cnf, bound)

@@ -503,6 +503,41 @@ class TestFamilyTable:
             assert code == 1, flag
             assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("family, key", ENTRIES)
+    def test_flags_the_op_does_not_read_are_refused(self, files, capsys, family, key):
+        row = cli._FAMILIES[family]
+        read = set(row.spec) | set(row.ops[key].flags) | set(cli._OUTPUT_FLAGS)
+        if f"{key} --tree" in row.ops:
+            read.add("tree")  # selects that op instead
+        for dest in sorted(cli._family_flags(row) - read):
+            names, options = cli._FLAGS[dest]
+            flag = names.split()[-1]
+            value = [] if options.get("action") == "store_true" else [
+                "fraction" if dest == "method" else "1"]
+            code, out, err = run_cli(entry_argv(files, family, key) + [flag] + value, capsys)
+            assert code == 1, flag
+            assert out == ""
+            assert err == f"error: {family} {key} does not read {flag}\n"
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["cfg", "count", "-g", "{catalan.cfg}", "-n", "4", "--tree"], "cfg count does not read --tree"),
+            (["dfa", "count", "-a", "{ab.dfa}", "-n", "4", "--seed", "9"], "dfa count does not read --seed"),
+            (["dfa", "count", "-a", "{ab.dfa}", "-n", "4", "--seed", "0"], "dfa count does not read --seed"),
+            (["cfg", "sample", "-g", "{catalan.cfg}", "-n", "3", "--tree", "--ambiguity", "2", "--trials", "3"],
+             "cfg sample --tree does not read --ambiguity, --trials"),
+            (["trace", "count", "-a", "{trace.dfa}", "-w", "ab", "-n", "2"], "trace count does not read -n"),
+            (["pb", "perm", "-m", "{ones3.mat}", "--cnf", "{two.cnf}"], "pb perm does not read --cnf"),
+        ],
+    )
+    def test_unread_flag_is_named(self, files, capsys, argv, refused):
+        argv = [files[t[1:-1]] if t.startswith("{") else t for t in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {refused}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

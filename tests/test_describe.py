@@ -1,11 +1,14 @@
 """The many-to-one carrier engine: sampling, estimation, combinators."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import countgen.describe as describe_module
+from countgen.cfg import CnfGrammar, cfl_description
 from countgen.coins import FAIL, CoinSource, gen_uniform, outcome_law
 from countgen.describe import (
     Bound,
@@ -27,7 +30,12 @@ from countgen.describe import (
     union,
     verify_description,
 )
-from countgen.exceptions import CeilingExceeded, EmptyLanguage, EmptySlice
+from countgen.exceptions import (
+    AmbiguityExceeded,
+    CeilingExceeded,
+    EmptyLanguage,
+    EmptySlice,
+)
 
 
 def two_copy_description(elements):
@@ -175,6 +183,139 @@ class TestEstimateCensus:
             Fraction(1, desc.ambiguity(desc.project(t))) for t in carrier
         ) / len(carrier)
         assert mean == Fraction(3, 6)
+
+
+def reference_estimate(desc, n, epsilon, src):
+    """The estimator loop without the multiplicity memo: one ``ambiguity``
+    call and one Fraction addition per successful trial."""
+    total = desc.census(n)
+    budget = describe_module.trial_budget(
+        Fraction(8, 3), Fraction(3, 4), (Fraction(epsilon) / desc.bound(n)) ** 2,
+        Fraction(1, 4),
+    )
+    successes = 0
+    acc = Fraction(0)
+    for _ in range(budget):
+        t = desc.sampler(n, src)
+        if t is FAIL:
+            continue
+        successes += 1
+        acc += Fraction(1, desc.ambiguity(desc.project(t)))
+    if successes == 0:
+        return FAIL
+    return acc * total / successes
+
+
+def counting(desc):
+    """``desc`` with its projections and ambiguity calls logged in order."""
+    drawn, calls = [], []
+
+    def project(t):
+        drawn.append(desc.project(t))
+        return drawn[-1]
+
+    def ambiguity(s):
+        calls.append(s)
+        return desc.ambiguity(s)
+
+    return dataclasses.replace(desc, project=project, ambiguity=ambiguity), drawn, calls
+
+
+# (x1) or (x1 and x2): multiplicities 1 (10) and 2 (11)
+RUNNING_DNF = DnfFormula(2, ((1,), (1, 2)))
+
+
+def memo_descriptions():
+    return {
+        "dnf": (dnf_description(DnfFormula(4, ((1,), (1, 2), (-3,), (2, 4)))), 4),
+        "union": (union(finite_language(["aa", "ab", "ba"]), finite_language(["ab", "bb"])), 2),
+        "cfl": (cfl_description(
+            CnfGrammar(("S",), ("a", "b"), "S", {"S": [("S", "S")]}, {"S": ["a", "b"]}),
+            Bound(const=5)), 4),
+    }
+
+
+class TestEstimateMemo:
+    @pytest.mark.parametrize("name", ["dnf", "union", "cfl"])
+    def test_one_ambiguity_call_per_distinct_element(self, name):
+        desc, n = memo_descriptions()[name]
+        logged, drawn, calls = counting(desc)
+        for seed in range(3):
+            drawn.clear()
+            calls.clear()
+            est = estimate_census(logged, n, Fraction(1, 2), CoinSource(seed))
+            assert est == reference_estimate(desc, n, Fraction(1, 2), CoinSource(seed))
+            assert sorted(calls) == sorted(set(drawn))
+            assert len(drawn) > len(calls)
+
+    @pytest.mark.parametrize("name", ["dnf", "union", "cfl"])
+    def test_same_value_and_bits_as_unmemoized_loop(self, name):
+        desc, n = memo_descriptions()[name]
+        for seed in range(20):
+            memo, plain = CoinSource(seed), CoinSource(seed)
+            assert estimate_census(desc, n, Fraction(1, 3), memo) == reference_estimate(
+                desc, n, Fraction(1, 3), plain
+            )
+            assert memo.bits_consumed == plain.bits_consumed
+
+    @pytest.mark.parametrize(
+        "desc",
+        [dnf_description(RUNNING_DNF), union(finite_language(["a", "b"]), finite_language(["b"]))],
+        ids=["dnf", "union"],
+    )
+    def test_law_with_bits_equals_unmemoized_loop(self, monkeypatch, desc):
+        # four trials keep the tape tree small enough to explore
+        monkeypatch.setattr(describe_module, "trial_budget", lambda *args: 4)
+        n = 2 if desc.census(2) else 1
+
+        def law(estimate):
+            def run(src):
+                value = estimate(desc, n, Fraction(1, 2), src)
+                return value, src.bits_consumed
+
+            return outcome_law(run)
+
+        memoized = law(estimate_census)
+        assert memoized == law(reference_estimate)
+        assert len({value for value, _ in memoized if value is not FAIL}) > 2
+
+    def test_ambiguity_exceeded_at_first_element_over_bound(self):
+        def ambiguity(s):
+            if s == "c":
+                raise AmbiguityExceeded(f"{s!r} over the bound")
+            return 1
+
+        desc = dataclasses.replace(identity_description(["a", "b", "c"]), ambiguity=ambiguity)
+        logged, drawn, calls = counting(desc)
+        for seed in range(10):
+            drawn.clear()
+            calls.clear()
+            src, plain = CoinSource(seed), CoinSource(seed)
+            with pytest.raises(AmbiguityExceeded):
+                estimate_census(logged, 1, Fraction(1, 2), src)
+            with pytest.raises(AmbiguityExceeded):
+                reference_estimate(desc, 1, Fraction(1, 2), plain)
+            assert src.bits_consumed == plain.bits_consumed
+            assert drawn[-1] == calls[-1] == "c"
+            assert "c" not in drawn[:-1]
+
+    @pytest.mark.parametrize(
+        "desc, n",
+        [
+            (dnf_description(RUNNING_DNF), 2),
+            (union(finite_language(["a", "b"]), finite_language(["b"])), 1),
+            (cfl_description(CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]},
+                                        {"S": ["a"]}), Bound(const=2)), 3),
+        ],
+        ids=["dnf", "union", "cfl"],
+    )
+    def test_exact_count_unchanged(self, desc, n):
+        total = desc.census(n)
+        for seed in range(5):
+            src, plain = CoinSource(seed), CoinSource(seed)
+            expected = reference_estimate(desc, n, Fraction(1, 3 * total), plain)
+            assert exact_count(desc, n, src) == int(expected + Fraction(1, 2))
+            assert src.bits_consumed == plain.bits_consumed
 
 
 class TestExactCount:
