@@ -486,47 +486,36 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
                 symbols = symbols[:-2] + [tail]
             binary[a].add((symbols[0], symbols[1]))
     candidate = CnfGrammar(order, g.terminals, g.start, binary, unary)
-    # prune useless variables, keeping the start symbol
-    live = candidate.productive_variables() & candidate.reachable_variables()
-    live.add(g.start)
-    kept = [v for v in order if v in live]
-    kept_binary = {
-        a: [bc for bc in candidate.binary[a] if bc[0] in live and bc[1] in live]
-        for a in kept
-    }
-    kept_unary = {a: candidate.unary[a] for a in kept}
-    return CnfGrammar(kept, g.terminals, g.start, kept_binary, kept_unary)
+    # prune useless variables, keeping the start symbol: reachability runs
+    # over the productions left once unproductive variables are dropped
+    productive = _restrict(candidate, candidate.productive_variables() | {g.start})
+    return _restrict(productive, productive.reachable_variables())
 
 
-def cfl_description(
-    g: CnfGrammar, bound: Bound, confidence: int = 0
-) -> Description:
+def _restrict(g: CnfGrammar, keep) -> CnfGrammar:
+    """``g`` on the variables in ``keep``, with the productions among them."""
+    kept = [v for v in g.variables if v in keep]
+    binary = {a: [bc for bc in g.binary[a] if bc[0] in keep and bc[1] in keep] for a in kept}
+    unary = {a: g.unary[a] for a in kept}
+    return CnfGrammar(kept, g.terminals, g.start, binary, unary)
+
+
+def cfl_description(g: CnfGrammar, bound: Bound) -> Description:
     """Description of the language's slices by its derivation trees.
 
     The carrier sampler draws uniform trees, the projection is the yield,
     and the multiplicity of a word is its number of derivation trees,
-    counted by the weighted Earley chart.  Words whose tree count exceeds
-    the declared bound raise AmbiguityExceeded.
+    counted by the weighted Earley chart.
     """
     table = tree_census_table(g, 0)
 
     def sampler(n, src):
-        return random_tree(g, n, src, confidence=confidence, table=table)
-
-    def ambiguity(word):
-        count = earley_count(g, word)
-        if count > bound(len(word)):
-            raise AmbiguityExceeded(
-                f"{word!r} has {count} trees, bound {bound(len(word))}"
-            )
-        if count == 0:
-            raise ValueError(f"{word!r} is not derivable")
-        return count
+        return random_tree(g, n, src, table=table)
 
     return Description(
         sampler=sampler,
         project=tree_yield,
-        ambiguity=ambiguity,
+        ambiguity=lambda word: earley_count(g, word),
         bound=bound,
         census=lambda n: grow_tree_table(g, table, n)[g.start][n],
     )

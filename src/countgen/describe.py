@@ -35,9 +35,10 @@ _EXACT_BUDGET_LIMIT = 4096
 def trial_budget(alpha, beta, epsilon, delta) -> int:
     """Smallest t >= 1 with alpha * (1 - beta*epsilon)**t < delta.
 
-    Sizes every retry loop in this module: alpha is the slack factor in
-    front of the per-trial bound, beta*epsilon the per-trial success mass,
-    delta the failure probability the loop must get under.
+    Sizes the engine's and the combinators' retry loops and the repeats of
+    ``amplify_ras``: alpha is the slack factor in front of the per-trial
+    bound, beta*epsilon the per-trial success mass, delta the failure
+    probability the loop must get under.
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -81,12 +82,13 @@ class Description:
 
     ``sampler(n, src)`` must be uniform on the size-n carrier slice when it
     does not FAIL and must FAIL with probability below 1/4.  ``ambiguity``
-    gives, for an element of S, the number of carrier elements projecting
-    onto it, and is bounded by ``bound`` at every size.  It must be a pure
-    function of the element, and projected elements must be hashable: an
-    estimate calls it once per distinct element it draws.  ``census`` (the
-    carrier census, optional) is required for estimation and exact
-    counting.
+    returns, for an element of S, the raw number of carrier elements
+    projecting onto it; the engine enforces 1 <= count <= ``bound(n)``,
+    raising ValueError on 0 and AmbiguityExceeded above the bound.  It
+    must be a pure function of the element, and projected elements must
+    be hashable: an estimate calls it once per distinct element it draws.
+    ``census`` (the carrier census, optional) is required for estimation
+    and exact counting.
     """
 
     sampler: Callable
@@ -101,6 +103,16 @@ class SampleReport:
     value: object
     trials: int
     bits: int
+
+
+def _multiplicity(desc: Description, s, d_max: int) -> int:
+    """``desc.ambiguity(s)``, refused unless 1 <= count <= d_max."""
+    d = desc.ambiguity(s)
+    if d < 1:
+        raise ValueError(f"{s!r} has multiplicity {d}, bound {d_max}")
+    if d > d_max:
+        raise AmbiguityExceeded(f"{s!r} has multiplicity {d}, bound {d_max}")
+    return d
 
 
 def _sample_loop(desc: Description, n: int, src, trials=None):
@@ -119,9 +131,7 @@ def _sample_loop(desc: Description, n: int, src, trials=None):
         if t is FAIL:
             continue
         s = desc.project(t)
-        d = desc.ambiguity(s)
-        if not 1 <= d <= d_max:
-            raise AmbiguityExceeded(f"multiplicity {d} outside [1, {d_max}]")
+        d = _multiplicity(desc, s, d_max)
         r = src.draw(width) + 1
         if r <= m // d:
             return s, trial
@@ -153,7 +163,8 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     Averages 1/ambiguity over carrier draws and scales by the carrier
     census; the relative error is within epsilon with probability above
     3/4 conditioned on not failing, and the failure probability is below
-    1/4.  Each distinct projected element costs one ``ambiguity`` call.
+    1/4.  Each distinct projected element costs one ``ambiguity`` call,
+    checked against the bound like a sampler's.
     """
     if desc.census is None:
         raise ValueError("estimation needs the carrier census")
@@ -175,7 +186,7 @@ def estimate_census(desc: Description, n: int, epsilon, src):
             continue
         s = desc.project(t)
         if s not in multiplicity:
-            multiplicity[s] = desc.ambiguity(s)
+            multiplicity[s] = _multiplicity(desc, s, d_max)
         hits[multiplicity[s]] += 1
     if not hits:
         return FAIL
@@ -281,7 +292,7 @@ class WordLanguage:
 
     sample: Callable  # (n, src) -> word | FAIL
     member: Callable  # word -> bool
-    census: Optional[Callable] = None  # n -> int, n >= 0
+    census: Callable  # n -> int, n >= 0
     unrank: Optional[Callable] = None  # (n, i) -> word
 
 
@@ -323,9 +334,6 @@ def union(a: WordLanguage, b: WordLanguage) -> Description:
     When an operand lacks ``unrank``, both operands are presampled every
     attempt so that a side failing more often cannot skew the law.
     """
-    if a.census is None or b.census is None:
-        raise ValueError("union needs both census functions")
-
     def census(n):
         return a.census(n) + b.census(n)
 
@@ -358,10 +366,7 @@ def union(a: WordLanguage, b: WordLanguage) -> Description:
         return FAIL
 
     def ambiguity(w):
-        d = int(a.member(w)) + int(b.member(w))
-        if d == 0:
-            raise ValueError(f"{w!r} is in neither operand")
-        return d
+        return int(a.member(w)) + int(b.member(w))
 
     return Description(
         sampler=sampler,
@@ -384,9 +389,6 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
     their failure rates do not depend on the slice size (in particular
     when they never fail).
     """
-    if a.census is None or b.census is None:
-        raise ValueError("product needs both census functions")
-
     def census(n):
         return sum(a.census(k) * b.census(n - k) for k in range(n + 1))
 
@@ -421,14 +423,11 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
         return FAIL
 
     def ambiguity(w):
-        d = sum(
+        return sum(
             1
             for k in range(len(w) + 1)
             if a.member(w[:k]) and b.member(w[k:])
         )
-        if d == 0:
-            raise ValueError(f"{w!r} has no factorization")
-        return d
 
     return Description(
         sampler=sampler,
@@ -446,9 +445,6 @@ def product_fixed(a: WordLanguage, b: WordLanguage) -> Description:
     uniquely at the midpoint, so the description is unambiguous and its
     carrier census is the product of the halves' censuses.
     """
-    if a.census is None or b.census is None:
-        raise ValueError("product needs both census functions")
-
     def census(n):
         if n % 2:
             return 0
@@ -471,9 +467,7 @@ def product_fixed(a: WordLanguage, b: WordLanguage) -> Description:
 
     def ambiguity(w):
         h = len(w) // 2
-        if len(w) % 2 or not (a.member(w[:h]) and b.member(w[h:])):
-            raise ValueError(f"{w!r} not in the midpoint product")
-        return 1
+        return int(len(w) % 2 == 0 and a.member(w[:h]) and b.member(w[h:]))
 
     return Description(
         sampler=sampler,
@@ -595,10 +589,7 @@ def dnf_description(formula: DnfFormula) -> Description:
         return (j, assignment)
 
     def ambiguity(assignment):
-        d = sum(formula.satisfies(assignment, j) for j in range(m))
-        if d == 0:
-            raise ValueError(f"{assignment} satisfies no clause")
-        return d
+        return sum(formula.satisfies(assignment, j) for j in range(m))
 
     return Description(
         sampler=sampler,

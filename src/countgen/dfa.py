@@ -233,17 +233,22 @@ def slice_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
     return full - sum(table.count(a.start, length) for length in range(n))
 
 
-def dfa_language(a: Dfa, confidence: int = 3, max_len: int = 4096) -> WordLanguage:
+# Longest slice a language view counts: its census table grows to every
+# length it is asked for.
+_LANGUAGE_MAX_LEN = 4096
+
+
+def dfa_language(a: Dfa) -> WordLanguage:
     """WordLanguage view of the DFA for the union/product combinators."""
     table = CensusTable(a)
 
     def census(n: int) -> int:
-        if n > max_len:
-            raise ValueError(f"census length {n} above limit {max_len}")
+        if n > _LANGUAGE_MAX_LEN:
+            raise ValueError(f"census length {n} above limit {_LANGUAGE_MAX_LEN}")
         return table.count(a.start, n)
 
     def sample(n: int, src):
-        return dfa_sample(a, n, src, confidence=confidence, table=table)
+        return dfa_sample(a, n, src, table=table)
 
     def unrank(n: int, i: int) -> str:
         return _unrank_slice(a, table, n, i)

@@ -159,12 +159,16 @@ class _SliceTable(NamedTuple):
         return self.words(_dot(self.start, self.suffix[length]))
 
 
-def _slice_table(a: Nfa, n: int, lift_ceiling: int = 4096) -> _SliceTable:
+# Largest Kronecker lift dimension, dim**ambiguity, a slice table builds.
+_LIFT_CEILING = 4096
+
+
+def _slice_table(a: Nfa, n: int) -> _SliceTable:
     if n < 0:
         raise ValueError("length must be nonnegative")
     d = a.ambiguity
-    if a.dim**d > lift_ceiling:
-        raise SizeGuard(f"lift dimension {a.dim}**{d} above {lift_ceiling}")
+    if a.dim**d > _LIFT_CEILING:
+        raise SizeGuard(f"lift dimension {a.dim}**{d} above {_LIFT_CEILING}")
     coefficients = build_q(d).coefficients
     scale = lcm(*(c.denominator for c in coefficients))
     start, accept, lifts = [], [], tuple([] for _ in a.matrices)
@@ -205,9 +209,7 @@ def _unrank(a: Nfa, table: _SliceTable, n: int, r: int) -> str:
     return word
 
 
-def nfa_rank_slice(
-    a: Nfa, n: int, beta: str, lift_ceiling: int = 4096, validate: bool = False
-) -> int:
+def nfa_rank_slice(a: Nfa, n: int, beta: str, validate: bool = False) -> int:
     """Number of accepted words of length n lexicographically <= beta.
 
     Every word in the prefix cone below ``beta`` contributes q(paths),
@@ -216,7 +218,7 @@ def nfa_rank_slice(
     single products of Kronecker-power matrices, so no word is
     enumerated.
     """
-    table = _slice_table(a, n, lift_ceiling)
+    table = _slice_table(a, n)
     if len(beta) != n:
         raise ValueError("beta must have length n")
     if validate:
@@ -234,9 +236,9 @@ def _rank(a: Nfa, table: _SliceTable, beta: str) -> int:
     return table.words(below) + member
 
 
-def nfa_slice_census(a: Nfa, n: int, lift_ceiling: int = 4096) -> int:
+def nfa_slice_census(a: Nfa, n: int) -> int:
     """Number of accepted words of length n (not paths)."""
-    return _slice_table(a, n, lift_ceiling).census(n)
+    return _slice_table(a, n).census(n)
 
 
 def nfa_rank(a: Nfa, beta: str) -> int:

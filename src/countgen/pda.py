@@ -63,16 +63,6 @@ class Pda:
         return self.states[0]
 
 
-def surface_configs(m: Pda, n: int) -> list:
-    """All (state, stack top, input position) triples for inputs of length n."""
-    return [
-        (q, top, j)
-        for q in m.states
-        for top in m.stack_alphabet
-        for j in range(1, n + 2)
-    ]
-
-
 @dataclass(frozen=True)
 class SliceGrammar:
     """CNF grammar for one input length, with construction statistics."""
@@ -105,8 +95,8 @@ def build_slice_grammar(m: Pda, n: int) -> SliceGrammar:
     Nonterminals are pairs of surface configurations sharing a stack top,
     flagged by whether the run in between revisits the endpoint height.
     Productions: single consuming moves, splits at a height return, and
-    matching push/pop pairs around an inner run.  Unproductive and
-    unreachable nonterminals are pruned before conversion to CNF.
+    matching push/pop pairs around an inner run.  ``to_cnf`` prunes the
+    unproductive and unreachable nonterminals while converting.
     """
     if n < 1:
         raise ValueError("slice length must be >= 1")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .describe import Bound, Description
 from .dfa import CensusTable, Dfa, dfa_sample
-from .exceptions import AmbiguityExceeded, SizeGuard
+from .exceptions import SizeGuard
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,20 @@ def indep_alphabet(symbols, pairs) -> IndepAlphabet:
 def normal_form(word: str, alph: IndepAlphabet) -> str:
     """Lexicographically least member of the word's commutation class.
 
-    Greedy: repeatedly emit the smallest letter whose earliest remaining
-    occurrence is independent of everything remaining before it.
+    Greedy over consumption vectors: repeatedly emit the smallest letter,
+    in character order, whose next occurrence is independent of every
+    unconsumed occurrence before it.
     """
-    remaining = list(word)
+    occ = _occurrences(word, alph.symbols)
+    by_char = sorted(enumerate(alph.symbols), key=lambda pair: pair[1])
+    vector = [0] * len(alph.symbols)
     out = []
-    while remaining:
-        best = None
-        for i, letter in enumerate(remaining):
-            if any(not alph.independent(remaining[j], letter) for j in range(i)):
-                continue
-            if best is None or letter < remaining[best]:
-                best = i
-        out.append(remaining.pop(best))
+    for _ in word:
+        for idx, letter in by_char:
+            if _can_emit(occ, alph, vector, idx, letter):
+                break
+        vector[idx] += 1
+        out.append(letter)
     return "".join(out)
 
 
@@ -81,6 +82,8 @@ def swap_closure(word: str, alph: IndepAlphabet, limit: int = 100_000) -> set:
 def _occurrences(word: str, symbols):
     occ = {a: [] for a in symbols}
     for i, letter in enumerate(word):
+        if letter not in occ:
+            raise ValueError(f"letter {letter!r} not in the alphabet")
         occ[letter].append(i)
     return occ
 
@@ -119,19 +122,8 @@ def _can_emit(occ, alph, vector, letter_index, letter):
 
 def class_size(word: str, alph: IndepAlphabet, guard: int = 200_000) -> int:
     """Number of words in the commutation class of ``word``."""
-    occ = _vector_states(word, alph, guard)
-    order = alph.symbols
-    start = tuple(0 for _ in order)
-    counts = {start: 1}
-    for _ in range(len(word)):
-        nxt: dict = {}
-        for vector, ways in counts.items():
-            for idx, letter in enumerate(order):
-                if _can_emit(occ, alph, vector, idx, letter):
-                    bumped = vector[:idx] + (vector[idx] + 1,) + vector[idx + 1 :]
-                    nxt[bumped] = nxt.get(bumped, 0) + ways
-        counts = nxt
-    return sum(counts.values())
+    every_word = Dfa(alph.symbols, ((0,) * len(alph.symbols),), 0, frozenset({0}))
+    return count_representatives(every_word, word, alph, guard)
 
 
 def count_representatives(
@@ -160,9 +152,7 @@ def count_representatives(
     return sum(ways for (vector, q), ways in counts.items() if q in dfa.finals)
 
 
-def trace_description(
-    dfa: Dfa, alph: IndepAlphabet, bound: Bound, confidence: int = 3
-) -> Description:
+def trace_description(dfa: Dfa, alph: IndepAlphabet, bound: Bound) -> Description:
     """Description of the trace closure of a regular language.
 
     The carrier is the string language itself; projection is the
@@ -174,22 +164,12 @@ def trace_description(
     table = CensusTable(dfa)
 
     def sampler(n, src):
-        return dfa_sample(dfa, n, src, confidence=confidence, table=table)
-
-    def ambiguity(trace):
-        d = count_representatives(dfa, trace, alph)
-        if d > bound(len(trace)):
-            raise AmbiguityExceeded(
-                f"trace {trace!r} has {d} representatives, bound {bound(len(trace))}"
-            )
-        if d == 0:
-            raise ValueError(f"{trace!r} has no representative in the language")
-        return d
+        return dfa_sample(dfa, n, src, table=table)
 
     return Description(
         sampler=sampler,
         project=lambda w: normal_form(w, alph),
-        ambiguity=ambiguity,
+        ambiguity=lambda trace: count_representatives(dfa, trace, alph),
         bound=bound,
         census=lambda n: table.count(dfa.start, n),
     )

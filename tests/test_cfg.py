@@ -31,6 +31,7 @@ from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage
 from countgen.pda import build_slice_grammar
+from test_pda import ANBN as ANBN_PDA
 from test_pda import DYCK
 
 
@@ -439,6 +440,7 @@ class TestToCnf:
     def test_forced_shape(self):
         g = Grammar(("S",), ("a", "b"), "S", (("S", ("a", "b")),))
         cnf = to_cnf(g)
+        cnf.check_no_useless()
         assert earley_count(cnf, "ab") == 1
         assert tree_census(cnf, "S", 2) == 1
 
@@ -450,6 +452,7 @@ class TestToCnf:
             (("S", ("a", "S", "b")), ("S", ("a", "b"))),
         )
         cnf = to_cnf(g)
+        cnf.check_no_useless()
         for n in range(1, 9):
             members = {w for w in words_of("ab", n) if earley_count(cnf, w) > 0}
             expected = {"a" * k + "b" * k for k in range(1, 5) if 2 * k == n}
@@ -463,6 +466,7 @@ class TestToCnf:
     def test_epsilon_dropped_on_request(self):
         g = Grammar(("S",), ("a",), "S", (("S", ()), ("S", ("a", "S"))))
         cnf = to_cnf(g, drop_epsilon=True)
+        cnf.check_no_useless()
         for n in range(1, 6):
             assert earley_count(cnf, "a" * n) == 1
 
@@ -474,11 +478,13 @@ class TestToCnf:
             (("S", ("A",)), ("A", ("a",)), ("A", ("a", "A"))),
         )
         cnf = to_cnf(g)
+        cnf.check_no_useless()
         for n in range(1, 6):
             assert tree_census(cnf, "S", n) == 1
 
     def test_palindrome_pair_grammar(self):
         cnf = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
+        cnf.check_no_useless()
 
         def is_even_palindrome(w):
             return len(w) % 2 == 0 and w == w[::-1]
@@ -495,6 +501,24 @@ class TestToCnf:
             assert members == expected
 
 
+    def test_unreachable_once_unproductive_dropped(self):
+        # C is reachable only through the unproductive B, so it is useless
+        g = Grammar(
+            ("S", "B", "C"),
+            ("a",),
+            "S",
+            (("S", ("a",)), ("S", ("B", "C")), ("B", ("B", "B")), ("C", ("a",))),
+        )
+        cnf = to_cnf(g)
+        cnf.check_no_useless()
+        assert cnf.variables == ("S",)
+
+    @pytest.mark.parametrize("machine", [DYCK, ANBN_PDA], ids=["dyck", "anbn"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_pda_slice_grammars_have_no_useless_variables(self, machine, n):
+        build_slice_grammar(machine, n).grammar.check_no_useless()
+
+
 class TestDescription:
     def test_unambiguous_word_sampler(self):
         desc = cfl_description(PAIR, Bound(const=1))
@@ -504,10 +528,14 @@ class TestDescription:
 
     def test_catalan_guard(self):
         desc = cfl_description(CATALAN, Bound(const=2))
-        # aaa has 2 trees (fine); aaaa has 5 (> 2) and must be refused
+        # aaa has 2 trees (fine); aaaa has 5 (> 2): the description returns
+        # the raw count and the engine refuses it
         assert desc.ambiguity("aaa") == 2
+        assert desc.ambiguity("aaaa") == 5
+        with pytest.raises(AmbiguityExceeded, match="'aaaa' has multiplicity 5, bound 2"):
+            sample_described(desc, 4, CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
-            desc.ambiguity("aaaa")
+            estimate_census(desc, 4, Fraction(1, 2), CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
             validate_cfl_bound(CATALAN, Bound(const=2), 4)
 

@@ -336,7 +336,53 @@ class TestExactCount:
         assert hits / 60 > 0.75
 
 
+ENGINE_CALLS = {
+    "estimate": lambda desc, src: estimate_census(desc, 1, Fraction(1, 2), src),
+    "exact": lambda desc, src: exact_count(desc, 1, src),
+    "sample": lambda desc, src: sample_report(desc, 1, src),
+}
+
+
+class TestMultiplicityCheck:
+    """The engine, not the description, enforces 1 <= multiplicity <= bound."""
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS)
+    def test_zero_multiplicity_refused(self, call):
+        desc = dataclasses.replace(identity_description(["a", "b"]), ambiguity=lambda s: 0)
+        with pytest.raises(ValueError, match="has multiplicity 0, bound 1"):
+            ENGINE_CALLS[call](desc, CoinSource(0))
+
+    @pytest.mark.parametrize("call", ENGINE_CALLS)
+    def test_multiplicity_above_bound_refused(self, call):
+        desc = dataclasses.replace(identity_description(["a", "b"]), ambiguity=lambda s: 5)
+        with pytest.raises(AmbiguityExceeded, match="has multiplicity 5, bound 1"):
+            ENGINE_CALLS[call](desc, CoinSource(0))
+
+    def test_bound_is_read_at_the_slice_size(self):
+        # bound n + 1 admits multiplicity 3 at size 2, not at size 1
+        desc = dataclasses.replace(
+            two_copy_description(["x", "yz"]), ambiguity=lambda s: 3, bound=Bound(1, 1, 1)
+        )
+        assert sample_described(desc, 2, CoinSource(0)) in ("yz", FAIL)
+        with pytest.raises(AmbiguityExceeded, match="'x' has multiplicity 3, bound 2"):
+            sample_described(desc, 1, CoinSource(0))
+
+    def test_combinators_return_raw_counts(self):
+        left, right = finite_language(["a", "ab"]), finite_language(["b", "ab"])
+        assert union(left, right).ambiguity("z") == 0
+        assert union(left, right).ambiguity("ab") == 2
+        assert product(left, right).ambiguity("zz") == 0
+        assert product_fixed(left, right).ambiguity("ba") == 0
+        assert product_fixed(left, right).ambiguity("abb") == 0
+        assert dnf_description(RUNNING_DNF).ambiguity("01") == 0
+
+
 class TestUnion:
+    def test_word_language_needs_census(self):
+        lang = finite_language(["a"])
+        with pytest.raises(TypeError, match="census"):
+            WordLanguage(lang.sample, lang.member)
+
     def test_disjoint_union_uniform(self):
         a = finite_language(["aa", "ab"])
         b = finite_language(["bb", "ba"])

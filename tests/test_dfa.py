@@ -92,6 +92,12 @@ class TestCensus:
         with pytest.raises(ValueError, match="nonnegative"):
             table.count(ALL_WORDS.start, -1)
 
+    def test_language_view_length_limit(self):
+        view = dfa_language(AB_STAR)
+        assert view.census(4096) == 1  # (ab)**2048
+        with pytest.raises(ValueError, match="census length 4097 above limit 4096"):
+            view.census(4097)
+
 
 class TestSample:
     def test_singleton_slice(self):

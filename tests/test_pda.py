@@ -16,7 +16,6 @@ from countgen.pda import (
     load_pda,
     pda_accepts,
     pda_slice_description,
-    surface_configs,
 )
 
 
@@ -89,24 +88,6 @@ def dyck_member(w):
         if height < 0:
             return False
     return height == 0 and len(w) >= 1
-
-
-class TestSurfaceConfigs:
-    def test_product_count(self):
-        m = TWO_WAY_A
-        assert len(surface_configs(m, 2)) == 4 * 1 * 3
-
-    def test_two_state_two_symbol(self):
-        m = Pda(("p", "q"), ("a",), ("Z", "X"), "Z", frozenset({"q"}), ())
-        assert len(surface_configs(m, 2)) == 12
-
-    def test_zero_length(self):
-        m = Pda(("p", "q"), ("a",), ("Z", "X"), "Z", frozenset({"q"}), ())
-        assert len(surface_configs(m, 0)) == 4
-
-    def test_no_duplicates(self):
-        configs = surface_configs(ANBN, 3)
-        assert len(configs) == len(set(configs))
 
 
 class TestComputationSearch:

@@ -1,6 +1,7 @@
 """Trace normal forms, class sizes, and representative counting."""
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -34,6 +35,29 @@ def words_of(alphabet, n):
     return ("".join(t) for t in iproduct(alphabet, repeat=n))
 
 
+def reference_normal_form(word, alph):
+    """The rescanning normal form the occurrence-vector walk replaced:
+    emit the smallest letter whose earliest remaining occurrence is
+    independent of everything remaining before it."""
+    remaining = list(word)
+    out = []
+    while remaining:
+        best = None
+        for i, letter in enumerate(remaining):
+            if any(not alph.independent(remaining[j], letter) for j in range(i)):
+                continue
+            if best is None or letter < remaining[best]:
+                best = i
+        out.append(remaining.pop(best))
+    return "".join(out)
+
+
+def every_relation(symbols):
+    pairs = list(combinations(symbols, 2))
+    for mask in range(1 << len(pairs)):
+        yield indep_alphabet(symbols, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
 class TestNormalForm:
     def test_swap_pair(self):
         assert normal_form("ba", AB_FREE) == "ab"
@@ -57,6 +81,23 @@ class TestNormalForm:
                 cls = swap_closure(w, alph)
                 assert nf == min(cls)
                 assert all(normal_form(v, alph) == nf for v in cls)
+
+    # letters declared out of character order, which is the order that counts
+    @pytest.mark.parametrize("symbols", ["a", "ba", "cab", "dbca"])
+    def test_equals_rescanning_reference(self, symbols):
+        for alph in every_relation(symbols):
+            for n in range(1, 7):
+                for w in words_of(symbols, n):
+                    assert normal_form(w, alph) == reference_normal_form(w, alph), (w, alph)
+
+    def test_letter_outside_alphabet_refused(self):
+        full = dfa_from_regex("(a|b|c)*", alphabet="abc")
+        with pytest.raises(ValueError, match="'d' not in the alphabet"):
+            normal_form("abd", CHAIN)
+        with pytest.raises(ValueError, match="'d' not in the alphabet"):
+            class_size("abd", CHAIN)
+        with pytest.raises(ValueError, match="'d' not in the alphabet"):
+            count_representatives(full, "abd", CHAIN)
 
     @given(st.text(alphabet="abc", min_size=1, max_size=7))
     @settings(max_examples=60)
@@ -194,8 +235,12 @@ class TestTraceDescription:
     def test_ambiguity_guard(self):
         lang = dfa_from_regex("ab|ba")
         desc = trace_description(lang, AB_FREE, Bound(const=1))
+        # the description returns the raw count; the engine refuses it
+        assert desc.ambiguity("ab") == 2
+        with pytest.raises(AmbiguityExceeded, match="'ab' has multiplicity 2, bound 1"):
+            sample_described(desc, 2, CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
-            desc.ambiguity("ab")
+            estimate_census(desc, 2, Fraction(1, 2), CoinSource(0))
 
 
 class TestLoader:
