@@ -41,9 +41,12 @@ _BLOCK_BITS = 512
 class CoinSource:
     """Replayable stream of unbiased bits keyed by a 64-bit seed.
 
-    Blocks of the tape come from a keyed hash in counter mode, so equal
-    seeds always replay the identical bit sequence.  ``bits_consumed``
-    advances by exactly k on every k-bit draw.
+    The tape is defined bit by bit: bit i is bit ``i % 512`` of the
+    little-endian integer of ``blake2b(i // 512 as 8 little-endian bytes,
+    key=seed as 8 little-endian bytes)``.  Equal seeds therefore replay the
+    identical bit sequence, and a draw may take any run of bits from one
+    block at once.  ``bits_consumed`` advances by exactly k on every k-bit
+    draw.
     """
 
     def __init__(self, seed: int):
@@ -53,25 +56,27 @@ class CoinSource:
         self._block_index = -1
         self._block = 0
 
-    def _bit(self, i: int) -> int:
-        block, offset = divmod(i, _BLOCK_BITS)
-        if block != self._block_index:
-            digest = hashlib.blake2b(
-                block.to_bytes(8, "little"), key=self._key
-            ).digest()
-            self._block = int.from_bytes(digest, "little")
-            self._block_index = block
-        return (self._block >> offset) & 1
-
     def draw(self, k: int) -> int:
         """Next k tape bits as an integer, bit j weighted 2**j."""
         if k < 0:
             raise ValueError("bit count must be nonnegative")
-        base = self.bits_consumed
+        pos = self.bits_consumed
+        end = pos + k
         value = 0
-        for j in range(k):
-            value |= self._bit(base + j) << j
-        self.bits_consumed = base + k
+        shift = 0
+        while pos < end:
+            index, offset = divmod(pos, _BLOCK_BITS)
+            if index != self._block_index:
+                digest = hashlib.blake2b(
+                    index.to_bytes(8, "little"), key=self._key
+                ).digest()
+                self._block = int.from_bytes(digest, "little")
+                self._block_index = index
+            take = min(_BLOCK_BITS - offset, end - pos)
+            value |= ((self._block >> offset) & ((1 << take) - 1)) << shift
+            shift += take
+            pos += take
+        self.bits_consumed = end
         return value
 
 
@@ -82,20 +87,19 @@ class TapeSource:
         bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("tape cells must be 0 or 1")
-        self._bits = bits
+        self._length = len(bits)
+        cells = "".join("1" if b else "0" for b in reversed(bits))
+        self._tape = int(cells or "0", 2)
         self.bits_consumed = 0
 
     def draw(self, k: int) -> int:
         if k < 0:
             raise ValueError("bit count must be nonnegative")
         base = self.bits_consumed
-        if base + k > len(self._bits):
-            raise TapeExhausted(f"tape of {len(self._bits)} bits exhausted")
-        value = 0
-        for j in range(k):
-            value |= self._bits[base + j] << j
+        if base + k > self._length:
+            raise TapeExhausted(f"tape of {self._length} bits exhausted")
         self.bits_consumed = base + k
-        return value
+        return (self._tape >> base) & ((1 << k) - 1)
 
 
 def bit_size(n: int) -> int:

@@ -497,7 +497,7 @@ def verify_description(desc: Description, n: int, carrier_slice) -> None:
             )
         if count > d_max:
             raise AssertionError(f"multiplicity {count} exceeds bound {d_max}")
-    if desc.census is not None and desc.census(n) != len(list(carrier_slice)):
+    if desc.census is not None and desc.census(n) != sum(counts.values()):
         raise AssertionError("carrier census mismatch")
 
 

@@ -1,6 +1,8 @@
 """Bit sources, uniform integers, bit sizes and lcm."""
 
+import hashlib
 import math
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -10,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from countgen.coins import (
+    _BLOCK_BITS,
+    _MASK64,
     FAIL,
     CoinSource,
     TapeSource,
@@ -41,6 +45,51 @@ def doubling_size(n):
         h0, h = h, h + h
         k0, k = k, k * k
     return h0 + doubling_size(n // k0)
+
+
+class ReferenceCoinSource:
+    """The per-bit tape reader that whole-block draws replace."""
+
+    def __init__(self, seed):
+        self.bits_consumed = 0
+        self._key = (seed & _MASK64).to_bytes(8, "little")
+        self._block_index = -1
+        self._block = 0
+
+    def _bit(self, i):
+        block, offset = divmod(i, _BLOCK_BITS)
+        if block != self._block_index:
+            digest = hashlib.blake2b(
+                block.to_bytes(8, "little"), key=self._key
+            ).digest()
+            self._block = int.from_bytes(digest, "little")
+            self._block_index = block
+        return (self._block >> offset) & 1
+
+
+def reference_draw(src, k):
+    base = src.bits_consumed
+    value = 0
+    for j in range(k):
+        value |= src._bit(base + j) << j
+    src.bits_consumed = base + k
+    return value
+
+
+def reference_tape_draw(bits, base, k):
+    value = 0
+    for j in range(k):
+        value |= bits[base + j] << j
+    return value
+
+
+# SHA-256 of "seed k value bits_consumed" lines over TAPE_WIDTHS for seeds
+# 0, 1 and 2**64 - 1, recorded with the per-bit reader: a changed tape
+# changes this digest.
+TAPE_WIDTHS = (
+    0, 1, 2, 3, 7, 8, 63, 64, 65, 500, 511, 512, 513, 1100, 1500, 1, 0, 1023, 1024, 1025
+)
+TAPE_DIGEST = "1f2cfe7decca53455ef41e7947a630a40557e285f2720c460bd0c23025a6f138"
 
 
 def iterated_gcd_lcm(n):
@@ -97,6 +146,72 @@ class TestDrawBits:
             got |= piecewise.draw(k) << pos
             pos += k
         assert got == whole
+
+
+class TestBlockDraws:
+    SEEDS = (0, 1, 7, 12345, -1, 2**64 + 5, 2**64 - 1)
+
+    @staticmethod
+    def widths(rng):
+        # 0 -> 511 -> 512 -> 513 starts, then a draw across three blocks
+        head = [511, 1, 1, 1100]
+        tail = [rng.choice((0, 1, 2, 3, 7, 63, 64, rng.randrange(1501))) for _ in range(60)]
+        return head + tail
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_per_bit_reference(self, seed):
+        rng = random.Random(seed & 0xFFFF)
+        for _ in range(5):
+            src, ref = CoinSource(seed), ReferenceCoinSource(seed)
+            starts = set()
+            for k in self.widths(rng):
+                starts.add(src.bits_consumed)
+                assert src.draw(k) == reference_draw(ref, k)
+                assert src.bits_consumed == ref.bits_consumed
+            assert {0, 511, 512, 513} <= starts
+
+    def test_seed_reduced_mod_two_to_the_64(self):
+        assert CoinSource(-1).draw(700) == CoinSource(2**64 - 1).draw(700)
+        assert CoinSource(2**64 + 5).draw(700) == CoinSource(5).draw(700)
+
+    def test_negative_width_rejected(self):
+        src = CoinSource(0)
+        src.draw(5)
+        with pytest.raises(ValueError):
+            src.draw(-1)
+        assert src.bits_consumed == 5
+
+    def test_pinned_tape_digest(self):
+        h = hashlib.sha256()
+        for seed in (0, 1, 2**64 - 1):
+            src = CoinSource(seed)
+            for k in TAPE_WIDTHS:
+                value = src.draw(k)
+                h.update(f"{seed} {k} {value} {src.bits_consumed}\n".encode())
+        assert h.hexdigest() == TAPE_DIGEST
+
+    def test_tape_source_equals_per_bit_reference(self):
+        rng = random.Random(3)
+        for length in (0, 1, 5, 64, 200):
+            bits = tuple(rng.randrange(2) for _ in range(length))
+            src = TapeSource(bits)
+            while True:
+                k = rng.randrange(length + 2)
+                base = src.bits_consumed
+                if base + k > length:
+                    with pytest.raises(TapeExhausted):
+                        src.draw(k)
+                    assert src.bits_consumed == base
+                    break
+                assert src.draw(k) == reference_tape_draw(bits, base, k)
+                assert src.bits_consumed == base + k
+
+    def test_tape_source_validation(self):
+        with pytest.raises(ValueError):
+            TapeSource((0, 2))
+        with pytest.raises(ValueError):
+            TapeSource((1,)).draw(-1)
+        assert TapeSource((True, False, True)).draw(3) == 5
 
 
 class TestGenUniform:

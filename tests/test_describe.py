@@ -416,6 +416,16 @@ class TestUnion:
         b = finite_language(["bb"])
         assert union(a, b).census(2) == 3
 
+    def test_verify_reads_a_carrier_generator_once(self):
+        desc = union(finite_language(["a", "b"]), finite_language(["b"]))
+        carrier = [("L", "a"), ("L", "b"), ("R", "b")]
+        verify_description(desc, 1, carrier)
+        verify_description(desc, 1, (t for t in carrier))
+        wrong_census = dataclasses.replace(desc, census=lambda n: 4)
+        for given_slice in (carrier, (t for t in carrier)):
+            with pytest.raises(AssertionError, match="census mismatch"):
+                verify_description(wrong_census, 1, given_slice)
+
     def test_unequal_failure_rates_cannot_skew(self):
         # one operand fails half the time, the other never; the tagged
         # union must still come out exactly uniform over all four words
