@@ -218,22 +218,20 @@ def _locate_boustrophedon(g, table, a, length, r):
     raise AssertionError("rank exceeded bucket weight")
 
 
-def random_tree(
-    g: CnfGrammar, n: int, src, confidence: int = 0, table: dict | None = None
-):
+def random_tree(g: CnfGrammar, n: int, src, table: dict | None = None):
     """Uniform derivation tree with yield length n, or FAIL.
 
-    The per-node rejection uses kappa = 3 + ceil(log n) + confidence
-    attempts (kappa is global, not per recursion level); the failure
-    probability is at most (2n - 1) / 2**kappa, below 1/4 at
-    confidence 0.  A given ``table`` is grown to n in place.
+    The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
+    is global, not per recursion level); the failure probability is at
+    most (2n - 1) / 2**kappa, below 1/4.  A given ``table`` is grown to n
+    in place.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
     table = tree_census_table(g, n) if table is None else grow_tree_table(g, table, n)
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
-    kappa = 3 + bit_size(n) + confidence
+    kappa = 3 + bit_size(n)
 
     def generate(a, length):
         r = draw_uniform(src, table[a][length], kappa)
@@ -464,7 +462,7 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
             order.append(v)
 
     chain_count = 0
-    for a in sorted(closed, key=lambda v: g.variables.index(v)):
+    for a in dict.fromkeys(g.variables):
         for rhs in sorted(closed[a], key=lambda r: tuple(map(str, r))):
             if len(rhs) == 1:
                 unary[a].add(rhs[0])

@@ -87,15 +87,14 @@ class Description:
     raising ValueError on 0 and AmbiguityExceeded above the bound.  It
     must be a pure function of the element, and projected elements must
     be hashable: an estimate calls it once per distinct element it draws.
-    ``census`` (the carrier census, optional) is required for estimation
-    and exact counting.
+    ``census(n)`` is the size of the carrier slice at n.
     """
 
     sampler: Callable
     project: Callable
     ambiguity: Callable
     bound: Bound
-    census: Optional[Callable] = None
+    census: Callable
 
 
 @dataclass
@@ -118,7 +117,7 @@ def _multiplicity(desc: Description, s, d_max: int) -> int:
 def _sample_loop(desc: Description, n: int, src, trials=None):
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
-    if desc.census is not None and desc.census(n) == 0:
+    if desc.census(n) == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")
     d_max = desc.bound(n)
     m = lcm_upto(d_max)
@@ -166,8 +165,6 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     1/4.  Each distinct projected element costs one ``ambiguity`` call,
     checked against the bound like a sampler's.
     """
-    if desc.census is None:
-        raise ValueError("estimation needs the carrier census")
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
@@ -203,8 +200,6 @@ def exact_count(desc: Description, n: int, src, ceiling: int = 512):
     Refused when the carrier census exceeds ``ceiling``, since the trial
     budget grows with its square.
     """
-    if desc.census is None:
-        raise ValueError("exact counting needs the carrier census")
     total = desc.census(n)
     if total == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")
@@ -497,7 +492,7 @@ def verify_description(desc: Description, n: int, carrier_slice) -> None:
             )
         if count > d_max:
             raise AssertionError(f"multiplicity {count} exceeds bound {d_max}")
-    if desc.census is not None and desc.census(n) != sum(counts.values()):
+    if desc.census(n) != sum(counts.values()):
         raise AssertionError("carrier census mismatch")
 
 
@@ -537,7 +532,7 @@ class DnfFormula:
 
 def load_dnf(text: str) -> DnfFormula:
     """Parse the line format: first line ``n m``, then one clause per line."""
-    lines = [ln.split() for ln in text.splitlines() if ln.split()]
+    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty DNF file")
     try:

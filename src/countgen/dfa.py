@@ -49,15 +49,11 @@ class Dfa:
         except ValueError:
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
 
-    def walk(self, word: str, q: int | None = None) -> int:
-        if q is None:
-            q = self.start
+    def accepts(self, word: str) -> bool:
+        q = self.start
         for sym in word:
             q = self.trans[q][self.symbol_index(sym)]
-        return q
-
-    def accepts(self, word: str) -> bool:
-        return self.walk(word) in self.finals
+        return q in self.finals
 
 
 class CensusTable:
@@ -75,9 +71,6 @@ class CensusTable:
         if not 0 <= length < len(row):
             self.grow(length)
         return row[length]
-
-    def bits(self, q: int, length: int) -> int:
-        return bit_size(self.count(q, length))
 
     def grow(self, n: int) -> "CensusTable":
         """Extend every row to cover lengths 0..n."""
@@ -144,62 +137,24 @@ def dfa_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
     return rank
 
 
-def _live_states(a: Dfa) -> set:
-    reachable = {a.start}
-    frontier = [a.start]
-    while frontier:
-        q = frontier.pop()
-        for s in range(len(a.alphabet)):
-            p = a.trans[q][s]
-            if p not in reachable:
-                reachable.add(p)
-                frontier.append(p)
-    co_accessible = set(a.finals)
-    changed = True
-    while changed:
-        changed = False
-        for q in range(a.n_states):
-            if q in co_accessible:
-                continue
-            if any(a.trans[q][s] in co_accessible for s in range(len(a.alphabet))):
-                co_accessible.add(q)
-                changed = True
-    return reachable & co_accessible
-
-
-def _is_finite(a: Dfa) -> bool:
-    live = _live_states(a)
-    color = {}
-
-    def has_cycle(q):
-        color[q] = 1
-        for s in range(len(a.alphabet)):
-            p = a.trans[q][s]
-            if p not in live:
-                continue
-            if color.get(p) == 1:
-                return True
-            if p not in color and has_cycle(p):
-                return True
-        color[q] = 2
-        return False
-
-    return not any(has_cycle(q) for q in live if q not in color)
-
-
 def dfa_unrank(a: Dfa, k: int) -> str:
     """The unique accepted word of rank k (1-based); inverse of dfa_rank."""
     if k < 1:
         raise RankOutOfRange("ranks are 1-based")
     table = CensusTable(a)
-    if _is_finite(a):
-        # members of a finite language are shorter than its state count
-        size = sum(table.count(a.start, length) for length in range(a.n_states + 1))
-        if k > size:
+    # With N states, an infinite language has a member in every window of N
+    # consecutive lengths [m, m + N): its shortest member w with |w| >= m + N
+    # repeats a state within its first N letters, and cutting that cycle
+    # (length 1..N) leaves a shorter member with length in [m, m + N).  A
+    # finite language has no member of length >= N, which could be pumped.
+    # So once N lengths in a row are empty, every member has been passed.
+    n = empty = size = 0
+    while k > (count := table.count(a.start, n)):
+        k -= count
+        size += count
+        empty = 0 if count else empty + 1
+        if empty == a.n_states:
             raise RankOutOfRange(f"language has only {size} members")
-    n = 0
-    while k > table.count(a.start, n):
-        k -= table.count(a.start, n)
         n += 1
     return _unrank_slice(a, table, n, k)
 
@@ -224,11 +179,10 @@ def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
     return "".join(word)
 
 
-def slice_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
+def slice_rank(a: Dfa, word: str) -> int:
     """Rank within the fixed-length slice: shorter words are not counted."""
     n = len(word)
-    if table is None:
-        table = dfa_census(a, n)
+    table = dfa_census(a, n)
     full = dfa_rank(a, word, table)
     return full - sum(table.count(a.start, length) for length in range(n))
 
@@ -260,54 +214,82 @@ def dfa_language(a: Dfa) -> WordLanguage:
 # Text format and a thin regex-to-DFA convenience.
 
 
-def load_dfa(text: str) -> Dfa:
-    """Parse the line format: states / alphabet / start / finals / trans.
+# The arguments each directive takes; None for a list of any length.
+_ARITY = {
+    "states": 1, "alphabet": None, "start": None, "finals": None,
+    "trans": 3, "ambiguity": 1, "indep": 2,
+}
 
-    The listed alphabet order is the lexicographic order used by ranking
-    and sampling.  Lines starting with '#' and ``indep`` lines (consumed
-    by the trace layer) are ignored.
+
+def read_automaton(text: str) -> tuple:
+    """Parse the line format shared by DFA and NFA files.
+
+    Returns ``(n_states, alphabet, starts, finals, edges, ambiguity)``.
+    ``starts`` and ``finals`` gather the states of every ``start`` and
+    ``finals`` line, ``edges`` holds ``(q, symbol index, p)`` per ``trans``
+    line in file order, and ``ambiguity`` is None when no line gives it.
+    ``#`` starts a comment; ``indep`` lines belong to the trace layer and
+    are checked for arity only.  Raises FormatError on any malformed line.
     """
-    n_states = None
-    alphabet = None
-    start = None
-    finals = None
-    edges = []
-    for raw in text.splitlines():
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#") or tokens[0] == "indep":
+    lines = {key: [] for key in _ARITY}
+    for number, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
         key, args = tokens[0], tokens[1:]
-        if key == "states":
-            n_states = int(args[0])
-        elif key == "alphabet":
-            alphabet = tuple(args)
-        elif key == "start":
-            start = int(args[0])
-        elif key == "finals":
-            finals = frozenset(int(tok) for tok in args)
-        elif key == "trans":
-            edges.append((int(args[0]), args[1], int(args[2])))
-        else:
-            raise FormatError(f"unknown directive {key!r}")
-    if None in (n_states, alphabet, start, finals):
+        if key not in _ARITY:
+            raise FormatError(f"line {number}: unknown directive {key!r}")
+        if _ARITY[key] not in (None, len(args)):
+            raise FormatError(f"line {number}: {key} takes {_ARITY[key]} arguments")
+        lines[key].append(args)
+    if not (lines["states"] and lines["alphabet"] and lines["finals"] and any(lines["start"])):
         raise FormatError("missing states/alphabet/start/finals")
-    if any(len(sym) != 1 for sym in alphabet):
-        raise FormatError("alphabet symbols must be single characters")
-    for state in (start, *finals, *(x for q, _, p in edges for x in (q, p))):
+    if any(len(lines[key]) > 1 for key in ("states", "alphabet", "ambiguity")):
+        raise FormatError("states, alphabet and ambiguity take one line each")
+    alphabet = tuple(lines["alphabet"][0])
+    try:
+        n_states = int(lines["states"][0][0])
+        starts = [int(tok) for args in lines["start"] for tok in args]
+        finals = [int(tok) for args in lines["finals"] for tok in args]
+        edges = [(int(q), sym, int(p)) for q, sym, p in lines["trans"]]
+        ambiguity = int(lines["ambiguity"][0][0]) if lines["ambiguity"] else None
+    except ValueError as exc:
+        raise FormatError(f"states and bounds are integers: {exc}") from None
+    if any(len(sym) != 1 for sym in alphabet) or len(set(alphabet)) != len(alphabet):
+        raise FormatError("alphabet symbols must be distinct single characters")
+    for state in (*starts, *finals, *(x for q, _, p in edges for x in (q, p))):
         if not 0 <= state < n_states:
             raise FormatError(f"state {state} outside 0..{n_states - 1}")
-    table = [[None] * len(alphabet) for _ in range(n_states)]
+    if ambiguity is not None and ambiguity < 1:
+        raise FormatError("ambiguity bound must be >= 1")
     index = {sym: i for i, sym in enumerate(alphabet)}
-    for q, sym, p in edges:
+    for _, sym, _ in edges:
         if sym not in index:
             raise FormatError(f"edge symbol {sym!r} not in alphabet")
-        if table[q][index[sym]] is not None:
-            raise FormatError(f"duplicate transition from {q} on {sym!r}")
-        table[q][index[sym]] = p
+    edges = [(q, index[sym], p) for q, sym, p in edges]
+    return n_states, alphabet, starts, finals, edges, ambiguity
+
+
+def load_dfa(text: str) -> Dfa:
+    """Parse a DFA file: one start state and a total deterministic table.
+
+    The listed alphabet order is the lexicographic order used by ranking
+    and sampling.
+    """
+    n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(text)
+    if ambiguity is not None:
+        raise FormatError("a DFA file has no ambiguity line")
+    if len(starts) != 1:
+        raise FormatError(f"a DFA has one start state, not {len(starts)}")
+    table = [[None] * len(alphabet) for _ in range(n_states)]
+    for q, s, p in edges:
+        if table[q][s] is not None:
+            raise FormatError(f"duplicate transition from {q} on {alphabet[s]!r}")
+        table[q][s] = p
     for q, row in enumerate(table):
         if None in row:
             raise FormatError(f"state {q} is missing a transition")
-    return Dfa(alphabet, tuple(tuple(row) for row in table), start, finals)
+    return Dfa(alphabet, tuple(map(tuple, table)), starts[0], frozenset(finals))
 
 
 class _Regex:

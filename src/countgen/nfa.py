@@ -21,6 +21,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .coins import FAIL, gen_uniform
+from .dfa import read_automaton
 from .exceptions import AmbiguityExceeded, EmptySlice, FormatError
 from .exceptions import RankOutOfRange, SizeGuard
 
@@ -209,7 +210,7 @@ def _unrank(a: Nfa, table: _SliceTable, n: int, r: int) -> str:
     return word
 
 
-def nfa_rank_slice(a: Nfa, n: int, beta: str, validate: bool = False) -> int:
+def nfa_rank_slice(a: Nfa, n: int, beta: str) -> int:
     """Number of accepted words of length n lexicographically <= beta.
 
     Every word in the prefix cone below ``beta`` contributes q(paths),
@@ -221,8 +222,6 @@ def nfa_rank_slice(a: Nfa, n: int, beta: str, validate: bool = False) -> int:
     table = _slice_table(a, n)
     if len(beta) != n:
         raise ValueError("beta must have length n")
-    if validate:
-        validate_ambiguity(a, n)
     return _rank(a, table, beta)
 
 
@@ -325,44 +324,18 @@ def nfa_from_dfa(dfa) -> Nfa:
 
 
 def load_nfa(text: str) -> Nfa:
-    """Parse the DFA-like format with repeated trans lines and ambiguity.
+    """Parse an NFA file: the DFA format plus ``ambiguity d``.
 
-    Repeated ``trans q s p`` lines raise the matrix entry, ``start``
-    and ``finals`` take several states, and ``ambiguity d`` declares the
-    path bound.
+    Repeated ``trans q s p`` lines raise the matrix entry, ``start`` and
+    ``finals`` take several states, and ``ambiguity d`` declares the path
+    bound.
     """
-    n_states = alphabet = ambiguity = None
-    starts, finals, edges = [], [], []
-    for raw in text.splitlines():
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#") or tokens[0] == "indep":
-            continue
-        key, args = tokens[0], tokens[1:]
-        if key == "states":
-            n_states = int(args[0])
-        elif key == "alphabet":
-            alphabet = tuple(args)
-        elif key == "start":
-            starts.extend(int(tok) for tok in args)
-        elif key == "finals":
-            finals.extend(int(tok) for tok in args)
-        elif key == "ambiguity":
-            ambiguity = int(args[0])
-        elif key == "trans":
-            edges.append((int(args[0]), args[1], int(args[2])))
-        else:
-            raise FormatError(f"unknown directive {key!r}")
-    if None in (n_states, alphabet, ambiguity) or not starts or not finals:
-        raise FormatError("missing states/alphabet/start/finals/ambiguity")
-    for state in (*starts, *finals, *(x for q, _, p in edges for x in (q, p))):
-        if not 0 <= state < n_states:
-            raise FormatError(f"state {state} outside 0..{n_states - 1}")
-    index = {sym: i for i, sym in enumerate(alphabet)}
+    n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(text)
+    if ambiguity is None or not finals:
+        raise FormatError("an NFA file needs ambiguity and nonempty finals")
     matrices = [[[0] * n_states for _ in range(n_states)] for _ in alphabet]
-    for q, sym, p in edges:
-        if sym not in index:
-            raise FormatError(f"edge symbol {sym!r} not in alphabet")
-        matrices[index[sym]][q][p] += 1
+    for q, s, p in edges:
+        matrices[s][q][p] += 1
     return Nfa(
         alphabet,
         tuple(tuple(tuple(row) for row in m) for m in matrices),

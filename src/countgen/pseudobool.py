@@ -173,7 +173,7 @@ def msf_coefficient(c: Circuit, monomial) -> int:
 
 def load_matrix(text: str):
     """Parse: first line n, then n rows of 0/1 entries."""
-    lines = [ln.split() for ln in text.splitlines() if ln.split()]
+    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty matrix file")
     n = int(lines[0][0])
@@ -456,7 +456,7 @@ def cut_value(edges, assignment) -> int:
 
 def load_clauses(text: str):
     """Parse the clause format: first line ``n m``, then one clause per line."""
-    lines = [ln.split() for ln in text.splitlines() if ln.split()]
+    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty clause file")
     n, m = (int(tok) for tok in lines[0])
@@ -468,13 +468,15 @@ def load_clauses(text: str):
 
 def load_graph(text: str):
     """Parse the edge format: first line ``n m``, then ``u v`` per line (1-based)."""
-    lines = [ln.split() for ln in text.splitlines() if ln.split()]
+    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty graph file")
     n, m = (int(tok) for tok in lines[0])
     edges = [(int(u) - 1, int(v) - 1) for u, v in (ln for ln in lines[1:])]
     if len(edges) != m:
         raise FormatError(f"expected {m} edges, found {len(edges)}")
+    if any(not 0 <= x < n for edge in edges for x in edge):
+        raise FormatError(f"edge endpoints must lie in 1..{n}")
     return n, edges
 
 

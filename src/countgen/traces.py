@@ -179,7 +179,7 @@ def load_indep(text: str, symbols) -> IndepAlphabet:
     """Collect ``indep a b`` lines from an automaton file."""
     pairs = []
     for raw in text.splitlines():
-        tokens = raw.split()
+        tokens = raw.split("#", 1)[0].split()
         if tokens and tokens[0] == "indep":
             if len(tokens) != 3:
                 raise ValueError(f"bad independence line {raw!r}")

@@ -1,5 +1,6 @@
 """CNF grammars: census, tree sampling, weighted Earley chart, conversion."""
 
+import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -589,3 +590,10 @@ Y -> b
         cnf = to_cnf(load_grammar(text))
         assert earley_count(cnf, "ab") == 1
         assert tree_census(cnf, cnf.start, 2) == 1
+
+    def test_dyck_slice_grammar_dump_is_pinned(self):
+        # variable and production order of to_cnf, recorded before its
+        # variable walk dropped the index sort
+        text = dump_grammar(build_slice_grammar(DYCK, 8).grammar)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "96721c2b65b7b19e786168379dde03bdf777d5bc3c6327c42caf9ae6372d80e6"

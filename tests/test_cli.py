@@ -362,6 +362,37 @@ class TestRangeValidation:
         assert out == ""
         assert err.startswith("error: state ")
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                ["nfa", "count", "-n", "1", "-a"],
+                "states 1\nalphabet ab c\nstart 0\nfinals 0\nambiguity 1\n"
+                "trans 0 ab 0\ntrans 0 c 0\n",
+            ),
+            (["dfa", "count", "-n", "2", "-a"], AB_STAR.replace("start 0", "start 0 1")),
+            (["pb", "derand", "--graph"], "2 1\n0 1\n"),
+        ],
+        ids=["nfa-multichar-symbol", "dfa-two-starts", "graph-vertex-zero"],
+    )
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, argv, text):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        code, out, err = run_cli(argv + [str(spec)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "family, text, n, count",
+        [("dfa", AB_STAR, "4", "1"), ("nfa", TWO_ROUTE_NFA, "1", "1")],
+        ids=["dfa", "nfa"],
+    )
+    def test_commented_automaton(self, tmp_path, capsys, family, text, n, count):
+        spec = tmp_path / f"commented.{family}"
+        spec.write_text("".join(f"{line} # note\n" for line in text.splitlines()))
+        argv = [family, "count", "-a", str(spec), "-n", n, "--oracle"]
+        assert run_cli(argv, capsys) == (0, f"{count}\noracle ok\n", "")
+
     @pytest.mark.parametrize("flag", ["--trials", "--repeat"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_counts_below_one_exit_one(self, files, capsys, flag, value):

@@ -656,3 +656,4 @@ class TestDnf:
         formula = load_dnf("2 2\n1\n1 2\n")
         assert formula.n == 2
         assert formula.clauses == ((1,), (1, 2))
+        assert load_dnf("# x1 or x1x2\n2 2\n1 # x1\n1 2\n") == formula

@@ -1,7 +1,10 @@
 """DFA census, sampling, rank/unrank and the text format."""
 
+import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,14 @@ from countgen.dfa import (
     dfa_sample,
     dfa_unrank,
     load_dfa,
+    read_automaton,
     slice_rank,
 )
 from countgen.exceptions import EmptySlice, FormatError, RankOutOfRange
+from countgen.nfa import Nfa, load_nfa
+
+import test_cli
+import test_nfa
 
 
 ALL_WORDS = dfa_from_regex("(a|b)*")
@@ -41,6 +49,51 @@ def members_up_to(a, n):
     for length in range(n + 1):
         out.extend(w for w in words_of(a.alphabet, length) if a.accepts(w))
     return out
+
+
+def reference_live_states(a):
+    """States both reachable from the start and co-accessible to a final."""
+    reachable = {a.start}
+    frontier = [a.start]
+    while frontier:
+        q = frontier.pop()
+        for s in range(len(a.alphabet)):
+            p = a.trans[q][s]
+            if p not in reachable:
+                reachable.add(p)
+                frontier.append(p)
+    co_accessible = set(a.finals)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(a.n_states):
+            if q in co_accessible:
+                continue
+            if any(a.trans[q][s] in co_accessible for s in range(len(a.alphabet))):
+                co_accessible.add(q)
+                changed = True
+    return reachable & co_accessible
+
+
+def reference_is_finite(a):
+    """Finiteness by a recursive cycle search over the live states."""
+    live = reference_live_states(a)
+    color = {}
+
+    def has_cycle(q):
+        color[q] = 1
+        for s in range(len(a.alphabet)):
+            p = a.trans[q][s]
+            if p not in live:
+                continue
+            if color.get(p) == 1:
+                return True
+            if p not in color and has_cycle(p):
+                return True
+        color[q] = 2
+        return False
+
+    return not any(has_cycle(q) for q in live if q not in color)
 
 
 def brute_rank(a, word):
@@ -218,6 +271,37 @@ class TestUnrank:
         w = dfa_unrank(EVEN_A, k)
         assert dfa_rank(EVEN_A, w) == k
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_automata_match_enumeration(self, seed):
+        rng = random.Random(seed)
+        n_states, alphabet = rng.randint(1, 6), "abc"[: rng.randint(1, 3)]
+        trans = tuple(
+            tuple(rng.randrange(n_states) for _ in alphabet) for _ in range(n_states)
+        )
+        finals = frozenset(q for q in range(n_states) if rng.random() < 0.3)
+        a = Dfa(tuple(alphabet), trans, 0, finals)
+        # members of a finite language are shorter than n_states <= 6
+        members = members_up_to(a, 6)
+        for k, w in enumerate(members, 1):
+            assert dfa_unrank(a, k) == w
+        if reference_is_finite(a):
+            size = len(members)
+            with pytest.raises(RankOutOfRange, match=f"language has only {size} members"):
+                dfa_unrank(a, size + 1)
+        else:
+            assert len(dfa_unrank(a, len(members) + 1)) > 6
+
+    def test_long_chains(self):
+        # a 1200-state chain over one letter whose last state loops; deeper
+        # than a recursive cycle search can go
+        chain = tuple((q + 1,) for q in range(1199)) + ((1199,),)
+        finite = Dfa(("a",), chain, 0, frozenset({1198}))
+        assert dfa_unrank(finite, 1) == "a" * 1198
+        with pytest.raises(RankOutOfRange, match="language has only 1 members"):
+            dfa_unrank(finite, 2)
+        infinite = Dfa(("a",), chain, 0, frozenset({1199}))
+        assert dfa_unrank(infinite, 3) == "a" * 1201
+
 
 class TestSliceRank:
     def test_matches_full_rank_offset(self):
@@ -292,3 +376,165 @@ trans 1 b 1
         assert lang.member("aa")
         w = lang.sample(2, CoinSource(0))
         assert w in ("aa", "bb")
+
+
+def reference_load_dfa(text):
+    """The DFA loader as it stood before the shared reader."""
+    n_states = alphabet = start = finals = None
+    edges = []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#") or tokens[0] == "indep":
+            continue
+        key, args = tokens[0], tokens[1:]
+        if key == "states":
+            n_states = int(args[0])
+        elif key == "alphabet":
+            alphabet = tuple(args)
+        elif key == "start":
+            start = int(args[0])
+        elif key == "finals":
+            finals = frozenset(int(tok) for tok in args)
+        elif key == "trans":
+            edges.append((int(args[0]), args[1], int(args[2])))
+        else:
+            raise FormatError(f"unknown directive {key!r}")
+    table = [[None] * len(alphabet) for _ in range(n_states)]
+    for q, sym, p in edges:
+        table[q][alphabet.index(sym)] = p
+    return Dfa(alphabet, tuple(tuple(row) for row in table), start, finals)
+
+
+def reference_load_nfa(text):
+    """The NFA loader as it stood before the shared reader."""
+    n_states = alphabet = ambiguity = None
+    starts, finals, edges = [], [], []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#") or tokens[0] == "indep":
+            continue
+        key, args = tokens[0], tokens[1:]
+        if key == "states":
+            n_states = int(args[0])
+        elif key == "alphabet":
+            alphabet = tuple(args)
+        elif key == "start":
+            starts.extend(int(tok) for tok in args)
+        elif key == "finals":
+            finals.extend(int(tok) for tok in args)
+        elif key == "ambiguity":
+            ambiguity = int(args[0])
+        elif key == "trans":
+            edges.append((int(args[0]), args[1], int(args[2])))
+        else:
+            raise FormatError(f"unknown directive {key!r}")
+    matrices = [[[0] * n_states for _ in range(n_states)] for _ in alphabet]
+    for q, sym, p in edges:
+        matrices[alphabet.index(sym)][q][p] += 1
+    return Nfa(
+        alphabet,
+        tuple(tuple(tuple(row) for row in m) for m in matrices),
+        tuple(int(q in starts) for q in range(n_states)),
+        tuple(int(q in finals) for q in range(n_states)),
+        ambiguity,
+    )
+
+
+def flagship_dfa_text():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads.FLAGSHIP_DFA
+
+
+DFA_FIXTURES = {
+    "cli-ab": test_cli.AB_STAR,
+    "cli-trace": test_cli.TRACE_FILE,
+    "even-a": TestFormatsAndRegex.DFA_TEXT,
+    "flagship": flagship_dfa_text(),
+}
+NFA_FIXTURES = {
+    "cli-two-route": test_cli.TWO_ROUTE_NFA,
+    "cli-b-then-any": test_cli.B_THEN_ANY_NFA,
+    "cli-eps": test_cli.EPS_NFA,
+    "loader": test_nfa.TestLoader.NFA_TEXT,
+}
+NFA_TEXT = test_cli.TWO_ROUTE_NFA
+
+
+def with_comments(text):
+    return "".join(f"{line}  # note {i}\n" for i, line in enumerate(text.splitlines()))
+
+
+class TestAutomatonReader:
+    @pytest.mark.parametrize("text", DFA_FIXTURES.values(), ids=DFA_FIXTURES.keys())
+    def test_dfa_fixtures_load_as_before(self, text):
+        assert load_dfa(text) == reference_load_dfa(text)
+        assert load_dfa(with_comments(text)) == reference_load_dfa(text)
+
+    @pytest.mark.parametrize("text", NFA_FIXTURES.values(), ids=NFA_FIXTURES.keys())
+    def test_nfa_fixtures_load_as_before(self, text):
+        assert load_nfa(text) == reference_load_nfa(text)
+        assert load_nfa(with_comments(text)) == reference_load_nfa(text)
+
+    def test_comment_after_finals(self):
+        text = test_cli.AB_STAR.replace("finals 0", "finals 0 # accepting")
+        assert load_dfa(text) == reference_load_dfa(test_cli.AB_STAR)
+
+    def test_finals_lines_add_up(self):
+        text = test_cli.AB_STAR.replace("finals 0", "finals 0\nfinals 1")
+        assert load_dfa(text).finals == {0, 1}
+
+    def test_shared_fields(self):
+        n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(NFA_TEXT)
+        assert (n_states, alphabet, starts, finals) == (2, ("a",), [0], [1])
+        assert (edges, ambiguity) == ([(0, 0, 1), (0, 0, 1)], 2)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("states 3", "states 3 4"),
+            ("states 3", "states three"),
+            ("trans 0 a 1", "trans 0 a 1 2"),
+            ("trans 0 a 1", "trans 0 a"),
+            ("trans 0 a 1", "trans 0 a one"),
+            ("finals 0", "finals x"),
+            ("start 0", "start 0 1"),
+            ("start 0", "start 0\nstart 1"),
+            ("start 0", "start"),
+            ("alphabet a b", "alphabet ab b"),
+            ("alphabet a b", "alphabet a b a"),
+            ("alphabet a b", "alphabet a b\nalphabet a b"),
+            ("finals 0", "finals 0\nambiguity 1"),
+            ("finals 0", "finals 0\nindep a"),
+            ("finals 0", "final 0"),
+        ],
+    )
+    def test_malformed_dfa(self, old, new):
+        text = test_cli.AB_STAR
+        assert old in text
+        with pytest.raises(FormatError):
+            load_dfa(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("alphabet a", "alphabet ab c"),
+            ("alphabet a", "alphabet a a"),
+            ("states 2", "states 2 2"),
+            ("trans 0 a 1", "trans 0 a 1 1"),
+            ("start 0", "start zero"),
+            ("finals 1", "finals"),
+            ("ambiguity 2", "ambiguity 0"),
+            ("ambiguity 2", "ambiguity"),
+            ("ambiguity 2", "ambiguity 2\nambiguity 3"),
+            ("ambiguity 2\n", ""),
+        ],
+    )
+    def test_malformed_nfa(self, old, new):
+        assert old in NFA_TEXT
+        with pytest.raises(FormatError):
+            load_nfa(NFA_TEXT.replace(old, new, 1))

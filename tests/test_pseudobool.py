@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countgen.coins import CoinSource
-from countgen.exceptions import SizeGuard
+from countgen.exceptions import FormatError, SizeGuard
 from countgen.pseudobool import (
     Circuit,
     CircuitBuilder,
@@ -21,6 +21,7 @@ from countgen.pseudobool import (
     eval_circuit,
     load_circuit,
     load_clauses,
+    load_graph,
     load_matrix,
     local_search,
     max_cut_circuit,
@@ -353,6 +354,18 @@ class TestLoaders:
         n, clauses = load_clauses("3 2\n1 2 3\n-1 2 -3\n")
         assert n == 3
         assert clauses == [(1, 2, 3), (-1, 2, -3)]
+
+    def test_comments(self):
+        assert load_matrix("# ones\n2 # size\n1 1\n1 1 # row 2\n") == ((1, 1), (1, 1))
+        n, clauses = load_clauses("# two clauses\n3 2\n1 2 3 # first\n-1 2 -3\n")
+        assert (n, clauses) == (3, [(1, 2, 3), (-1, 2, -3)])
+        n, edges = load_graph("3 2 # path\n1 2\n# middle\n2 3 # last\n")
+        assert (n, edges) == (3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("edge", ["0 1", "1 4", "-1 2"])
+    def test_graph_vertex_outside_range(self, edge):
+        with pytest.raises(FormatError, match="edge endpoints must lie in 1..3"):
+            load_graph(f"3 1\n{edge}\n")
 
     def test_circuit(self):
         text = "0 in 1\n1 in 2\n2 add 0 1\n3 mul 2 0\nout 3\n"

@@ -249,3 +249,8 @@ class TestLoader:
         assert alph.independent("a", "b")
         assert alph.independent("c", "b")
         assert not alph.independent("a", "c")
+
+    def test_comments(self):
+        alph = load_indep("indep a b  # commute\n# indep b c\n", "abc")
+        assert alph.independent("a", "b")
+        assert not alph.independent("b", "c")
