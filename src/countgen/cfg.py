@@ -463,10 +463,17 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
 
     chain_count = 0
     for a in dict.fromkeys(g.variables):
-        for rhs in sorted(closed[a], key=lambda r: tuple(map(str, r))):
+        # only right-hand sides that mint fresh variables need an order:
+        # it fixes the numbering of @lift/@chain and their place in order
+        minting = []
+        for rhs in closed[a]:
             if len(rhs) == 1:
                 unary[a].add(rhs[0])
-                continue
+            elif len(rhs) == 2 and rhs[0] in variables and rhs[1] in variables:
+                binary[a].add(rhs)
+            else:
+                minting.append(rhs)
+        for rhs in sorted(minting, key=lambda r: tuple(map(str, r))):
             symbols = []
             for sym in rhs:
                 if sym in variables:

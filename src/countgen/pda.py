@@ -13,6 +13,7 @@ consumes input (stack untouched) or pushes/pops one symbol (no input).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .cfg import CnfGrammar, Grammar, cfl_description, to_cnf
@@ -65,7 +66,13 @@ class Pda:
 
 @dataclass(frozen=True)
 class SliceGrammar:
-    """CNF grammar for one input length, with construction statistics."""
+    """CNF grammar for one input length, with construction statistics.
+
+    ``raw_variables`` and ``raw_productions`` count the grammar the builder
+    emitted before ``to_cnf``: the start symbol and the live configuration
+    pairs, and their productions.  ``pruned_*`` are those counts minus the
+    CNF grammar's.
+    """
 
     grammar: CnfGrammar
     n: int
@@ -95,71 +102,129 @@ def build_slice_grammar(m: Pda, n: int) -> SliceGrammar:
     Nonterminals are pairs of surface configurations sharing a stack top,
     flagged by whether the run in between revisits the endpoint height.
     Productions: single consuming moves, splits at a height return, and
-    matching push/pop pairs around an inner run.  ``to_cnf`` prunes the
-    unproductive and unreachable nonterminals while converting.
+    matching push/pop pairs around an inner run.  Only live pairs are
+    built: the variables deriving some word (possibly empty) are saturated
+    bottom-up by span, then productions are emitted top-down from the
+    start symbol, keeping those whose variables all derive a word.
+    ``raw_*`` count that emitted grammar; ``to_cnf`` then drops the
+    variables that derive only the empty word.
     """
+    # The CNF grammar equals the one converted from every plausible pair
+    # (all states, tops and positions j1 <= j2; the reference in the
+    # tests): same variables in the same order, same productions.
+    # - A dropped variable derives no word, so it is neither nullable nor
+    #   productive there, and to_cnf prunes every production naming it.
+    # - A CNF production between productive variables comes from a raw
+    #   derivation through variables that derive words, so CNF
+    #   reachability stays inside the variables reached here.
+    # - Right-hand sides have length at most 2 and never put a terminal
+    #   beside a variable, so to_cnf mints no @lift or @chain variable, and
+    #   sorting a subset of the variables keeps their relative order.
     if n < 1:
         raise ValueError("slice length must be >= 1")
     consume, push, pop = _single_moves(m)
-    positions = range(1, n + 2)
-    # plausible nonterminals: equal stack top, nondecreasing position
-    pairs = [
-        (q1, q2, top, j1, j2)
-        for top in m.stack_alphabet
-        for q1 in m.states
-        for q2 in m.states
-        for j1 in positions
-        for j2 in positions
-        if j1 <= j2
-    ]
-    productions = []
+    steps = defaultdict(list)  # (q1, top) -> (symbol or None, q2)
+    for q, sym, top, q2 in consume:
+        steps[q, top].append((sym, q2))
+    brackets = defaultdict(list)  # (q1, top) -> (pushed, qp, qq, q2)
+    wrapping = defaultdict(list)  # (qp, pushed, qq) -> (q1, top, q2)
+    for q, top, pushed, qp in push:
+        for qq, ptop, q2 in pop:
+            if ptop == pushed:
+                brackets[q, top].append((pushed, qp, qq, q2))
+                wrapping[qp, pushed, qq].append((q, top, q2))
+
+    # Bottom-up, span by span.  A flag-1 pair derives through a consume
+    # move or a bracket around a same-span pair (or an empty one); a
+    # flag-0 pair through a flag-1 pair followed by any pair, so span-0
+    # pieces feed splits of the same span and each span runs to a fixpoint.
+    derivable = set()
+    agenda = [[] for _ in range(n + 1)]  # by span j2 - j1
+
+    def derive(c1, c2, flag):
+        if (c1, c2, flag) not in derivable:
+            derivable.add((c1, c2, flag))
+            agenda[c2[2] - c1[2]].append((c1, c2, flag))
+
+    for q, sym, top, q2 in consume:
+        for j in range(1, n + 2 if sym is None else n + 1):
+            derive((q, top, j), (q2, top, j + (sym is not None)), 1)
+    for (qp, _, qq), outer in wrapping.items():
+        if qp == qq:  # push immediately undone
+            for q, top, q2 in outer:
+                for j in range(1, n + 2):
+                    derive((q, top, j), (q2, top, j), 1)
+    heads = defaultdict(list)  # c1 -> each d with (c1, d, 1) derivable
+    tails = defaultdict(list)  # d -> each c1 with (c1, d, 1) derivable
+    ends = defaultdict(list)  # c1 -> each c2 with (c1, c2, 0 or 1) derivable
+    pairs = set()
+    for bucket in agenda:
+        while bucket:
+            c1, c2, flag = bucket.pop()
+            if flag:
+                heads[c1].append(c2)
+                tails[c2].append(c1)
+                for c3 in ends[c2]:
+                    derive(c1, c3, 0)
+            if (c1, c2) in pairs:  # its other flag already combined
+                continue
+            pairs.add((c1, c2))
+            ends[c1].append(c2)
+            for c0 in tails[c1]:
+                derive(c0, c2, 0)
+            for q, top, q2 in wrapping.get((c1[0], c1[1], c2[0]), ()):
+                derive((q, top, c1[2]), (q2, top, c2[2]), 1)
+
+    # Top-down from the start symbol: the productions of each reached
+    # variable whose variables are all derivable.
     start = "@start"
-    for q1, q2, top, j1, j2 in pairs:
-        c1 = (q1, top, j1)
-        c2 = (q2, top, j2)
+    productions = []
+    reached = set()
+    frontier = []
+
+    def emit(lhs, *rhs):
+        productions.append((lhs, rhs))
+        for v in rhs:
+            if v not in reached:
+                reached.add(v)
+                frontier.append(v)
+
+    c_in = (m.start_state, m.init_stack, 1)
+    for qf in m.finals:
+        for flag in (0, 1):
+            v = (c_in, (qf, m.init_stack, n + 1), flag)
+            if v in derivable:
+                emit(start, v)
+    while frontier:
+        v = frontier.pop()
+        c1, c2, flag = v
+        (q1, top, j1), (q2, _, j2) = c1, c2
+        if not flag:
+            # split at the first interior return to the endpoint height
+            for d in heads[c1]:
+                if d[2] <= j2:
+                    for f in (0, 1):
+                        if (d, c2, f) in derivable:
+                            emit(v, (c1, d, 1), (d, c2, f))
+            continue
         # single moves: no interior, so they carry flag 1 (a flag-0 single
         # move would make runs that open with a consuming move underivable)
-        for q, sym, mtop, q2m in consume:
-            if q != q1 or mtop != top or q2m != q2:
-                continue
-            if sym is None and j1 == j2:
-                productions.append(((c1, c2, 1), ()))
-            elif sym is not None and j2 == j1 + 1:
-                productions.append(((c1, c2, 1), (sym,)))
-        # split at the first interior return to the endpoint height
-        for qd in m.states:
-            for jd in range(j1, j2 + 1):
-                d = (qd, top, jd)
-                for flag in (0, 1):
-                    productions.append(
-                        ((c1, c2, 0), ((c1, d, 1), (d, c2, flag)))
-                    )
+        for sym, qm in steps.get((q1, top), ()):
+            if qm == q2 and j2 == j1 + (sym is not None):
+                productions.append((v, () if sym is None else (sym,)))
         # bracket: push from c1, matched pop into c2; an empty interior
         # (push immediately undone) consumes nothing
-        for q, mtop, pushed, qp in push:
-            if q != q1 or mtop != top:
+        for pushed, qp, qq, qr in brackets.get((q1, top), ()):
+            if qr != q2:
                 continue
             d1 = (qp, pushed, j1)
-            for qq, ptop, qr in pop:
-                if ptop != pushed or qr != q2:
-                    continue
-                d2 = (qq, pushed, j2)
-                for flag in (0, 1):
-                    productions.append(
-                        ((c1, c2, 1), ((d1, d2, flag),))
-                    )
-                if d1 == d2:
-                    productions.append(((c1, c2, 1), ()))
-    for qf in m.finals:
-        c_in = (m.start_state, m.init_stack, 1)
-        c_fin = (qf, m.init_stack, n + 1)
-        for flag in (0, 1):
-            productions.append((start, ((c_in, c_fin, flag),)))
-    variables = [start] + sorted(
-        {lhs for lhs, _ in productions if lhs != start}
-        | {s for _, rhs in productions for s in rhs if isinstance(s, tuple) and len(s) == 3},
-        key=str,
-    )
+            d2 = (qq, pushed, j2)
+            for f in (0, 1):
+                if (d1, d2, f) in derivable:
+                    emit(v, (d1, d2, f))
+            if d1 == d2:
+                productions.append((v, ()))
+    variables = [start] + sorted(reached, key=str)
     raw = Grammar(
         tuple(variables), m.input_alphabet, start, tuple(productions)
     )

@@ -171,13 +171,20 @@ def msf_coefficient(c: Circuit, monomial) -> int:
 # Permanent of a 0/1 matrix, three ways.
 
 
+def _header(tokens, names: str) -> list:
+    """The integers of a first line that must hold exactly ``names``."""
+    if len(tokens) != len(names.split()):
+        raise FormatError(f"first line {' '.join(tokens)!r} must be {names!r}")
+    return [int(tok) for tok in tokens]
+
+
 def load_matrix(text: str):
     """Parse: first line n, then n rows of 0/1 entries."""
     lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty matrix file")
-    n = int(lines[0][0])
-    rows = [tuple(int(tok) for tok in ln) for ln in lines[1 : n + 1]]
+    (n,) = _header(lines[0], "n")
+    rows = [tuple(int(tok) for tok in ln) for ln in lines[1:]]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise FormatError(f"expected {n} rows of {n} entries")
     if any(e not in (0, 1) for r in rows for e in r):
@@ -459,7 +466,7 @@ def load_clauses(text: str):
     lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty clause file")
-    n, m = (int(tok) for tok in lines[0])
+    n, m = _header(lines[0], "n m")
     clauses = [tuple(int(tok) for tok in ln) for ln in lines[1:]]
     if len(clauses) != m:
         raise FormatError(f"expected {m} clauses, found {len(clauses)}")
@@ -471,8 +478,12 @@ def load_graph(text: str):
     lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
     if not lines:
         raise FormatError("empty graph file")
-    n, m = (int(tok) for tok in lines[0])
-    edges = [(int(u) - 1, int(v) - 1) for u, v in (ln for ln in lines[1:])]
+    n, m = _header(lines[0], "n m")
+    edges = []
+    for ln in lines[1:]:
+        if len(ln) != 2:
+            raise FormatError(f"edge line {' '.join(ln)!r} must be 'u v'")
+        edges.append((int(ln[0]) - 1, int(ln[1]) - 1))
     if len(edges) != m:
         raise FormatError(f"expected {m} edges, found {len(edges)}")
     if any(not 0 <= x < n for edge in edges for x in edge):

@@ -25,8 +25,10 @@ from countgen.cfg import (
     tree_census_table,
     tree_yield,
     validate_cfl_bound,
+    _fresh_terminal_wrapper,
     _locate_boustrophedon,
     _locate_linear,
+    _restrict,
 )
 from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
@@ -437,6 +439,133 @@ class TestIndexedChart:
         assert tables[0] == {"S": frozenset({"S"})}
 
 
+def reference_to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
+    """``to_cnf`` as it was when it sorted every right-hand side by ``str``."""
+    variables = set(g.variables)
+    nullable = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            if lhs not in nullable and all(s in nullable for s in rhs):
+                nullable.add(lhs)
+                changed = True
+    if g.start in nullable and not drop_epsilon:
+        raise EpsilonInLanguage("the grammar derives the empty word")
+    expanded = set()
+    for lhs, rhs in g.productions:
+        options = []
+        for sym in rhs:
+            if sym in nullable:
+                options.append((sym, None))
+            else:
+                options.append((sym,))
+        stack = [()]
+        for opts in options:
+            stack = [prefix + (o,) for prefix in stack for o in opts]
+        for version in stack:
+            cleaned = tuple(s for s in version if s is not None)
+            if cleaned:
+                expanded.add((lhs, cleaned))
+    unit_edges = defaultdict(set)
+    for lhs, rhs in expanded:
+        if len(rhs) == 1 and rhs[0] in variables:
+            unit_edges[lhs].add(rhs[0])
+    unit_reach = {}
+    for a in variables:
+        seen = {a}
+        frontier = [a]
+        while frontier:
+            v = frontier.pop()
+            for w in unit_edges.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        unit_reach[a] = seen
+    base = defaultdict(set)
+    for lhs, rhs in expanded:
+        if len(rhs) == 1 and rhs[0] in variables:
+            continue
+        base[lhs].add(rhs)
+    closed = defaultdict(set)
+    for a in variables:
+        for b in unit_reach[a]:
+            closed[a] |= base[b]
+    binary = defaultdict(set)
+    unary = defaultdict(set)
+    order = list(g.variables)
+    fresh_seen = set()
+
+    def note_fresh(v):
+        if v not in fresh_seen:
+            fresh_seen.add(v)
+            order.append(v)
+
+    chain_count = 0
+    for a in dict.fromkeys(g.variables):
+        for rhs in sorted(closed[a], key=lambda r: tuple(map(str, r))):
+            if len(rhs) == 1:
+                unary[a].add(rhs[0])
+                continue
+            symbols = []
+            for sym in rhs:
+                if sym in variables:
+                    symbols.append(sym)
+                else:
+                    wrapper = _fresh_terminal_wrapper(sym)
+                    note_fresh(wrapper)
+                    unary[wrapper].add(sym)
+                    symbols.append(wrapper)
+            while len(symbols) > 2:
+                chain_count += 1
+                tail = ("@chain", chain_count)
+                note_fresh(tail)
+                binary[tail].add((symbols[-2], symbols[-1]))
+                symbols = symbols[:-2] + [tail]
+            binary[a].add((symbols[0], symbols[1]))
+    candidate = CnfGrammar(order, g.terminals, g.start, binary, unary)
+    productive = _restrict(candidate, candidate.productive_variables() | {g.start})
+    return _restrict(productive, productive.reachable_variables())
+
+
+def random_raw_grammar(rng: random.Random) -> Grammar:
+    """Long, mixed terminal/variable and nullable right-hand sides."""
+    variables = tuple(f"V{i}" for i in range(rng.randint(1, 5)))
+    terminals = ("a", "b", "c")[: rng.randint(1, 3)]
+    symbols = variables + terminals
+    productions = []
+    for _ in range(rng.randint(2, 12)):
+        rhs = tuple(rng.choice(symbols) for _ in range(rng.choice((0, 1, 2, 2, 3, 4, 5, 6))))
+        productions.append((rng.choice(variables), rhs))
+    return Grammar(variables, terminals, variables[0], tuple(productions))
+
+
+def cnf_outcome(convert, g, drop_epsilon):
+    try:
+        cnf = convert(g, drop_epsilon=drop_epsilon)
+    except EpsilonInLanguage:
+        return "epsilon"
+    return dump_grammar(cnf), cnf.variables, cnf.binary, cnf.unary
+
+
+RAW_GRAMMARS = {
+    "palindrome-pairs": PALINDROME_PAIRS,
+    "catalan": load_grammar("var S\nterm a\nstart S\nS -> S S\nS -> a\n"),
+    "forced-shape": Grammar(("S",), ("a", "b"), "S", (("S", ("a", "b")),)),
+    "a-s-b": Grammar(("S",), ("a", "b"), "S", (("S", ("a", "S", "b")), ("S", ("a", "b")))),
+    "epsilon": Grammar(("S",), ("a",), "S", (("S", ()), ("S", ("a", "S")))),
+    "unit": Grammar(
+        ("S", "A"), ("a",), "S", (("S", ("A",)), ("A", ("a",)), ("A", ("a", "A")))
+    ),
+    "unreachable": Grammar(
+        ("S", "B", "C"),
+        ("a",),
+        "S",
+        (("S", ("a",)), ("S", ("B", "C")), ("B", ("B", "B")), ("C", ("a",))),
+    ),
+}
+
+
 class TestToCnf:
     def test_forced_shape(self):
         g = Grammar(("S",), ("a", "b"), "S", (("S", ("a", "b")),))
@@ -513,6 +642,25 @@ class TestToCnf:
         cnf = to_cnf(g)
         cnf.check_no_useless()
         assert cnf.variables == ("S",)
+
+    @pytest.mark.parametrize("name", RAW_GRAMMARS)
+    @pytest.mark.parametrize("drop_epsilon", [False, True])
+    def test_matches_reference_on_fixtures(self, name, drop_epsilon):
+        g = RAW_GRAMMARS[name]
+        expected = cnf_outcome(reference_to_cnf, g, drop_epsilon)
+        assert cnf_outcome(to_cnf, g, drop_epsilon) == expected
+
+    def test_matches_reference_on_random_grammars(self):
+        rng = random.Random(2024)
+        minted = 0
+        for _ in range(300):
+            g = random_raw_grammar(rng)
+            for drop_epsilon in (False, True):
+                expected = cnf_outcome(reference_to_cnf, g, drop_epsilon)
+                assert cnf_outcome(to_cnf, g, drop_epsilon) == expected
+                if expected != "epsilon":
+                    minted += len(expected[1]) > len(set(g.variables) & set(expected[1]))
+        assert minted > 100  # fresh @lift/@chain variables were exercised
 
     @pytest.mark.parametrize("machine", [DYCK, ANBN_PDA], ids=["dyck", "anbn"])
     @pytest.mark.parametrize("n", [4, 6, 8])

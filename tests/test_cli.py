@@ -383,6 +383,21 @@ class TestRangeValidation:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["pb", "perm", "-m"], "2\n1 1\n1 1\n0 0\n", "expected 2 rows of 2 entries"),
+            (["pb", "perm", "-m"], "2 9\n1 1\n1 1\n", "first line '2 9' must be 'n'"),
+            (["pb", "derand", "--graph"], "3 1\n1 2 3\n", "edge line '1 2 3' must be 'u v'"),
+            (["pb", "derand", "--graph"], "3 1 7\n1 2\n", "first line '3 1 7' must be 'n m'"),
+        ],
+        ids=["matrix-extra-row", "matrix-size-line", "graph-edge-line", "graph-header"],
+    )
+    def test_trailing_input_refused(self, tmp_path, capsys, argv, text, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        assert run_cli(argv + [str(spec)], capsys) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "family, text, n, count",
         [("dfa", AB_STAR, "4", "1"), ("nfa", TWO_ROUTE_NFA, "1", "1")],
         ids=["dfa", "nfa"],

@@ -3,14 +3,18 @@
 from fractions import Fraction
 from itertools import product as iproduct
 
+import random
+
 import pytest
 
-from countgen.cfg import earley_count, tree_census
+from countgen.cfg import Grammar, dump_grammar, earley_count, to_cnf, tree_census
 from countgen.coins import FAIL, CoinSource
 from countgen.describe import Bound, estimate_census, sample_described
 from countgen.exceptions import SizeGuard
 from countgen.pda import (
     Pda,
+    SliceGrammar,
+    _single_moves,
     build_slice_grammar,
     count_accepting,
     load_pda,
@@ -90,6 +94,111 @@ def dyck_member(w):
     return height == 0 and len(w) >= 1
 
 
+def reference_slice_grammar(m: Pda, n: int) -> SliceGrammar:
+    """The slice grammar over every plausible configuration pair.
+
+    ``build_slice_grammar`` before it built only live pairs: every pair
+    with equal stack top and j1 <= j2, left to ``to_cnf`` to prune.
+    """
+    if n < 1:
+        raise ValueError("slice length must be >= 1")
+    consume, push, pop = _single_moves(m)
+    positions = range(1, n + 2)
+    pairs = [
+        (q1, q2, top, j1, j2)
+        for top in m.stack_alphabet
+        for q1 in m.states
+        for q2 in m.states
+        for j1 in positions
+        for j2 in positions
+        if j1 <= j2
+    ]
+    productions = []
+    start = "@start"
+    for q1, q2, top, j1, j2 in pairs:
+        c1 = (q1, top, j1)
+        c2 = (q2, top, j2)
+        for q, sym, mtop, q2m in consume:
+            if q != q1 or mtop != top or q2m != q2:
+                continue
+            if sym is None and j1 == j2:
+                productions.append(((c1, c2, 1), ()))
+            elif sym is not None and j2 == j1 + 1:
+                productions.append(((c1, c2, 1), (sym,)))
+        for qd in m.states:
+            for jd in range(j1, j2 + 1):
+                d = (qd, top, jd)
+                for flag in (0, 1):
+                    productions.append(
+                        ((c1, c2, 0), ((c1, d, 1), (d, c2, flag)))
+                    )
+        for q, mtop, pushed, qp in push:
+            if q != q1 or mtop != top:
+                continue
+            d1 = (qp, pushed, j1)
+            for qq, ptop, qr in pop:
+                if ptop != pushed or qr != q2:
+                    continue
+                d2 = (qq, pushed, j2)
+                for flag in (0, 1):
+                    productions.append(
+                        ((c1, c2, 1), ((d1, d2, flag),))
+                    )
+                if d1 == d2:
+                    productions.append(((c1, c2, 1), ()))
+    for qf in m.finals:
+        c_in = (m.start_state, m.init_stack, 1)
+        c_fin = (qf, m.init_stack, n + 1)
+        for flag in (0, 1):
+            productions.append((start, ((c_in, c_fin, flag),)))
+    variables = [start] + sorted(
+        {lhs for lhs, _ in productions if lhs != start}
+        | {s for _, rhs in productions for s in rhs if isinstance(s, tuple) and len(s) == 3},
+        key=str,
+    )
+    raw = Grammar(
+        tuple(variables), m.input_alphabet, start, tuple(productions)
+    )
+    raw_vars = len(variables)
+    raw_prods = len(productions)
+    cnf = to_cnf(raw, drop_epsilon=True)
+    return SliceGrammar(
+        grammar=cnf,
+        n=n,
+        raw_variables=raw_vars,
+        raw_productions=raw_prods,
+        pruned_variables=raw_vars - len(cnf.variables),
+        pruned_productions=raw_prods
+        - sum(len(cnf.binary[a]) + len(cnf.unary[a]) for a in cnf.variables),
+    )
+
+
+def random_pda(rng: random.Random) -> Pda:
+    """1-4 states, 1-2 stack symbols, silent consumes among the moves."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    stack = ("Z", "X")[: rng.randint(1, 2)]
+    inputs = ("a", "b")[: rng.randint(1, 2)]
+    moves = []
+    for _ in range(rng.randint(3, 12)):
+        kind = rng.choice(("consume", "consume", "push", "pop"))
+        q, q2, top = rng.choice(states), rng.choice(states), rng.choice(stack)
+        if kind == "consume":
+            moves.append(("consume", q, rng.choice(inputs + (None,)), top, q2))
+        elif kind == "push":
+            moves.append(("push", q, top, rng.choice(stack), q2))
+        else:
+            moves.append(("pop", q, top, q2))
+    finals = frozenset(rng.sample(states, rng.randint(1, len(states))))
+    return Pda(states, inputs, stack, "Z", finals, tuple(moves))
+
+
+def same_cnf(a: SliceGrammar, b: SliceGrammar) -> bool:
+    return (a.grammar.variables, dump_grammar(a.grammar)) == (
+        b.grammar.variables,
+        dump_grammar(b.grammar),
+    )
+
+
 class TestComputationSearch:
     def test_anbn_counts(self):
         assert count_accepting(ANBN, "ab") == 1
@@ -152,6 +261,27 @@ class TestSliceGrammar:
         assert sliced.pruned_variables > 0
         assert sliced.raw_productions > 0
         assert sliced.pruned_variables <= sliced.raw_variables
+
+    @pytest.mark.parametrize("machine", [ANBN, DYCK, TWO_WAY_A], ids=["anbn", "dyck", "two-way-a"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_live_pairs_give_the_reference_cnf(self, machine, n):
+        assert same_cnf(build_slice_grammar(machine, n), reference_slice_grammar(machine, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_live_pairs_give_the_reference_cnf_on_random_machines(self, n):
+        rng = random.Random(n)
+        nonempty = 0
+        for _ in range(200):
+            machine = random_pda(rng)
+            sliced = build_slice_grammar(machine, n)
+            assert same_cnf(sliced, reference_slice_grammar(machine, n))
+            g = sliced.grammar
+            nonempty += bool(g.binary[g.start] or g.unary[g.start])
+        assert nonempty >= 80
+
+    def test_only_live_productions_emitted(self):
+        assert build_slice_grammar(DYCK, 8).raw_productions == 72
+        assert build_slice_grammar(ANBN, 8).raw_productions == 20
 
     def test_grammar_size_scales_polynomially(self):
         sizes = []

@@ -367,6 +367,25 @@ class TestLoaders:
         with pytest.raises(FormatError, match="edge endpoints must lie in 1..3"):
             load_graph(f"3 1\n{edge}\n")
 
+    def test_matrix_extra_row_refused(self):
+        with pytest.raises(FormatError, match="expected 2 rows of 2 entries"):
+            load_matrix("2\n1 1\n1 1\n0 0\n")
+
+    def test_matrix_size_line_extra_token_refused(self):
+        with pytest.raises(FormatError, match="first line '2 9' must be 'n'"):
+            load_matrix("2 9\n1 1\n1 1\n")
+
+    def test_graph_edge_line_of_three_refused(self):
+        with pytest.raises(FormatError, match="edge line '1 2 3' must be 'u v'"):
+            load_graph("3 1\n1 2 3\n")
+
+    @pytest.mark.parametrize("header", ["3", "3 1 7"])
+    def test_graph_and_clause_headers_need_n_m(self, header):
+        with pytest.raises(FormatError, match=f"first line '{header}' must be 'n m'"):
+            load_graph(f"{header}\n1 2\n")
+        with pytest.raises(FormatError, match=f"first line '{header}' must be 'n m'"):
+            load_clauses(f"{header}\n1 2 3\n")
+
     def test_circuit(self):
         text = "0 in 1\n1 in 2\n2 add 0 1\n3 mul 2 0\nout 3\n"
         c = load_circuit(text)
