@@ -24,6 +24,10 @@ from .exceptions import (
     FormatError,
     SizeGuard,
 )
+from .specfile import read_directives, single
+
+# Most derivation trees the enumeration oracles list.
+_TREE_GUARD = 200_000
 
 # Derivation trees are nested tuples: (A, terminal) at the leaves and
 # (A, left, right) inside.
@@ -265,15 +269,15 @@ def format_tree(tree) -> str:
     return f"({tree[0]} {format_tree(tree[1])} {format_tree(tree[2])})"
 
 
-def enumerate_trees(g: CnfGrammar, a, n: int, guard: int = 200_000):
+def enumerate_trees(g: CnfGrammar, a, n: int):
     """All derivation trees from ``a`` with yield length n (oracle use)."""
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    return _enumerate(g, tree_census_table(g, n), a, n, guard)
+    return _enumerate(g, tree_census_table(g, n), a, n)
 
 
-def _enumerate(g: CnfGrammar, table: dict, a, n: int, guard: int = 200_000):
-    if table[a][n] > guard:
+def _enumerate(g: CnfGrammar, table: dict, a, n: int):
+    if table[a][n] > _TREE_GUARD:
         raise SizeGuard("too many trees to enumerate")
 
     def build(sym, length):
@@ -554,29 +558,21 @@ def load_grammar(text: str) -> Grammar:
 
     An empty right-hand side denotes the empty word.
     """
-    variables = None
-    terminals = None
-    start = None
     productions = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "var":
-            variables = tuple(tokens[1:])
-        elif tokens[0] == "term":
-            terminals = tuple(tokens[1:])
-        elif tokens[0] == "start":
-            start = tokens[1]
-        elif len(tokens) >= 2 and tokens[1] == "->":
-            productions.append((tokens[0], tuple(tokens[2:])))
-        else:
-            raise FormatError(f"cannot parse grammar line {raw!r}")
-    if variables is None or terminals is None or start is None:
-        raise FormatError("missing var/term/start")
+
+    def rule(number, tokens):
+        if len(tokens) < 2 or tokens[1] != "->":
+            raise FormatError(f"line {number}: cannot parse {' '.join(tokens)!r}")
+        productions.append((tokens[0], tuple(tokens[2:])))
+
+    lines = read_directives(text, {"var": None, "term": None, "start": 1}, rule)
+    variables, (start,) = (tuple(single(lines, key)[1]) for key in ("var", "start"))
+    number, terminals = single(lines, "term")
     if any(len(t) != 1 for t in terminals):
         raise FormatError("terminals must be single characters")
+    for t in terminals:
+        if t in variables:
+            raise FormatError(f"line {number}: {t!r} is both a variable and a terminal")
     known = set(variables) | set(terminals)
     for lhs, rhs in productions:
         if lhs not in set(variables):
@@ -584,7 +580,7 @@ def load_grammar(text: str) -> Grammar:
         for sym in rhs:
             if sym not in known:
                 raise FormatError(f"unknown symbol {sym!r}")
-    return Grammar(variables, terminals, start, tuple(productions))
+    return Grammar(variables, tuple(terminals), start, tuple(productions))
 
 
 def dump_grammar(g: CnfGrammar) -> str:

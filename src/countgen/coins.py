@@ -36,6 +36,9 @@ FAIL = Fail()
 
 _MASK64 = (1 << 64) - 1
 _BLOCK_BITS = 512
+# Longest tape prefix and most prefixes outcome_law explores.
+_LAW_MAX_DEPTH = 96
+_LAW_MAX_LEAVES = 1_000_000
 
 
 class CoinSource:
@@ -157,7 +160,7 @@ def draw_uniform(src, total: int, attempts: int):
     return FAIL
 
 
-def outcome_law(run, max_depth: int = 96, max_leaves: int = 1_000_000) -> dict:
+def outcome_law(run) -> dict:
     """Exact output distribution of ``run`` over all random tapes.
 
     ``run`` takes a coin source and returns a hashable outcome.  The
@@ -171,9 +174,9 @@ def outcome_law(run, max_depth: int = 96, max_leaves: int = 1_000_000) -> dict:
     while stack:
         prefix = stack.pop()
         explored += 1
-        if explored > max_leaves:
+        if explored > _LAW_MAX_LEAVES:
             raise RuntimeError("outcome_law: tape tree exceeded max_leaves")
-        if len(prefix) > max_depth:
+        if len(prefix) > _LAW_MAX_DEPTH:
             raise RuntimeError("outcome_law: consumption exceeded max_depth")
         try:
             out = run(TapeSource(prefix))

@@ -23,8 +23,8 @@ from .exceptions import (
     CeilingExceeded,
     EmptyLanguage,
     EmptySlice,
-    FormatError,
 )
+from .pseudobool import load_clauses
 
 # Exact verification of a budget is skipped past this size; the float
 # estimate is then accurate far beyond any boundary tie we could hit.
@@ -531,18 +531,9 @@ class DnfFormula:
 
 
 def load_dnf(text: str) -> DnfFormula:
-    """Parse the line format: first line ``n m``, then one clause per line."""
-    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
-    if not lines:
-        raise FormatError("empty DNF file")
-    try:
-        n, m = (int(tok) for tok in lines[0])
-        clauses = tuple(tuple(int(tok) for tok in ln) for ln in lines[1:])
-    except ValueError as exc:
-        raise FormatError(f"bad DNF line: {exc}") from exc
-    if len(clauses) != m:
-        raise FormatError(f"expected {m} clauses, found {len(clauses)}")
-    return DnfFormula(n, clauses)
+    """Parse the clause format: first line ``n m``, then one clause per line."""
+    n, clauses = load_clauses(text)
+    return DnfFormula(n, tuple(clauses))
 
 
 def dnf_description(formula: DnfFormula) -> Description:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import WordLanguage
 from .exceptions import EmptySlice, FormatError, RankOutOfRange
+from .specfile import integer, read_directives, single
 
 
 @dataclass(frozen=True)
@@ -228,33 +229,24 @@ def read_automaton(text: str) -> tuple:
     ``starts`` and ``finals`` gather the states of every ``start`` and
     ``finals`` line, ``edges`` holds ``(q, symbol index, p)`` per ``trans``
     line in file order, and ``ambiguity`` is None when no line gives it.
-    ``#`` starts a comment; ``indep`` lines belong to the trace layer and
-    are checked for arity only.  Raises FormatError on any malformed line.
+    ``indep`` lines belong to the trace layer and are checked for arity
+    only.  Raises FormatError on any malformed line.
     """
-    lines = {key: [] for key in _ARITY}
-    for number, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        key, args = tokens[0], tokens[1:]
-        if key not in _ARITY:
-            raise FormatError(f"line {number}: unknown directive {key!r}")
-        if _ARITY[key] not in (None, len(args)):
-            raise FormatError(f"line {number}: {key} takes {_ARITY[key]} arguments")
-        lines[key].append(args)
-    if not (lines["states"] and lines["alphabet"] and lines["finals"] and any(lines["start"])):
-        raise FormatError("missing states/alphabet/start/finals")
-    if any(len(lines[key]) > 1 for key in ("states", "alphabet", "ambiguity")):
-        raise FormatError("states, alphabet and ambiguity take one line each")
-    alphabet = tuple(lines["alphabet"][0])
-    try:
-        n_states = int(lines["states"][0][0])
-        starts = [int(tok) for args in lines["start"] for tok in args]
-        finals = [int(tok) for args in lines["finals"] for tok in args]
-        edges = [(int(q), sym, int(p)) for q, sym, p in lines["trans"]]
-        ambiguity = int(lines["ambiguity"][0][0]) if lines["ambiguity"] else None
-    except ValueError as exc:
-        raise FormatError(f"states and bounds are integers: {exc}") from None
+    lines = read_directives(text, _ARITY)
+    number, (n_states,) = single(lines, "states")
+    n_states = integer(number, n_states)
+    alphabet = tuple(single(lines, "alphabet")[1])
+    starts = [integer(number, tok) for number, args in lines["start"] for tok in args]
+    finals = [integer(number, tok) for number, args in lines["finals"] for tok in args]
+    if not (starts and lines["finals"]):
+        raise FormatError("missing start/finals")
+    edges = [
+        (integer(number, q), sym, integer(number, p)) for number, (q, sym, p) in lines["trans"]
+    ]
+    ambiguity = None
+    if lines["ambiguity"]:
+        number, (ambiguity,) = single(lines, "ambiguity")
+        ambiguity = integer(number, ambiguity)
     if any(len(sym) != 1 for sym in alphabet) or len(set(alphabet)) != len(alphabet):
         raise FormatError("alphabet symbols must be distinct single characters")
     for state in (*starts, *finals, *(x for q, _, p in edges for x in (q, p))):

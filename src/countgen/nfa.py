@@ -160,8 +160,10 @@ class _SliceTable(NamedTuple):
         return self.words(_dot(self.start, self.suffix[length]))
 
 
-# Largest Kronecker lift dimension, dim**ambiguity, a slice table builds.
+# Largest Kronecker lift dimension, dim**ambiguity, a slice table builds,
+# and most words validate_ambiguity probes.
 _LIFT_CEILING = 4096
+_PROBE_MAX_WORDS = 1 << 16
 
 
 def _slice_table(a: Nfa, n: int) -> _SliceTable:
@@ -258,9 +260,9 @@ def nfa_unrank_slice(a: Nfa, n: int, k: int) -> str:
     return _unrank(a, table, n, k)
 
 
-def validate_ambiguity(a: Nfa, n: int, max_words: int = 1 << 16) -> None:
+def validate_ambiguity(a: Nfa, n: int) -> None:
     """Exhaustively check path counts up to length n against the bound."""
-    if len(a.alphabet) ** n > max_words:
+    if len(a.alphabet) ** n > _PROBE_MAX_WORDS:
         raise SizeGuard(f"{len(a.alphabet)}**{n} words is too many to probe")
     for length in range(n + 1):
         for tup in iproduct(a.alphabet, repeat=length):

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from .cfg import CnfGrammar, Grammar, cfl_description, to_cnf
 from .describe import Bound, Description
 from .exceptions import FormatError, SizeGuard
+from .specfile import read_directives, single
+
+# Node and depth budget of the computation search.
+_SEARCH_NODES = 200_000
+_SEARCH_DEPTH = 300
 
 
 @dataclass(frozen=True)
@@ -252,22 +257,20 @@ def pda_slice_description(m: Pda, n: int, bound: Bound) -> Description:
 # Bounded computation search: the enumeration oracle for small machines.
 
 
-def count_accepting(
-    m: Pda, word: str, max_nodes: int = 200_000, max_depth: int = 300
-) -> int:
+def count_accepting(m: Pda, word: str) -> int:
     """Number of accepting computations on ``word`` by exhaustive search.
 
     Raises SizeGuard on cycles of non-consuming moves (which make the
     count infinite) and when the search outgrows its node or depth budget.
     """
     consume, push, pop = _single_moves(m)
-    budget = [max_nodes]
+    budget = [_SEARCH_NODES]
 
     def explore(q, pos, stack, depth, quiet_seen):
         budget[0] -= 1
         if budget[0] < 0:
             raise SizeGuard("computation search exceeded its node budget")
-        if depth > max_depth:
+        if depth > _SEARCH_DEPTH:
             raise SizeGuard("computation search exceeded its depth budget")
         key = (q, stack)
         if key in quiet_seen:
@@ -303,43 +306,21 @@ def pda_accepts(m: Pda, word: str) -> bool:
 def load_pda(text: str) -> Pda:
     """Parse: state / input / stack / init / final lines, then move lines.
 
-    The first state listed is the start state; ``-`` stands for a silent
-    consume move.
+    The first state listed is the start state, ``-`` stands for a silent
+    consume move, and the states of repeated ``final`` lines add up.
     """
-    states = None
-    inputs = None
-    stack = None
-    init = None
-    finals = ()
+    lines = read_directives(text, {"state": None, "input": None, "stack": None, "init": 1,
+                                   "final": None, "consume": 4, "push": 4, "pop": 3})
+    states, stack, (init,) = (tuple(single(lines, key)[1]) for key in ("state", "stack", "init"))
+    number, inputs = single(lines, "input")
+    if any(len(sym) != 1 or sym == "-" for sym in inputs):
+        raise FormatError(f"line {number}: input symbols are single characters; '-' is silent")
+    finals = frozenset(q for _, args in lines["final"] for q in args)
     moves = []
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        key, args = tokens[0], tokens[1:]
-        if key == "state":
-            states = tuple(args)
-        elif key == "input":
-            inputs = tuple(args)
-        elif key == "stack":
-            stack = tuple(args)
-        elif key == "init":
-            init = args[0]
-        elif key == "final":
-            finals = tuple(args)
-        elif key == "consume":
-            q, sym, top, q2 = args
-            moves.append(("consume", q, None if sym == "-" else sym, top, q2))
-        elif key == "push":
-            q, top, pushed, q2 = args
-            moves.append(("push", q, top, pushed, q2))
-        elif key == "pop":
-            q, top, q2 = args
-            moves.append(("pop", q, top, q2))
-        else:
-            raise FormatError(f"unknown directive {key!r}")
-    if None in (states, inputs, stack, init):
-        raise FormatError("missing state/input/stack/init")
-    if any(len(sym) != 1 for sym in inputs):
-        raise FormatError("input symbols must be single characters")
-    return Pda(states, inputs, stack, init, frozenset(finals), tuple(moves))
+    for _, kind, args in sorted(
+        (number, kind, args) for kind in ("consume", "push", "pop") for number, args in lines[kind]
+    ):
+        if kind == "consume" and args[1] == "-":
+            args = [args[0], None, *args[2:]]
+        moves.append((kind, *args))
+    return Pda(states, tuple(inputs), stack, init, finals, tuple(moves))

@@ -20,6 +20,10 @@ from itertools import combinations, permutations
 
 from .coins import CoinSource
 from .exceptions import FormatError, SizeGuard
+from .specfile import integer, integer_lines, read_directives, single
+
+# Largest matrix side any permanent method accepts.
+_PERMANENT_CEILING = 8
 
 
 @dataclass(frozen=True)
@@ -171,25 +175,22 @@ def msf_coefficient(c: Circuit, monomial) -> int:
 # Permanent of a 0/1 matrix, three ways.
 
 
-def _header(tokens, names: str) -> list:
-    """The integers of a first line that must hold exactly ``names``."""
-    if len(tokens) != len(names.split()):
-        raise FormatError(f"first line {' '.join(tokens)!r} must be {names!r}")
-    return [int(tok) for tok in tokens]
+def _header(text: str, what: str, names: str) -> tuple:
+    """A headed file's first row, which must hold ``names``, and its other rows."""
+    header, *rows = integer_lines(text, what)
+    if len(header) != len(names.split()):
+        raise FormatError(f"first line {' '.join(map(str, header))!r} must be {names!r}")
+    return header, rows
 
 
 def load_matrix(text: str):
     """Parse: first line n, then n rows of 0/1 entries."""
-    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
-    if not lines:
-        raise FormatError("empty matrix file")
-    (n,) = _header(lines[0], "n")
-    rows = [tuple(int(tok) for tok in ln) for ln in lines[1:]]
+    (n,), rows = _header(text, "matrix", "n")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise FormatError(f"expected {n} rows of {n} entries")
     if any(e not in (0, 1) for r in rows for e in r):
         raise FormatError("entries must be 0 or 1")
-    return tuple(rows)
+    return tuple(map(tuple, rows))
 
 
 def perm_circuit(a) -> Circuit:
@@ -247,7 +248,7 @@ def msf_perm_circuit(a) -> Circuit:
     return builder.build(out)
 
 
-def permanent(a, method: str = "bruteforce", ceiling: int = 8) -> int:
+def permanent(a, method: str = "bruteforce") -> int:
     """Permanent of a 0/1 matrix.
 
     ``bruteforce`` sums over permutations; ``coefficient`` reads the full
@@ -257,8 +258,8 @@ def permanent(a, method: str = "bruteforce", ceiling: int = 8) -> int:
     2**-s with s = n*n.
     """
     n = len(a)
-    if n > ceiling:
-        raise SizeGuard(f"matrix side {n} above ceiling {ceiling}")
+    if n > _PERMANENT_CEILING:
+        raise SizeGuard(f"matrix side {n} above ceiling {_PERMANENT_CEILING}")
     if method == "bruteforce":
         return sum(
             math.prod(a[i][pi[i]] for i in range(n)) for pi in permutations(range(n))
@@ -463,32 +464,23 @@ def cut_value(edges, assignment) -> int:
 
 def load_clauses(text: str):
     """Parse the clause format: first line ``n m``, then one clause per line."""
-    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
-    if not lines:
-        raise FormatError("empty clause file")
-    n, m = _header(lines[0], "n m")
-    clauses = [tuple(int(tok) for tok in ln) for ln in lines[1:]]
-    if len(clauses) != m:
-        raise FormatError(f"expected {m} clauses, found {len(clauses)}")
-    return n, clauses
+    (n, m), rows = _header(text, "clause", "n m")
+    if len(rows) != m:
+        raise FormatError(f"expected {m} clauses, found {len(rows)}")
+    return n, list(map(tuple, rows))
 
 
 def load_graph(text: str):
     """Parse the edge format: first line ``n m``, then ``u v`` per line (1-based)."""
-    lines = [toks for ln in text.splitlines() if (toks := ln.split("#", 1)[0].split())]
-    if not lines:
-        raise FormatError("empty graph file")
-    n, m = _header(lines[0], "n m")
-    edges = []
-    for ln in lines[1:]:
-        if len(ln) != 2:
-            raise FormatError(f"edge line {' '.join(ln)!r} must be 'u v'")
-        edges.append((int(ln[0]) - 1, int(ln[1]) - 1))
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edges, found {len(edges)}")
-    if any(not 0 <= x < n for edge in edges for x in edge):
+    (n, m), rows = _header(text, "graph", "n m")
+    for row in rows:
+        if len(row) != 2:
+            raise FormatError(f"edge line {' '.join(map(str, row))!r} must be 'u v'")
+    if len(rows) != m:
+        raise FormatError(f"expected {m} edges, found {len(rows)}")
+    if any(not 1 <= x <= n for row in rows for x in row):
         raise FormatError(f"edge endpoints must lie in 1..{n}")
-    return n, edges
+    return n, [(u - 1, v - 1) for u, v in rows]
 
 
 def load_circuit(text: str) -> Circuit:
@@ -498,28 +490,21 @@ def load_circuit(text: str) -> Circuit:
     use and number consecutively from 0.
     """
     nodes = []
-    out = None
-    n_vars = 0
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] == "out":
-            out = int(tokens[1])
-            continue
-        idx, kind, args = int(tokens[0]), tokens[1], tokens[2:]
-        if idx != len(nodes):
-            raise FormatError(f"node ids must be consecutive; got {idx}")
-        if kind == "in":
-            k = int(args[0]) - 1
-            n_vars = max(n_vars, k + 1)
-            nodes.append(("in", k))
-        elif kind == "const":
-            nodes.append(("const", int(args[0])))
-        elif kind in ("add", "mul"):
-            nodes.append((kind, tuple(int(tok) for tok in args)))
+
+    def node(number, tokens):
+        if integer(number, tokens[0]) != len(nodes):
+            raise FormatError(f"line {number}: node ids must be consecutive; got {tokens[0]}")
+        kind, args = tokens[1] if len(tokens) > 1 else None, tokens[2:]
+        if kind not in ("in", "const", "add", "mul"):
+            raise FormatError(f"line {number}: unknown node kind {kind!r}")
+        values = tuple(integer(number, tok) for tok in args)
+        if kind in ("add", "mul"):
+            nodes.append((kind, values))
+        elif len(values) != 1:
+            raise FormatError(f"line {number}: {kind} takes 1 argument, not {len(values)}")
         else:
-            raise FormatError(f"unknown node kind {kind!r}")
-    if out is None:
-        raise FormatError("missing out line")
-    return Circuit(n_vars, tuple(nodes), out)
+            nodes.append((kind, values[0] - 1 if kind == "in" else values[0]))
+
+    number, (out,) = single(read_directives(text, {"out": 1}, node), "out")
+    n_vars = max((k + 1 for kind, k in nodes if kind == "in"), default=0)
+    return Circuit(n_vars, tuple(nodes), integer(number, out))

@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from .describe import Bound, Description
 from .dfa import CensusTable, Dfa, dfa_sample
 from .exceptions import SizeGuard
+from .specfile import read_directives
+
+# Largest commutation class the swap oracle lists, and largest state
+# space the representative count explores.
+_CLOSURE_LIMIT = 100_000
+_REPRESENTATIVE_GUARD = 200_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ def normal_form(word: str, alph: IndepAlphabet) -> str:
     return "".join(out)
 
 
-def swap_closure(word: str, alph: IndepAlphabet, limit: int = 100_000) -> set:
+def swap_closure(word: str, alph: IndepAlphabet) -> set:
     """Whole commutation class by breadth-first adjacent swaps (oracle)."""
     seen = {word}
     frontier = [word]
@@ -72,7 +78,7 @@ def swap_closure(word: str, alph: IndepAlphabet, limit: int = 100_000) -> set:
             if alph.independent(w[i], w[i + 1]):
                 swapped = w[:i] + w[i + 1] + w[i] + w[i + 2 :]
                 if swapped not in seen:
-                    if len(seen) >= limit:
+                    if len(seen) >= _CLOSURE_LIMIT:
                         raise SizeGuard("commutation class larger than limit")
                     seen.add(swapped)
                     frontier.append(swapped)
@@ -85,16 +91,6 @@ def _occurrences(word: str, symbols):
         if letter not in occ:
             raise ValueError(f"letter {letter!r} not in the alphabet")
         occ[letter].append(i)
-    return occ
-
-
-def _vector_states(word: str, alph: IndepAlphabet, guard: int):
-    total = 1
-    occ = _occurrences(word, alph.symbols)
-    for positions in occ.values():
-        total *= len(positions) + 1
-    if total > guard:
-        raise SizeGuard(f"{total} consumption vectors exceed the guard")
     return occ
 
 
@@ -120,21 +116,24 @@ def _can_emit(occ, alph, vector, letter_index, letter):
     return True
 
 
-def class_size(word: str, alph: IndepAlphabet, guard: int = 200_000) -> int:
+def class_size(word: str, alph: IndepAlphabet) -> int:
     """Number of words in the commutation class of ``word``."""
     every_word = Dfa(alph.symbols, ((0,) * len(alph.symbols),), 0, frozenset({0}))
-    return count_representatives(every_word, word, alph, guard)
+    return count_representatives(every_word, word, alph)
 
 
-def count_representatives(
-    dfa: Dfa, word: str, alph: IndepAlphabet, guard: int = 200_000
-) -> int:
+def count_representatives(dfa: Dfa, word: str, alph: IndepAlphabet) -> int:
     """Number of words of the regular language inside the word's class.
 
     Joint dynamic program over (consumption vector, automaton state),
     pruned to reachable pairs.
     """
-    occ = _vector_states(word, alph, guard)
+    total = 1
+    occ = _occurrences(word, alph.symbols)
+    for positions in occ.values():
+        total *= len(positions) + 1
+    if total > _REPRESENTATIVE_GUARD:
+        raise SizeGuard(f"{total} consumption vectors exceed the guard")
     order = alph.symbols
     start = (tuple(0 for _ in order), dfa.start)
     counts = {start: 1}
@@ -147,7 +146,7 @@ def count_representatives(
                     key = (bumped, dfa.trans[q][dfa.symbol_index(letter)])
                     nxt[key] = nxt.get(key, 0) + ways
         counts = nxt
-        if len(counts) > guard:
+        if len(counts) > _REPRESENTATIVE_GUARD:
             raise SizeGuard("joint state space exceeded the guard")
     return sum(ways for (vector, q), ways in counts.items() if q in dfa.finals)
 
@@ -177,11 +176,5 @@ def trace_description(dfa: Dfa, alph: IndepAlphabet, bound: Bound) -> Descriptio
 
 def load_indep(text: str, symbols) -> IndepAlphabet:
     """Collect ``indep a b`` lines from an automaton file."""
-    pairs = []
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if tokens and tokens[0] == "indep":
-            if len(tokens) != 3:
-                raise ValueError(f"bad independence line {raw!r}")
-            pairs.append((tokens[1], tokens[2]))
-    return indep_alphabet(symbols, pairs)
+    lines = read_directives(text, {"indep": 2}, other=lambda number, tokens: None)
+    return indep_alphabet(symbols, [tuple(args) for _, args in lines["indep"]])
