@@ -2,28 +2,41 @@
 random search, local search, and the permanent cross-checks.
 
 Objectives over {0,1}^n are carried as circuits whose polynomial is
-multilinear (a caller contract, spot-checkable); then the point
-evaluation at 1/2 in the free coordinates equals the conditional
-expectation under uniform suffixes, which is what greedy bit fixing
-needs.  The permanent of a 0/1 matrix doubles as the correctness anchor:
-its row-product polynomial exposes the permanent both as a top
-coefficient of the square-free image and through a fractional-part
-identity at the point 2**-s.
+multilinear; then the point evaluation at 1/2 in the free coordinates
+equals the conditional expectation under uniform suffixes, which is what
+greedy bit fixing needs.  ``PbProblem`` checks this exactly from one pass
+over the nodes: a product of two factors that share a variable is
+refused, so a circuit that is multilinear only after cancellation, such
+as x*x - x*x, is refused too.  The permanent of a 0/1 matrix doubles as
+the correctness anchor: its row-product polynomial exposes the permanent
+both as a top coefficient of the square-free image and through a
+fractional-part identity at the point 2**-s.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
+from typing import NamedTuple
 
-from .coins import CoinSource
 from .exceptions import FormatError, SizeGuard
 from .specfile import integer, integer_lines, read_directives, single
 
 # Largest matrix side any permanent method accepts.
 _PERMANENT_CEILING = 8
+
+
+class _Plan(NamedTuple):
+    """What evaluating and checking a circuit needs, from one pass."""
+
+    steps: tuple  # per node (kind, arg); an add's arg holds (child, w) per distinct child
+    weights: tuple  # the w-th (gap, count) scales a child's numerator by count * D**gap
+    degree: int  # the output's total degree bound
+    squared: int  # bitmask of the variables the output may hold squared
 
 
 @dataclass(frozen=True)
@@ -50,12 +63,51 @@ class Circuit:
             elif kind in ("add", "mul"):
                 if not node[1]:
                     raise ValueError(f"{kind} node needs arguments")
-                if any(not 0 <= j < i for j in node[1]):
+                if not 0 <= min(node[1]) <= max(node[1]) < i:
                     raise ValueError("nodes may only reference earlier nodes")
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         if not 0 <= self.out < len(self.nodes):
             raise ValueError("output node out of range")
+
+    @cached_property
+    def plan(self) -> _Plan:
+        """One pass in node order, built on first use.
+
+        Each node gets a total degree bound (``in`` 1, ``const`` 0, ``add``
+        the max of its children, ``mul`` their sum) and, as bitmasks, its
+        support and the variables it may hold squared: a ``mul`` whose
+        factors' supports overlap squares their common variables.  A node
+        with no squared variable has degree at most its support size.
+        """
+        steps, weights, degree, support, squared = [], {}, [], [], []
+        for kind, arg in self.nodes:
+            if kind == "in":
+                d, s, q = 1, 1 << arg, 0
+            elif kind == "const":
+                d, s, q = 0, 0, 0
+            elif kind == "add":
+                counts = Counter(arg)
+                d = max(degree[j] for j in counts)
+                s = q = 0
+                for j in counts:
+                    s |= support[j]
+                    q |= squared[j]
+                arg = tuple(
+                    (j, weights.setdefault((d - degree[j], count), len(weights)))
+                    for j, count in counts.items()
+                )
+            else:
+                d = s = q = 0
+                for j in arg:
+                    d += degree[j]
+                    q |= squared[j] | (s & support[j])
+                    s |= support[j]
+            steps.append((kind, arg))
+            degree.append(d)
+            support.append(s)
+            squared.append(q)
+        return _Plan(tuple(steps), tuple(weights), degree[self.out], squared[self.out])
 
     @property
     def size(self) -> int:
@@ -95,29 +147,48 @@ class CircuitBuilder:
         self.nodes.append(("mul", tuple(ids)))
         return len(self.nodes) - 1
 
+    def sum(self, ids) -> int:
+        """A node for the sum of ``ids``: the one id itself, or 0 when empty."""
+        if len(ids) > 1:
+            return self.add(*ids)
+        return ids[0] if ids else self.const(0)
+
     def build(self, out: int) -> Circuit:
         return Circuit(self.n_vars, tuple(self.nodes), out)
 
 
 def eval_circuit(c: Circuit, point) -> Fraction:
-    """Exact evaluation at a rational point, in node order."""
+    """Exact evaluation at a rational point, in node order.
+
+    With the point over one common denominator D, a node of degree bound
+    d is an integer numerator over D**d: an ``add`` scales each distinct
+    child by D to the power of its degree gap, times how often it is
+    named, a ``mul`` multiplies numerators, and only the output is
+    reduced to a Fraction.
+    """
     if len(point) != c.n_vars:
         raise ValueError(f"need {c.n_vars} coordinates")
+    plan = c.plan
+    point = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]
+    common = math.lcm(*(x.denominator for x in point))
+    numerators = [x.numerator * (common // x.denominator) for x in point]
+    scale = [count * common**gap for gap, count in plan.weights]
     values = []
-    for node in c.nodes:
-        kind = node[0]
-        if kind == "in":
-            values.append(Fraction(point[node[1]]))
-        elif kind == "const":
-            values.append(Fraction(node[1]))
+    for kind, arg in plan.steps:
+        if kind == "mul":
+            value = 1
+            for j in arg:
+                value *= values[j]
         elif kind == "add":
-            values.append(sum(values[j] for j in node[1]))
+            value = 0
+            for j, w in arg:
+                value += values[j] * scale[w]
+        elif kind == "in":
+            value = numerators[arg]
         else:
-            prod = Fraction(1)
-            for j in node[1]:
-                prod *= values[j]
-            values.append(prod)
-    return values[c.out]
+            value = arg
+        values.append(value)
+    return Fraction(values[c.out], common**plan.degree)
 
 
 def msf_coefficient(c: Circuit, monomial) -> int:
@@ -242,10 +313,8 @@ def msf_perm_circuit(a) -> Circuit:
         coef = expansion[mono]
         factors = [variables[j] for j in sorted(mono)] or [one]
         node = builder.mul(*factors) if len(factors) > 1 else factors[0]
-        for _ in range(coef):
-            monomials.append(node)
-    out = builder.add(*monomials) if len(monomials) > 1 else monomials[0]
-    return builder.build(out)
+        monomials.extend([node] * coef)
+    return builder.build(builder.sum(monomials))
 
 
 def permanent(a, method: str = "bruteforce") -> int:
@@ -284,7 +353,7 @@ def permanent(a, method: str = "bruteforce") -> int:
 
 @dataclass(frozen=True)
 class PbProblem:
-    """Objective circuit over {0,1}^n, asserted multilinear by the caller."""
+    """Objective circuit over {0,1}^n, checked multilinear (see ``Circuit.plan``)."""
 
     n: int
     objective: Circuit
@@ -295,32 +364,16 @@ class PbProblem:
             raise ValueError("goal must be 'max' or 'min'")
         if self.objective.n_vars != self.n:
             raise ValueError("objective arity mismatch")
+        squared = self.objective.plan.squared
+        if squared:
+            k = (squared & -squared).bit_length()
+            raise ValueError(f"objective is not multilinear: a product repeats x{k}")
 
     def value(self, assignment) -> Fraction:
         return eval_circuit(self.objective, assignment)
 
     def better(self, x, y) -> bool:
         return x > y if self.goal == "max" else x < y
-
-
-def probably_multilinear(c: Circuit, trials: int = 8, seed: int = 0) -> bool:
-    """Second-difference probe: multilinear means affine in each variable."""
-    src = CoinSource(seed)
-    for _ in range(trials):
-        point = [Fraction(src.draw(8)) for _ in range(c.n_vars)]
-        for k in range(c.n_vars):
-            lo = list(point)
-            mid = list(point)
-            hi = list(point)
-            lo[k], mid[k], hi[k] = Fraction(0), Fraction(1), Fraction(2)
-            if (
-                eval_circuit(c, hi)
-                - 2 * eval_circuit(c, mid)
-                + eval_circuit(c, lo)
-                != 0
-            ):
-                return False
-    return True
 
 
 def cond_expectation(p: PbProblem, prefix) -> Fraction:
@@ -331,7 +384,7 @@ def cond_expectation(p: PbProblem, prefix) -> Fraction:
     """
     if len(prefix) > p.n:
         raise ValueError("prefix longer than the variable count")
-    point = [Fraction(b) for b in prefix]
+    point = list(prefix)
     point.extend([Fraction(1, 2)] * (p.n - len(prefix)))
     return p.value(point)
 
@@ -398,11 +451,6 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
     return current
 
 
-def eg_solve(p: PbProblem, radius: int = 1) -> tuple:
-    """Conditional-expectation start, then local search."""
-    return local_search(p, radius, derandomize(p))
-
-
 # ---------------------------------------------------------------------------
 # Objective builders and instance loaders.
 
@@ -411,7 +459,8 @@ def max_sat_circuit(n: int, clauses) -> Circuit:
     """Satisfied-clause count as a multilinear circuit.
 
     Each clause contributes 1 - prod(1 - literal); literals are x for a
-    positive occurrence and 1 - x for a negative one.
+    positive occurrence and 1 - x for a negative one.  A repeated literal
+    counts once, and a clause that holds both x and not-x is the constant 1.
     """
     builder = CircuitBuilder(n)
     one = builder.const(1)
@@ -420,30 +469,37 @@ def max_sat_circuit(n: int, clauses) -> Circuit:
     negated = [builder.add(one, builder.mul(minus, v)) for v in variables]
     clause_nodes = []
     for clause in clauses:
+        literals = dict.fromkeys(clause)
         misses = []
-        for lit in clause:
+        for lit in literals:
             k = abs(lit) - 1
             if not 0 <= k < n:
                 raise ValueError(f"literal {lit} out of range")
             misses.append(negated[k] if lit > 0 else variables[k])
+        if any(-lit in literals for lit in literals):
+            clause_nodes.append(one)
+            continue
         all_miss = builder.mul(*misses) if len(misses) > 1 else misses[0]
         clause_nodes.append(builder.add(one, builder.mul(minus, all_miss)))
-    out = builder.add(*clause_nodes) if len(clause_nodes) > 1 else clause_nodes[0]
-    return builder.build(out)
+    return builder.build(builder.sum(clause_nodes))
 
 
 def max_cut_circuit(n: int, edges) -> Circuit:
-    """Cut size as a multilinear circuit: sum of u + v - 2uv over edges."""
+    """Cut size as a multilinear circuit: sum of u + v - 2uv over edges.
+
+    A self-loop is never cut and adds no term.
+    """
     builder = CircuitBuilder(n)
     minus = builder.const(-1)
     variables = [builder.var(k) for k in range(n)]
     terms = []
     for u, v in edges:
+        if u == v:
+            continue
         prod = builder.mul(variables[u], variables[v])
         neg = builder.mul(minus, prod)
         terms.extend([variables[u], variables[v], neg, neg])
-    out = builder.add(*terms) if len(terms) > 1 else terms[0]
-    return builder.build(out)
+    return builder.build(builder.sum(terms))
 
 
 def sat_value(clauses, assignment) -> int:

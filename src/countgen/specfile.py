@@ -5,8 +5,12 @@ from .exceptions import FormatError
 
 
 def spec_lines(text: str):
-    """Yield ``(line number, tokens)`` for each line that holds a token."""
-    for number, raw in enumerate(text.splitlines(), 1):
+    """Yield ``(line number, tokens)`` for each line that holds a token.
+
+    Lines end at a newline only.  A form feed or any other line break
+    inside a line separates tokens like a space does, and so does the
+    carriage return of a CRLF ending."""
+    for number, raw in enumerate(text.split("\n"), 1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield number, tokens

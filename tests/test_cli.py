@@ -241,6 +241,34 @@ class TestOracles:
         assert code == 0, err
         assert "oracle ok" in out
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--cnf", "2 5\n-1\n-2\n2 1 2\n1 2\n-2 -2 1\n"),
+            ("--graph", "2 1\n1 1\n"),
+            ("--cnf", "2 0\n"),
+            ("--graph", "2 0\n"),
+        ],
+        ids=["repeated-literal", "self-loop", "no-clauses", "no-edges"],
+    )
+    def test_derand_objective_builders(self, tmp_path, capsys, flag, text):
+        spec = tmp_path / "objective"
+        spec.write_text(text)
+        code, out, err = run_cli(["pb", "derand", flag, str(spec), "--oracle"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "oracle ok"
+
+    def test_non_multilinear_circuit_exits_one(self, tmp_path, capsys):
+        # x1 * (1 - 4 x2 + 4 x2^2)
+        spec = tmp_path / "square.circ"
+        spec.write_text(
+            "0 in 1\n1 in 2\n2 const 1\n3 const -1\n4 mul 3 1\n5 add 2 4 4 4 4\n"
+            "6 mul 1 1\n7 add 5 6 6 6 6\n8 mul 0 7\nout 8\n"
+        )
+        assert run_cli(["pb", "derand", "--circuit", str(spec), "--oracle"], capsys) == (
+            1, "", "error: objective is not multilinear: a product repeats x2\n"
+        )
+
 
 class TestFormatsAndErrors:
     def test_json_lines(self, files, capsys):

@@ -17,7 +17,6 @@ from countgen.pseudobool import (
     cond_expectation,
     cut_value,
     derandomize,
-    eg_solve,
     eval_circuit,
     load_circuit,
     load_clauses,
@@ -30,10 +29,56 @@ from countgen.pseudobool import (
     msf_perm_circuit,
     perm_circuit,
     permanent,
-    probably_multilinear,
     random_search,
     sat_value,
 )
+
+
+def reference_eval_circuit(c: Circuit, point) -> Fraction:
+    """The slow path: a reduced Fraction at every node, in node order."""
+    if len(point) != c.n_vars:
+        raise ValueError(f"need {c.n_vars} coordinates")
+    values = []
+    for node in c.nodes:
+        kind = node[0]
+        if kind == "in":
+            values.append(Fraction(point[node[1]]))
+        elif kind == "const":
+            values.append(Fraction(node[1]))
+        elif kind == "add":
+            values.append(sum(values[j] for j in node[1]))
+        else:
+            prod = Fraction(1)
+            for j in node[1]:
+                prod *= values[j]
+            values.append(prod)
+    return values[c.out]
+
+
+# coordinates with mixed and non-dyadic denominators, integers above 1, negatives
+COORDINATES = (
+    Fraction(1, 3), Fraction(-5, 7), Fraction(1, 2**49), Fraction(1, 2), Fraction(3, 4),
+    0, 1, 2, 5, -1, -3,
+)
+
+
+def random_points(rng, n, count=4):
+    return [[rng.choice(COORDINATES) for _ in range(n)] for _ in range(count)]
+
+
+def random_circuit(rng) -> Circuit:
+    """Repeated ids, -1 constants and a deep mul chain, over 0 to 5 variables."""
+    n = rng.randint(0, 5)
+    b = CircuitBuilder(n)
+    ids = [b.var(k) for k in range(n)] + [b.const(c) for c in (-1, 0, 1, -1)]
+    for _ in range(rng.randint(1, 8)):
+        take = [rng.choice(ids) for _ in range(rng.randint(1, 4))]
+        ids.append(b.add(*take) if rng.random() < 0.5 else b.mul(*take))
+    chain = ids[-1]
+    for _ in range(rng.randint(0, 12)):
+        chain = b.mul(chain, rng.choice(ids))
+    ids.append(chain)
+    return b.build(rng.choice(ids[-4:]))
 
 
 def brute_msf_coefficients(c: Circuit):
@@ -63,6 +108,20 @@ def average_over_suffixes(p: PbProblem, prefix):
 
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
 
+# x1 * (1 - 4 x2 + 4 x2^2): x1 on the cube, but 0 at x2 = 1/2
+NON_MULTILINEAR = """
+0 in 1
+1 in 2
+2 const 1
+3 const -1
+4 mul 3 1
+5 add 2 4 4 4 4
+6 mul 1 1
+7 add 5 6 6 6 6
+8 mul 0 7
+out 8
+"""
+
 
 class TestEvalCircuit:
     def test_constant(self):
@@ -84,6 +143,50 @@ class TestEvalCircuit:
         c = perm_circuit(((1, 1), (1, 1)))
         assert c.size >= 5
         assert c.depth == 2
+
+
+class TestIntegerEvaluation:
+    """The integer evaluator against the Fraction one it replaced."""
+
+    def builder_circuits(self):
+        yield max_sat_circuit(4, [(1, -2, 3), (-4,), (2, 2, -1), (3, -3), (4, 1, -2, -3)])
+        yield max_cut_circuit(4, [(0, 1), (1, 2), (2, 2), (3, 0), (1, 3), (0, 1)])
+        for a in (((1, 1, 0), (0, 1, 1), (1, 0, 1)), ((1, 1), (1, 1)), ((0, 1), (0, 1))):
+            yield perm_circuit(a)
+            yield msf_perm_circuit(a)
+        yield load_circuit("0 in 1\n1 in 2\n2 add 0 1\n3 mul 2 0\nout 3\n")
+        yield load_circuit(NON_MULTILINEAR)
+
+    def test_builders_match_reference(self):
+        rng = random.Random(3)
+        for c in self.builder_circuits():
+            points = random_points(rng, c.n_vars, 6)
+            points.append([Fraction(1, 2)] * c.n_vars)
+            points.append([1] * c.n_vars)
+            for point in points:
+                assert eval_circuit(c, point) == reference_eval_circuit(c, point)
+
+    def test_random_circuits_match_reference(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            c = random_circuit(rng)
+            for point in random_points(rng, c.n_vars):
+                assert eval_circuit(c, point) == reference_eval_circuit(c, point)
+
+    def test_coordinates_of_any_rational_type(self):
+        c = max_sat_circuit(3, [(1, -2), (2, 3)])
+        for point in ([True, 0.5, "1/3"], [Fraction(2, 6), 0.25, -2]):
+            assert eval_circuit(c, point) == reference_eval_circuit(c, point)
+
+    def test_no_variables(self):
+        b = CircuitBuilder(0)
+        minus = b.const(-1)
+        c = b.build(b.add(b.mul(minus, minus), minus, b.const(1)))
+        assert eval_circuit(c, []) == reference_eval_circuit(c, []) == 1
+
+    def test_wrong_coordinate_count(self):
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            eval_circuit(perm_circuit(((1, 1), (1, 1))), [1])
 
 
 class TestMsfCoefficient:
@@ -129,8 +232,7 @@ class TestMsfCoefficient:
                     op = b.mul(*[ids[v] for v in vars_only])
                 ids.append(op)
             c = b.build(ids[-1])
-            if not probably_multilinear(c):
-                continue
+            assert not c.plan.squared
             oracle = brute_msf_coefficients(c)
             for subset, coef in oracle.items():
                 if subset:
@@ -301,12 +403,12 @@ class TestSearches:
     def test_eg_solve_beats_expectation(self):
         clauses = [(1, 2, 3), (-1, 2, -3)]
         p = PbProblem(3, max_sat_circuit(3, clauses))
-        out = eg_solve(p)
+        out = local_search(p, 1, derandomize(p))
         assert p.value(out) >= cond_expectation(p, [])
 
     def test_eg_solve_k3_optimal(self):
         p = PbProblem(3, max_cut_circuit(3, K3_EDGES))
-        out = eg_solve(p)
+        out = local_search(p, 1, derandomize(p))
         assert cut_value(K3_EDGES, out) == 2
 
     def test_eg_solve_leaves_local_optimum_alone(self):
@@ -315,7 +417,7 @@ class TestSearches:
         p = PbProblem(3, max_cut_circuit(3, K3_EDGES))
         fixed = derandomize(p)
         assert local_search(p, 1, fixed) == fixed
-        assert eg_solve(p) == fixed
+        assert local_search(p, 1, derandomize(p)) == fixed
 
 
 class TestBuilders:
@@ -336,13 +438,74 @@ class TestBuilders:
         assert eval_circuit(c, assignment) == cut_value(edges, assignment)
 
     def test_builders_are_multilinear(self):
-        assert probably_multilinear(max_sat_circuit(3, [(1, -2, 3)]))
-        assert probably_multilinear(max_cut_circuit(3, K3_EDGES))
+        assert not max_sat_circuit(3, [(1, -2, 3)]).plan.squared
+        assert not max_cut_circuit(3, K3_EDGES).plan.squared
 
     def test_square_detector(self):
         b = CircuitBuilder(1)
         x = b.var(0)
-        assert not probably_multilinear(b.build(b.mul(x, x)))
+        assert b.build(b.mul(x, x)).plan.squared == 1
+
+    def test_repeated_literal_counts_once(self):
+        # the expectation is 13/4; the circuit at 1/2 claimed 7/2 when 2 2 squared x2
+        clauses = [(-1,), (-2,), (2, 1, 2), (1, 2), (-2, -2, 1)]
+        p = PbProblem(2, max_sat_circuit(2, clauses))
+        assert cond_expectation(p, []) == average_over_suffixes(p, []) == Fraction(13, 4)
+        out = derandomize(p)
+        assert sat_value(clauses, out) == p.value(out) >= Fraction(13, 4)
+        deduplicated = max_sat_circuit(2, [(-1,), (-2,), (2, 1), (1, 2), (-2, 1)])
+        assert max_sat_circuit(2, clauses) == deduplicated
+
+    def test_clause_with_both_signs_is_one(self):
+        c = max_sat_circuit(2, [(1, -2, -1)])
+        assert c.nodes[c.out] == ("const", 1)
+        assert eval_circuit(c, [Fraction(1, 3), 5]) == 1
+
+    def test_clause_without_repeats_builds_the_same_nodes(self):
+        c = max_sat_circuit(2, [(1, -2)])
+        assert c.nodes == (
+            ("const", 1), ("const", -1), ("in", 0), ("in", 1),
+            ("mul", (1, 2)), ("add", (0, 4)), ("mul", (1, 3)), ("add", (0, 6)),
+            ("mul", (5, 3)), ("mul", (1, 8)), ("add", (0, 9)),
+        )
+        assert c.out == 10
+
+    def test_self_loop_adds_no_term(self):
+        c = max_cut_circuit(2, [(0, 0)])
+        assert eval_circuit(c, [Fraction(1, 2)] * 2) == 0
+        edges = [(0, 1), (1, 1), (1, 2)]
+        p = PbProblem(3, max_cut_circuit(3, edges))
+        assert cond_expectation(p, []) == average_over_suffixes(p, []) == 1
+        for bits in iproduct((0, 1), repeat=3):
+            assert p.value(bits) == cut_value(edges, bits)
+
+    def test_non_multilinear_objective_refused(self):
+        c = load_circuit(NON_MULTILINEAR)
+        assert c.plan.squared == 0b10
+        with pytest.raises(ValueError, match="^objective is not multilinear: a product repeats x2$"):
+            PbProblem(2, c)
+
+    def test_square_through_a_sum_refused(self):
+        b = CircuitBuilder(3)
+        x1, x2, x3 = (b.var(k) for k in range(3))
+        c = b.build(b.add(x1, b.mul(b.add(x2, x3), b.mul(x3, x1), x2)))
+        assert c.plan.squared == 0b110
+        with pytest.raises(ValueError, match="repeats x2$"):
+            PbProblem(3, c)
+
+    def test_cancelled_square_refused(self):
+        # x*x - x*x is multilinear, but the check looks at products only
+        b = CircuitBuilder(1)
+        x = b.var(0)
+        square = b.mul(x, x)
+        c = b.build(b.add(square, b.mul(b.const(-1), square)))
+        with pytest.raises(ValueError, match="repeats x1$"):
+            PbProblem(1, c)
+
+    def test_square_free_permanent_circuit_accepted(self):
+        a = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+        assert not msf_perm_circuit(a).plan.squared
+        assert perm_circuit(a).plan.squared == 0b111
 
 
 class TestLoaders:

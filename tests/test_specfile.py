@@ -90,6 +90,10 @@ MALFORMED = {
     # a trailing token on a one-argument node
     "circuit-in-trailing": (load_circuit, edit(CIRCUIT, 1, "0 in 1 2"), 1),
     "circuit-const-trailing": (load_circuit, edit(CIRCUIT, 2, "1 const 1 1"), 2),
+    # a line break other than a newline separates tokens and ends no line
+    "dfa-form-feed": (load_dfa, DFA.replace("\n", "\x0c", 1), 1),
+    "dfa-after-form-feed": (load_dfa, edit(DFA, 5, "trans 0 a").replace("b\n", "b\x0c\n", 1), 5),
+    "circuit-after-line-separator": (load_circuit, "0 in 1 # x\u2028\n1 add 0 z\nout 1\n", 2),
 }
 
 
@@ -128,6 +132,10 @@ class TestReader:
             read_directives("a 1\na 1 2\n", {"a": 1})
         with pytest.raises(FormatError, match="^line 1: b takes 3 arguments, not 0$"):
             read_directives("b\n", {"b": 3})
+
+    def test_crlf_lines_load(self):
+        assert load_dfa(DFA.replace("\n", "\r\n")) == load_dfa(DFA)
+        assert list(spec_lines("a 1\r\n\r\nb\r\n")) == [(1, ["a", "1"]), (3, ["b"])]
 
     def test_integer_lines(self):
         assert integer_lines("# n\n2\n1 0 # row\n0 1\n", "matrix") == [[2], [1, 0], [0, 1]]
@@ -190,9 +198,11 @@ class TestPdaLines:
         (["pb", "perm", "-m"], "x.mat", "2\n1 x\n1 1\n", "line 2: 'x' is not an integer"),
         (["pb", "derand", "--circuit"], "const.circ", "0 const 1 1\nout 0\n",
          "line 1: const takes 1 argument, not 2"),
+        (["dfa", "count", "-n", "2", "-a"], "page.dfa", "states 1\x0calphabet a\nstart 0\n"
+         "finals 0\ntrans 0 a 0\n", "line 1: states takes 1 argument, not 3"),
     ],
     ids=["pda-short-move", "pda-empty-init", "pda-dash-input", "cfg-overlap", "matrix-x",
-         "circuit-const"],
+         "circuit-const", "dfa-form-feed"],
 )
 def test_cli_names_the_line(tmp_path, capsys, argv, name, text, message):
     spec = tmp_path / name
