@@ -3,8 +3,12 @@ multiplicity Earley parsing, and the word sampler built from them.
 
 Derivation trees of a fixed yield length are counted exactly by the
 binary-production convolution; the same (growable) table drives a uniform tree
-sampler whose split point is found by a two-ended (boustrophedonic)
-prefix-sum search.  The weighted Earley chart counts the derivation trees
+sampler.  The table keeps, per variable, each binary production beside
+the rows of its two children, so the sampler sums a split point's weight
+straight from those rows, and it finds the split by a two-ended
+(boustrophedonic) prefix-sum scan: split points are taken alternately
+from both ends, so split k of a length-l node costs min(k, l - k) bucket
+sums.  The weighted Earley chart counts the derivation trees
 of a given word, which is the multiplicity needed to flatten trees into
 uniformly random words.
 """
@@ -143,9 +147,26 @@ class CnfGrammar:
             raise ValueError(f"useless variables: {dead!r}")
 
 
-def tree_census_table(g: CnfGrammar, n: int) -> dict:
+class TreeTable(dict):
+    """table[a][l] = number of derivation trees from a with yield length l.
+
+    ``splits[a]`` holds ``(table[b], table[c], b, c)`` for each production
+    a -> b c, in the grammar's order.  The rows are the table's own lists,
+    which grow in place, so the tuples are built once per table.
+    """
+
+    def __init__(self, g: CnfGrammar):
+        super().__init__((a, [0]) for a in g.variables)
+        self.splits = _splits(g, self)
+
+
+def _splits(g: CnfGrammar, table: dict) -> dict:
+    return {a: tuple((table[b], table[c], b, c) for b, c in g.binary[a]) for a in g.variables}
+
+
+def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
     """table[a][l] = number of derivation trees from a with yield length l."""
-    return grow_tree_table(g, {a: [0] for a in g.variables}, n)
+    return grow_tree_table(g, TreeTable(g), n)
 
 
 def grow_tree_table(g: CnfGrammar, table: dict, n: int) -> dict:
@@ -171,57 +192,6 @@ def tree_census(g: CnfGrammar, a, n: int) -> int:
     return tree_census_table(g, n)[a][n]
 
 
-# Single-ended reference scan; tests check the two-ended one against it.
-def _locate_linear(g, table, a, length, r):
-    acc = 0
-    for k in range(1, length):
-        for b, c in g.binary[a]:
-            acc += table[b][k] * table[c][length - k]
-            if acc >= r:
-                return b, c, k
-    raise AssertionError("rank exceeded tree census")
-
-
-def _bucket(g, table, a, length, k):
-    return sum(table[b][k] * table[c][length - k] for b, c in g.binary[a])
-
-
-def _locate_boustrophedon(g, table, a, length, r):
-    """Two-ended scan for the split bucket holding prefix-sum target r.
-
-    Buckets are ordered by split point; consuming them alternately from
-    both ends costs min(k, length-k) for the winning split k, the same
-    predicate (smallest prefix sum >= r) as the linear scan.
-    """
-    total = table[a][length]
-    lo, hi = 1, length - 1
-    prefix = 0  # weight of consumed buckets 1..lo-1
-    suffix = 0  # weight of consumed buckets hi+1..length-1
-    from_left = True
-    while True:
-        if from_left:
-            w = _bucket(g, table, a, length, lo)
-            if prefix + w >= r:
-                k, acc = lo, prefix
-                break
-            prefix += w
-            lo += 1
-        else:
-            w = _bucket(g, table, a, length, hi)
-            suffix += w
-            if r > total - suffix:
-                # r <= total - (suffix - w) held before, so r is in bucket hi
-                k, acc = hi, total - suffix
-                break
-            hi -= 1
-        from_left = not from_left
-    for b, c in g.binary[a]:
-        acc += table[b][k] * table[c][length - k]
-        if acc >= r:
-            return b, c, k
-    raise AssertionError("rank exceeded bucket weight")
-
-
 def random_tree(g: CnfGrammar, n: int, src, table: dict | None = None):
     """Uniform derivation tree with yield length n, or FAIL.
 
@@ -235,15 +205,44 @@ def random_tree(g: CnfGrammar, n: int, src, table: dict | None = None):
     table = tree_census_table(g, n) if table is None else grow_tree_table(g, table, n)
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
+    splits = table.splits if isinstance(table, TreeTable) else _splits(g, table)
     kappa = 3 + bit_size(n)
 
     def generate(a, length):
-        r = draw_uniform(src, table[a][length], kappa)
+        total = table[a][length]
+        r = draw_uniform(src, total, kappa)
         if r is FAIL:
             return FAIL
         if length == 1:
             return (a, g.unary[a][r - 1])
-        b, c, k = _locate_boustrophedon(g, table, a, length, r)
+        # The split k holding r is the first whose prefix sum of bucket
+        # weights reaches r.  Buckets are taken alternately from k = 1 and
+        # from k = length - 1: ``low`` is the weight left of ``lo`` and
+        # ``high`` the total minus the weight right of ``hi``.
+        pairs = splits[a]
+        lo, hi = 1, length - 1
+        low, high = 0, total
+        while True:
+            weight = 0
+            for row_b, row_c, _, _ in pairs:
+                weight += row_b[lo] * row_c[length - lo]
+            if r <= low + weight:
+                k, acc = lo, low
+                break
+            low += weight
+            lo += 1
+            weight = 0
+            for row_b, row_c, _, _ in pairs:
+                weight += row_b[hi] * row_c[length - hi]
+            high -= weight
+            if r > high:
+                k, acc = hi, high
+                break
+            hi -= 1
+        for row_b, row_c, b, c in pairs:
+            acc += row_b[k] * row_c[length - k]
+            if acc >= r:
+                break
         left = generate(b, k)
         if left is FAIL:
             return FAIL
@@ -563,7 +562,7 @@ def load_grammar(text: str) -> Grammar:
     def rule(number, tokens):
         if len(tokens) < 2 or tokens[1] != "->":
             raise FormatError(f"line {number}: cannot parse {' '.join(tokens)!r}")
-        productions.append((tokens[0], tuple(tokens[2:])))
+        productions.append((number, tokens[0], tuple(tokens[2:])))
 
     lines = read_directives(text, {"var": None, "term": None, "start": 1}, rule)
     variables, (start,) = (tuple(single(lines, key)[1]) for key in ("var", "start"))
@@ -574,13 +573,15 @@ def load_grammar(text: str) -> Grammar:
         if t in variables:
             raise FormatError(f"line {number}: {t!r} is both a variable and a terminal")
     known = set(variables) | set(terminals)
-    for lhs, rhs in productions:
+    for number, lhs, rhs in productions:
         if lhs not in set(variables):
-            raise FormatError(f"unknown variable {lhs!r}")
+            raise FormatError(f"line {number}: unknown variable {lhs!r}")
         for sym in rhs:
             if sym not in known:
-                raise FormatError(f"unknown symbol {sym!r}")
-    return Grammar(variables, tuple(terminals), start, tuple(productions))
+                raise FormatError(f"line {number}: unknown symbol {sym!r}")
+    return Grammar(
+        variables, tuple(terminals), start, tuple((lhs, rhs) for _, lhs, rhs in productions)
+    )
 
 
 def dump_grammar(g: CnfGrammar) -> str:

@@ -208,9 +208,7 @@ class _TraceSpec(NamedTuple):
 
 
 def _load_trace(args) -> _TraceSpec:
-    text = _read(args.automaton)
-    automaton = dfa.load_dfa(text)
-    return _TraceSpec(automaton, traces.load_indep(text, automaton.alphabet))
+    return _TraceSpec(*traces.load_trace(_read(args.automaton)))
 
 
 def _trace_member(s: _TraceSpec, word: str) -> bool:

@@ -84,10 +84,12 @@ class Description:
     does not FAIL and must FAIL with probability below 1/4.  ``ambiguity``
     returns, for an element of S, the raw number of carrier elements
     projecting onto it; the engine enforces 1 <= count <= ``bound(n)``,
-    raising ValueError on 0 and AmbiguityExceeded above the bound.  It
-    must be a pure function of the element, and projected elements must
-    be hashable: an estimate calls it once per distinct element it draws.
-    ``census(n)`` is the size of the carrier slice at n.
+    raising ValueError on 0 and AmbiguityExceeded above the bound.
+    ``project`` and ``ambiguity`` must be pure functions, and carrier and
+    projected elements must be hashable: an estimate projects each
+    distinct carrier element it draws once, and calls ``ambiguity`` once
+    per distinct projected element.  ``census(n)`` is the size of the
+    carrier slice at n.
     """
 
     sampler: Callable
@@ -162,8 +164,9 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     Averages 1/ambiguity over carrier draws and scales by the carrier
     census; the relative error is within epsilon with probability above
     3/4 conditioned on not failing, and the failure probability is below
-    1/4.  Each distinct projected element costs one ``ambiguity`` call,
-    checked against the bound like a sampler's.
+    1/4.  Each distinct carrier element drawn costs one ``project`` call
+    and each distinct projected element one ``ambiguity`` call, checked
+    against the bound like a sampler's.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -175,16 +178,22 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     budget = trial_budget(
         Fraction(8, 3), Fraction(3, 4), (epsilon / d_max) ** 2, Fraction(1, 4)
     )
-    multiplicity = {}  # projected element -> ambiguity, for this call only
+    # for this call only: projected element -> ambiguity, and carrier
+    # element -> the ambiguity of its projection
+    multiplicity = {}
+    by_carrier = {}
     hits = Counter()  # multiplicity d -> successful trials that drew it
     for _ in range(budget):
         t = desc.sampler(n, src)
         if t is FAIL:
             continue
-        s = desc.project(t)
-        if s not in multiplicity:
-            multiplicity[s] = _multiplicity(desc, s, d_max)
-        hits[multiplicity[s]] += 1
+        d = by_carrier.get(t)
+        if d is None:
+            s = desc.project(t)
+            if s not in multiplicity:
+                multiplicity[s] = _multiplicity(desc, s, d_max)
+            d = by_carrier[t] = multiplicity[s]
+        hits[d] += 1
     if not hits:
         return FAIL
     # sum of 1/d over successes, over the common denominator lcm(d)

@@ -104,15 +104,21 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     if table.count(a.start, n) == 0:
         raise EmptySlice(f"no accepted words of length {n}")
     kappa = confidence + bit_size(n)
+    # every row now covers 0..n: walk them directly
+    counts, trans, alphabet = table.counts, a.trans, a.alphabet
     q = a.start
     word = []
     for length in range(n, 0, -1):
-        r = draw_uniform(src, table.count(q, length), kappa)
+        r = draw_uniform(src, counts[q][length], kappa)
         if r is FAIL:
             return FAIL
-        s, _ = _next_letter(a, table, q, length, r)
-        word.append(a.alphabet[s])
-        q = a.trans[q][s]
+        for s, p in enumerate(trans[q]):
+            below = counts[p][length - 1]
+            if r <= below:
+                break
+            r -= below
+        word.append(alphabet[s])
+        q = p
     return "".join(word)
 
 
@@ -223,14 +229,15 @@ _ARITY = {
 
 
 def read_automaton(text: str) -> tuple:
-    """Parse the line format shared by DFA and NFA files.
+    """Parse the line format shared by DFA, NFA and trace files.
 
-    Returns ``(n_states, alphabet, starts, finals, edges, ambiguity)``.
-    ``starts`` and ``finals`` gather the states of every ``start`` and
-    ``finals`` line, ``edges`` holds ``(q, symbol index, p)`` per ``trans``
-    line in file order, and ``ambiguity`` is None when no line gives it.
-    ``indep`` lines belong to the trace layer and are checked for arity
-    only.  Raises FormatError on any malformed line.
+    Returns ``(n_states, alphabet, starts, finals, edges, ambiguity,
+    indep)``.  ``starts`` and ``finals`` gather the states of every
+    ``start`` and ``finals`` line, ``edges`` holds ``(q, symbol index, p)``
+    per ``trans`` line in file order, ``ambiguity`` is None when no line
+    gives it, and ``indep`` holds the letter pair of each ``indep`` line,
+    for the trace layer, which checks the letters.  Raises FormatError on
+    any malformed line.
     """
     lines = read_directives(text, _ARITY)
     number, (n_states,) = single(lines, "states")
@@ -259,7 +266,8 @@ def read_automaton(text: str) -> tuple:
         if sym not in index:
             raise FormatError(f"edge symbol {sym!r} not in alphabet")
     edges = [(q, index[sym], p) for q, sym, p in edges]
-    return n_states, alphabet, starts, finals, edges, ambiguity
+    indep = [tuple(args) for _, args in lines["indep"]]
+    return n_states, alphabet, starts, finals, edges, ambiguity, indep
 
 
 def load_dfa(text: str) -> Dfa:
@@ -268,7 +276,14 @@ def load_dfa(text: str) -> Dfa:
     The listed alphabet order is the lexicographic order used by ranking
     and sampling.
     """
-    n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(text)
+    return automaton_dfa(read_automaton(text))
+
+
+def automaton_dfa(spec: tuple) -> Dfa:
+    """The DFA of a ``read_automaton`` result, refused unless the file has
+    no ambiguity line, one start state and one transition per state and
+    letter."""
+    n_states, alphabet, starts, finals, edges, ambiguity, _ = spec
     if ambiguity is not None:
         raise FormatError("a DFA file has no ambiguity line")
     if len(starts) != 1:

@@ -332,7 +332,7 @@ def load_nfa(text: str) -> Nfa:
     ``finals`` take several states, and ``ambiguity d`` declares the path
     bound.
     """
-    n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(text)
+    n_states, alphabet, starts, finals, edges, ambiguity, _ = read_automaton(text)
     if ambiguity is None or not finals:
         raise FormatError("an NFA file needs ambiguity and nonempty finals")
     matrices = [[[0] * n_states for _ in range(n_states)] for _ in alphabet]

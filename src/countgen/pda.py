@@ -315,6 +315,10 @@ def load_pda(text: str) -> Pda:
     number, inputs = single(lines, "input")
     if any(len(sym) != 1 or sym == "-" for sym in inputs):
         raise FormatError(f"line {number}: input symbols are single characters; '-' is silent")
+    for number, args in lines["final"]:
+        for q in args:
+            if q not in states:
+                raise FormatError(f"line {number}: final state {q!r} is not a state")
     finals = frozenset(q for _, args in lines["final"] for q in args)
     moves = []
     for _, kind, args in sorted(

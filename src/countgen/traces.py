@@ -11,11 +11,11 @@ down-set structure of the occurrence order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .describe import Bound, Description
-from .dfa import CensusTable, Dfa, dfa_sample
+from .dfa import CensusTable, Dfa, automaton_dfa, dfa_sample, read_automaton
 from .exceptions import SizeGuard
-from .specfile import read_directives
 
 # Largest commutation class the swap oracle lists, and largest state
 # space the representative count explores.
@@ -32,6 +32,8 @@ class IndepAlphabet:
 
     def __post_init__(self):
         known = set(self.symbols)
+        if len(known) != len(self.symbols):
+            raise ValueError("alphabet symbols must be distinct")
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError("independence pairs must join two distinct letters")
@@ -41,6 +43,25 @@ class IndepAlphabet:
     def independent(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.pairs
 
+    @cached_property
+    def index(self) -> dict:
+        """Letter -> its index in ``symbols``."""
+        return {a: i for i, a in enumerate(self.symbols)}
+
+    @cached_property
+    def dependent(self) -> tuple:
+        """Per letter index, the indices of the other letters it does not
+        commute with."""
+        return tuple(
+            tuple(j for j, b in enumerate(self.symbols) if b != a and not self.independent(a, b))
+            for a in self.symbols
+        )
+
+    @cached_property
+    def char_order(self) -> tuple:
+        """Letter indices in character order."""
+        return tuple(sorted(range(len(self.symbols)), key=self.symbols.__getitem__))
+
 
 def indep_alphabet(symbols, pairs) -> IndepAlphabet:
     return IndepAlphabet(
@@ -48,23 +69,48 @@ def indep_alphabet(symbols, pairs) -> IndepAlphabet:
     )
 
 
+def _positions(word: str, alph: IndepAlphabet) -> list:
+    """Per letter index, the letter's positions in ``word`` followed by the
+    sentinel ``len(word)``, which no position reaches."""
+    index = alph.index
+    positions = [[] for _ in alph.symbols]
+    for i, letter in enumerate(word):
+        try:
+            positions[index[letter]].append(i)
+        except KeyError:
+            raise ValueError(f"letter {letter!r} not in the alphabet") from None
+    for row in positions:
+        row.append(len(word))
+    return positions
+
+
 def normal_form(word: str, alph: IndepAlphabet) -> str:
     """Lexicographically least member of the word's commutation class.
 
     Greedy over consumption vectors: repeatedly emit the smallest letter,
     in character order, whose next occurrence is independent of every
-    unconsumed occurrence before it.
+    unconsumed occurrence before it.  Checking the next unconsumed
+    occurrence of each dependent letter suffices.
     """
-    occ = _occurrences(word, alph.symbols)
-    by_char = sorted(enumerate(alph.symbols), key=lambda pair: pair[1])
-    vector = [0] * len(alph.symbols)
+    positions = _positions(word, alph)
+    end = len(word)
+    dependent, symbols = alph.dependent, alph.symbols
+    taken = [0] * len(symbols)
+    heads = [row[0] for row in positions]  # next unconsumed position per letter
     out = []
     for _ in word:
-        for idx, letter in by_char:
-            if _can_emit(occ, alph, vector, idx, letter):
+        for idx in alph.char_order:
+            nxt = heads[idx]
+            if nxt == end:
+                continue
+            for j in dependent[idx]:
+                if heads[j] < nxt:
+                    break
+            else:
                 break
-        vector[idx] += 1
-        out.append(letter)
+        taken[idx] += 1
+        heads[idx] = positions[idx][taken[idx]]
+        out.append(symbols[idx])
     return "".join(out)
 
 
@@ -85,37 +131,6 @@ def swap_closure(word: str, alph: IndepAlphabet) -> set:
     return seen
 
 
-def _occurrences(word: str, symbols):
-    occ = {a: [] for a in symbols}
-    for i, letter in enumerate(word):
-        if letter not in occ:
-            raise ValueError(f"letter {letter!r} not in the alphabet")
-        occ[letter].append(i)
-    return occ
-
-
-def _can_emit(occ, alph, vector, letter_index, letter):
-    positions = occ[letter]
-    k = vector[letter_index]
-    if k >= len(positions):
-        return False
-    nxt = positions[k]
-    # every unconsumed occurrence before nxt must be independent of the
-    # letter; checking the earliest unconsumed one per letter suffices
-    for j, other in enumerate(alph.symbols):
-        if other == letter:
-            continue
-        others = occ[other]
-        taken = vector[j]
-        if (
-            taken < len(others)
-            and others[taken] < nxt
-            and not alph.independent(other, letter)
-        ):
-            return False
-    return True
-
-
 def class_size(word: str, alph: IndepAlphabet) -> int:
     """Number of words in the commutation class of ``word``."""
     every_word = Dfa(alph.symbols, ((0,) * len(alph.symbols),), 0, frozenset({0}))
@@ -128,22 +143,35 @@ def count_representatives(dfa: Dfa, word: str, alph: IndepAlphabet) -> int:
     Joint dynamic program over (consumption vector, automaton state),
     pruned to reachable pairs.
     """
+    positions = _positions(word, alph)
     total = 1
-    occ = _occurrences(word, alph.symbols)
-    for positions in occ.values():
-        total *= len(positions) + 1
+    for row in positions:
+        total *= len(row)
     if total > _REPRESENTATIVE_GUARD:
         raise SizeGuard(f"{total} consumption vectors exceed the guard")
-    order = alph.symbols
-    start = (tuple(0 for _ in order), dfa.start)
-    counts = {start: 1}
+    end = len(word)
+    dependent = alph.dependent
+    # the letters of the word, each with its automaton column
+    present = [
+        (idx, dfa.symbol_index(letter))
+        for idx, letter in enumerate(alph.symbols)
+        if positions[idx][0] < end
+    ]
+    trans = dfa.trans
+    counts = {((0,) * len(alph.symbols), dfa.start): 1}
     for _ in range(len(word)):
         nxt: dict = {}
         for (vector, q), ways in counts.items():
-            for idx, letter in enumerate(order):
-                if _can_emit(occ, alph, vector, idx, letter):
+            for idx, column in present:
+                pos = positions[idx][vector[idx]]
+                if pos == end:
+                    continue
+                for j in dependent[idx]:
+                    if positions[j][vector[j]] < pos:
+                        break
+                else:
                     bumped = vector[:idx] + (vector[idx] + 1,) + vector[idx + 1 :]
-                    key = (bumped, dfa.trans[q][dfa.symbol_index(letter)])
+                    key = (bumped, trans[q][column])
                     nxt[key] = nxt.get(key, 0) + ways
         counts = nxt
         if len(counts) > _REPRESENTATIVE_GUARD:
@@ -174,7 +202,9 @@ def trace_description(dfa: Dfa, alph: IndepAlphabet, bound: Bound) -> Descriptio
     )
 
 
-def load_indep(text: str, symbols) -> IndepAlphabet:
-    """Collect ``indep a b`` lines from an automaton file."""
-    lines = read_directives(text, {"indep": 2}, other=lambda number, tokens: None)
-    return indep_alphabet(symbols, [tuple(args) for _, args in lines["indep"]])
+def load_trace(text: str) -> tuple:
+    """Parse a trace file, a DFA file plus ``indep a b`` lines, in one
+    pass: ``(Dfa, IndepAlphabet)`` over the DFA's alphabet."""
+    spec = read_automaton(text)
+    automaton = automaton_dfa(spec)
+    return automaton, indep_alphabet(automaton.alphabet, spec[-1])

@@ -10,6 +10,7 @@ import pytest
 
 from countgen.cfg import (
     CnfGrammar,
+    TreeTable,
     Grammar,
     cfl_description,
     dump_grammar,
@@ -26,11 +27,9 @@ from countgen.cfg import (
     tree_yield,
     validate_cfl_bound,
     _fresh_terminal_wrapper,
-    _locate_boustrophedon,
-    _locate_linear,
     _restrict,
 )
-from countgen.coins import FAIL, CoinSource, outcome_law
+from countgen.coins import FAIL, CoinSource, bit_size, draw_uniform, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage
 from countgen.pda import build_slice_grammar
@@ -225,6 +224,94 @@ class TestRandomTree:
         assert chisquare(list(counts.values())).pvalue > 0.01
 
 
+# The split searches random_tree used before its scan ran inline on the
+# table's production rows: a single-ended scan, and a two-ended one that
+# sums each bucket with a generator.
+
+
+def _locate_linear(g, table, a, length, r):
+    acc = 0
+    for k in range(1, length):
+        for b, c in g.binary[a]:
+            acc += table[b][k] * table[c][length - k]
+            if acc >= r:
+                return b, c, k
+    raise AssertionError("rank exceeded tree census")
+
+
+def _bucket(g, table, a, length, k):
+    return sum(table[b][k] * table[c][length - k] for b, c in g.binary[a])
+
+
+def _locate_boustrophedon(g, table, a, length, r):
+    total = table[a][length]
+    lo, hi = 1, length - 1
+    prefix = 0  # weight of consumed buckets 1..lo-1
+    suffix = 0  # weight of consumed buckets hi+1..length-1
+    from_left = True
+    while True:
+        if from_left:
+            w = _bucket(g, table, a, length, lo)
+            if prefix + w >= r:
+                k, acc = lo, prefix
+                break
+            prefix += w
+            lo += 1
+        else:
+            w = _bucket(g, table, a, length, hi)
+            suffix += w
+            if r > total - suffix:
+                k, acc = hi, total - suffix
+                break
+            hi -= 1
+        from_left = not from_left
+    for b, c in g.binary[a]:
+        acc += table[b][k] * table[c][length - k]
+        if acc >= r:
+            return b, c, k
+    raise AssertionError("rank exceeded bucket weight")
+
+
+def reference_random_tree(g, n, src, locate=_locate_boustrophedon, table=None):
+    """random_tree as it was before the inline scan, with a given search."""
+    table = tree_census_table(g, n) if table is None else table
+    if table[g.start][n] == 0:
+        raise EmptySlice(f"no derivation trees of yield length {n}")
+    kappa = 3 + bit_size(n)
+
+    def generate(a, length):
+        r = draw_uniform(src, table[a][length], kappa)
+        if r is FAIL:
+            return FAIL
+        if length == 1:
+            return (a, g.unary[a][r - 1])
+        b, c, k = locate(g, table, a, length, r)
+        left = generate(b, k)
+        if left is FAIL:
+            return FAIL
+        right = generate(c, length - k)
+        if right is FAIL:
+            return FAIL
+        return (a, left, right)
+
+    return generate(g.start, n)
+
+
+def random_cnf(seed):
+    """A seeded random CNF grammar over ab, useless variables allowed."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(1, 5))]
+    binary = {a: rng.sample([(b, c) for b in names for c in names], rng.randint(0, 4))
+              for a in names}
+    unary = {a: rng.sample(["a", "b"], rng.randint(0, 2)) for a in names}
+    unary[names[0]] = unary[names[0]] or ["a"]
+    return CnfGrammar(names, ("a", "b"), names[-1], binary, unary)
+
+
+def dyck_slice(n):
+    return build_slice_grammar(DYCK, n).grammar
+
+
 class TestSplitSearch:
     @pytest.mark.parametrize("g", GRAMMARS)
     def test_boustrophedon_equals_linear(self, g):
@@ -235,6 +322,64 @@ class TestSplitSearch:
                 for r in range(1, total + 1):
                     assert _locate_boustrophedon(g, table, a, n, r) == \
                         _locate_linear(g, table, a, n, r)
+
+    @pytest.mark.parametrize("g", GRAMMARS)
+    @pytest.mark.parametrize("locate", [_locate_boustrophedon, _locate_linear])
+    def test_law_and_bits_equal_references(self, g, locate):
+        for n in range(1, 4 if g is MIXED else 5):
+            if tree_census(g, g.start, n) == 0:
+                continue
+
+            def run(src, sample):
+                return sample(g, n, src), src.bits_consumed
+
+            assert outcome_law(lambda src: run(src, random_tree)) == outcome_law(
+                lambda src: run(src, lambda g, n, src: reference_random_tree(g, n, src, locate))
+            )
+
+    @pytest.mark.parametrize(
+        "make, lengths",
+        [
+            *((lambda g=g: g, range(1, 41, 3)) for g in GRAMMARS),
+            *((lambda n=n: dyck_slice(n), [n]) for n in (2, 8, 20, 40)),
+            *((lambda seed=seed: random_cnf(seed), range(1, 41, 3)) for seed in range(12)),
+        ],
+        ids=[*(f"test-{i}" for i in range(len(GRAMMARS))),
+             *(f"dyck-{n}" for n in (2, 8, 20, 40)), *(f"random-{seed}" for seed in range(12))],
+    )
+    def test_trees_and_bits_equal_reference(self, make, lengths):
+        grammar = make()
+        for n in lengths:
+            if tree_census(grammar, grammar.start, n) == 0:
+                with pytest.raises(EmptySlice):
+                    random_tree(grammar, n, CoinSource(0))
+                continue
+            reference = tree_census_table(grammar, n)
+            shared = tree_census_table(grammar, 0)
+            plain = {a: [0] for a in grammar.variables}
+            for seed in range(6):
+                ref = CoinSource(seed)
+                expected = reference_random_tree(grammar, n, ref, table=reference)
+                for table in (shared, plain) if seed else (None, shared, plain):
+                    src = CoinSource(seed)
+                    assert random_tree(grammar, n, src, table=table) == expected, (n, seed)
+                    assert src.bits_consumed == ref.bits_consumed
+
+    def test_random_grammars_reach_long_trees(self):
+        # the seeded grammars above are not all empty at every length
+        grammars = [random_cnf(seed) for seed in range(12)]
+        live = [g for g in grammars if any(tree_census(g, g.start, n) for n in (37, 40))]
+        assert len(live) >= 4
+
+    def test_split_rows_are_the_table_rows(self):
+        table = tree_census_table(MIXED, 3)
+        assert isinstance(table, TreeTable)
+        for a in MIXED.variables:
+            assert [(b, c) for _, _, b, c in table.splits[a]] == list(MIXED.binary[a])
+            for row_b, row_c, b, c in table.splits[a]:
+                assert row_b is table[b] and row_c is table[c]
+        grow_tree_table(MIXED, table, 9)
+        assert all(len(row_b) == 10 for a in MIXED.variables for row_b, *_ in table.splits[a])
 
 
 class TestYield:

@@ -97,6 +97,35 @@ trans 1 b 1
 indep a b
 """
 
+# an even number of a's over abc, with a and b independent
+EVEN_A_TRACE = """
+states 2
+alphabet a b c
+start 0
+finals 0
+trans 0 a 1
+trans 0 b 0
+trans 0 c 0
+trans 1 a 0
+trans 1 b 1
+trans 1 c 1
+indep a b
+"""
+
+DYCK_PDA = """
+state run run@a run@b
+input a b
+stack Z X
+init Z
+final run
+consume run a Z run@a
+consume run a X run@a
+push run@a Z X run
+push run@a X X run
+consume run b X run@b
+pop run@b X run
+"""
+
 ONES3 = "3\n1 1 1\n1 1 1\n1 1 1\n"
 ONES9 = "9\n" + "1 1 1 1 1 1 1 1 1\n" * 9
 CNF2 = "3 2\n1 2 3\n-1 2 -3\n"
@@ -457,6 +486,27 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+    # the value and the bit count of an estimate are pinned: a faster trial
+    # must draw the same bits (the same lines are checked in CI)
+    @pytest.mark.parametrize(
+        "family, name, text, argv, line",
+        [
+            ("trace", "even.trace", EVEN_A_TRACE,
+             "-n 5 --ambiguity 10 --epsilon 1/2 --seed 5",
+             '{"value": "292312/3777", "trials": 1, "bits": 32283, "seed": 5}'),
+            ("pda", "dyck.pda", DYCK_PDA,
+             "-n 8 --ambiguity 1,1,1 --epsilon 1/2 --seed 5",
+             '{"value": "14/1", "trials": 1, "bits": 16321, "seed": 5}'),
+        ],
+        ids=["trace", "pda"],
+    )
+    def test_pinned_estimate_lines(self, tmp_path, capsys, family, name, text, argv, line):
+        spec = tmp_path / name
+        spec.write_text(text)
+        flag = "-a" if family == "trace" else "-m"
+        argv = [family, "estimate", flag, str(spec), *argv.split(), "--format", "json-lines"]
+        assert run_cli(argv, capsys) == (0, line + "\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from countgen.describe import (
     union,
     verify_description,
 )
+from countgen.traces import indep_alphabet, trace_description
+from countgen.dfa import dfa_from_regex
 from countgen.exceptions import (
     AmbiguityExceeded,
     CeilingExceeded,
@@ -316,6 +318,62 @@ class TestEstimateMemo:
             expected = reference_estimate(desc, n, Fraction(1, 3 * total), plain)
             assert exact_count(desc, n, src) == int(expected + Fraction(1, 2))
             assert src.bits_consumed == plain.bits_consumed
+
+
+def carrier_memo_descriptions():
+    """(description, n) with repeated carrier draws under an estimate."""
+    chain = indep_alphabet("abc", [("a", "b"), ("b", "c")])
+    flagship = dfa_from_regex("(a*c)*(ab)*c(a*c)*", alphabet="abc")
+    return {
+        "trace": (trace_description(flagship, chain, Bound(coeff=1, power=1, const=1)), 5),
+        "cfl": (cfl_description(
+            CnfGrammar(("S",), ("a", "b"), "S", {"S": [("S", "S")]}, {"S": ["a", "b"]}),
+            Bound(const=5)), 3),
+        "dnf": (dnf_description(DnfFormula(4, ((1,), (1, 2), (-3,), (2, 4)))), 4),
+        "union": (union(finite_language(["aa", "ab", "ba"]), finite_language(["ab", "bb"])), 2),
+        "product": (product(finite_language(["", "a", "ab"]), finite_language(["", "b", "ab"])), 2),
+    }
+
+
+def counting_carriers(desc):
+    """``desc`` with every carrier draw and every ``project`` call logged."""
+    carriers, projected = [], []
+
+    def sampler(n, src):
+        t = desc.sampler(n, src)
+        if t is not FAIL:
+            carriers.append(t)
+        return t
+
+    def project(t):
+        projected.append(t)
+        return desc.project(t)
+
+    return dataclasses.replace(desc, sampler=sampler, project=project), carriers, projected
+
+
+class TestCarrierMemo:
+    @pytest.mark.parametrize("name", ["trace", "cfl", "dnf", "union", "product"])
+    def test_one_project_call_per_distinct_carrier(self, name):
+        desc, n = carrier_memo_descriptions()[name]
+        logged, carriers, projected = counting_carriers(desc)
+        for seed in range(3):
+            carriers.clear()
+            projected.clear()
+            estimate_census(logged, n, Fraction(1, 2), CoinSource(seed))
+            assert len(projected) == len(set(projected))
+            assert set(projected) == set(carriers)
+            assert len(carriers) > len(projected)
+
+    @pytest.mark.parametrize("name", ["trace", "cfl", "dnf", "union", "product"])
+    def test_same_value_and_bits_as_unmemoized_loop(self, name):
+        desc, n = carrier_memo_descriptions()[name]
+        for seed in range(12):
+            memo, plain = CoinSource(seed), CoinSource(seed)
+            assert estimate_census(desc, n, Fraction(1, 2), memo) == reference_estimate(
+                desc, n, Fraction(1, 2), plain
+            )
+            assert memo.bits_consumed == plain.bits_consumed
 
 
 class TestExactCount:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countgen.coins import FAIL, CoinSource, bit_size, outcome_law
+from countgen.coins import FAIL, CoinSource, bit_size, draw_uniform, outcome_law
 from countgen.dfa import (
     CensusTable,
     Dfa,
@@ -210,6 +210,75 @@ class TestSample:
             fresh = outcome_law(run)
             assert outcome_law(lambda src: run(src, shared)) == fresh
             assert outcome_law(lambda src: run(src, CensusTable(a))) == fresh
+
+
+def reference_dfa_sample(a, n, src, confidence=3):
+    """dfa_sample as it was before it walked the table rows: one ``count``
+    call per draw and a letter search through ``count`` per letter."""
+    table = dfa_census(a, n)
+    if table.count(a.start, n) == 0:
+        raise EmptySlice(f"no accepted words of length {n}")
+    kappa = confidence + bit_size(n)
+    q = a.start
+    word = []
+    for length in range(n, 0, -1):
+        r = draw_uniform(src, table.count(q, length), kappa)
+        if r is FAIL:
+            return FAIL
+        for s, p in enumerate(a.trans[q]):
+            below = table.count(p, length - 1)
+            if r <= below:
+                break
+            r -= below
+        word.append(a.alphabet[s])
+        q = a.trans[q][s]
+    return "".join(word)
+
+
+def random_dfa(seed):
+    """A seeded random total DFA with 1-6 states over 1-3 letters."""
+    rng = random.Random(seed)
+    states = rng.randint(1, 6)
+    alphabet = "abc"[: rng.randint(1, 3)]
+    trans = tuple(tuple(rng.randrange(states) for _ in alphabet) for _ in range(states))
+    finals = frozenset(q for q in range(states) if rng.random() < 0.4)
+    return Dfa(tuple(alphabet), trans, rng.randrange(states), finals)
+
+
+class TestSampleFastPath:
+    @pytest.mark.parametrize(
+        "a", [*AUTOMATA, load_dfa(test_cli.AB_STAR), *(random_dfa(seed) for seed in range(16))],
+        ids=[*(f"fixture-{i}" for i in range(len(AUTOMATA) + 1)),
+             *(f"random-{seed}" for seed in range(16))],
+    )
+    def test_words_and_bits_equal_reference(self, a):
+        shared = CensusTable(a)
+        for n in (1, 2, 3, 5, 8, 13, 30):
+            if dfa_census(a, n).count(a.start, n) == 0:
+                with pytest.raises(EmptySlice):
+                    dfa_sample(a, n, CoinSource(0))
+                continue
+            for seed in range(10):
+                for confidence in (0, 3):
+                    ref = CoinSource(seed)
+                    expected = reference_dfa_sample(a, n, ref, confidence)
+                    for table in (None, shared):
+                        src = CoinSource(seed)
+                        assert dfa_sample(a, n, src, confidence, table) == expected
+                        assert src.bits_consumed == ref.bits_consumed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_law_equals_reference(self, seed):
+        a = random_dfa(seed)
+        for n in (1, 2):
+            if dfa_census(a, n).count(a.start, n) == 0:
+                continue
+
+            def run(src, sample):
+                return sample(a, n, src, 1), src.bits_consumed
+
+            assert outcome_law(lambda src: run(src, dfa_sample)) == outcome_law(
+                lambda src: run(src, reference_dfa_sample))
 
 
 class TestRank:
@@ -489,9 +558,9 @@ class TestAutomatonReader:
         assert load_dfa(text).finals == {0, 1}
 
     def test_shared_fields(self):
-        n_states, alphabet, starts, finals, edges, ambiguity = read_automaton(NFA_TEXT)
+        n_states, alphabet, starts, finals, edges, ambiguity, indep = read_automaton(NFA_TEXT)
         assert (n_states, alphabet, starts, finals) == (2, ("a",), [0], [1])
-        assert (edges, ambiguity) == ([(0, 0, 1), (0, 0, 1)], 2)
+        assert (edges, ambiguity, indep) == ([(0, 0, 1), (0, 0, 1)], 2, [])
 
     @pytest.mark.parametrize(
         "old, new",

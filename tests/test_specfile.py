@@ -13,7 +13,7 @@ from countgen.nfa import load_nfa
 from countgen.pda import Pda, load_pda
 from countgen.pseudobool import load_circuit, load_clauses, load_graph, load_matrix
 from countgen.specfile import integer_lines, read_directives, spec_lines
-from countgen.traces import load_indep
+from countgen.traces import load_trace
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "countgen"
 
@@ -39,7 +39,8 @@ def edit(text, number, line):
 
 
 def indep(text):
-    return load_indep(text, "ab")
+    """Load ``text`` followed by a DFA over ab as a trace file."""
+    return load_trace(text + DFA)
 
 
 # (loader, text, the line the error must name)
@@ -94,6 +95,10 @@ MALFORMED = {
     "dfa-form-feed": (load_dfa, DFA.replace("\n", "\x0c", 1), 1),
     "dfa-after-form-feed": (load_dfa, edit(DFA, 5, "trans 0 a").replace("b\n", "b\x0c\n", 1), 5),
     "circuit-after-line-separator": (load_circuit, "0 in 1 # x\u2028\n1 add 0 z\nout 1\n", 2),
+    # a name that no declaration line gives
+    "grammar-unknown-variable": (load_grammar, GRAMMAR + "# T\nT -> a\n", 7),
+    "grammar-unknown-symbol": (load_grammar, edit(GRAMMAR, 5, "S -> a b"), 5),
+    "pda-final-unknown": (load_pda, edit(PDA, 5, "final run\nfinal r # none"), 6),
 }
 
 
@@ -200,9 +205,16 @@ class TestPdaLines:
          "line 1: const takes 1 argument, not 2"),
         (["dfa", "count", "-n", "2", "-a"], "page.dfa", "states 1\x0calphabet a\nstart 0\n"
          "finals 0\ntrans 0 a 0\n", "line 1: states takes 1 argument, not 3"),
+        (["cfg", "count", "-n", "1", "-g"], "lhs.cfg", GRAMMAR + "T -> a\n",
+         "line 6: unknown variable 'T'"),
+        (["cfg", "count", "-n", "1", "-g"], "rhs.cfg", edit(GRAMMAR, 4, "S -> S b"),
+         "line 4: unknown symbol 'b'"),
+        (["pda", "grammar", "-n", "2", "-m"], "final.pda", edit(PDA, 5, "final r"),
+         "line 5: final state 'r' is not a state"),
     ],
     ids=["pda-short-move", "pda-empty-init", "pda-dash-input", "cfg-overlap", "matrix-x",
-         "circuit-const", "dfa-form-feed"],
+         "circuit-const", "dfa-form-feed", "cfg-unknown-variable", "cfg-unknown-symbol",
+         "pda-unknown-final"],
 )
 def test_cli_names_the_line(tmp_path, capsys, argv, name, text, message):
     spec = tmp_path / name

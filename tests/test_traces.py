@@ -1,5 +1,6 @@
 """Trace normal forms, class sizes, and representative counting."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from countgen.coins import FAIL, CoinSource, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
-from countgen.dfa import dfa_census, dfa_from_regex, dfa_sample
-from countgen.exceptions import AmbiguityExceeded
+from countgen.dfa import Dfa, dfa_census, dfa_from_regex, dfa_sample, load_dfa
+from countgen.exceptions import AmbiguityExceeded, FormatError
+from countgen.specfile import read_directives
 from countgen.traces import (
     class_size,
     count_representatives,
     indep_alphabet,
-    load_indep,
+    load_trace,
     normal_form,
     swap_closure,
     trace_description,
@@ -50,6 +52,64 @@ def reference_normal_form(word, alph):
                 best = i
         out.append(remaining.pop(best))
     return "".join(out)
+
+
+def _occurrences(word, symbols):
+    occ = {a: [] for a in symbols}
+    for i, letter in enumerate(word):
+        if letter not in occ:
+            raise ValueError(f"letter {letter!r} not in the alphabet")
+        occ[letter].append(i)
+    return occ
+
+
+def _can_emit(occ, alph, vector, letter_index, letter):
+    positions = occ[letter]
+    k = vector[letter_index]
+    if k >= len(positions):
+        return False
+    nxt = positions[k]
+    for j, other in enumerate(alph.symbols):
+        if other == letter:
+            continue
+        others = occ[other]
+        taken = vector[j]
+        if taken < len(others) and others[taken] < nxt and not alph.independent(other, letter):
+            return False
+    return True
+
+
+def reference_vector_normal_form(word, alph):
+    """normal_form as it was before the per-letter position lists: the
+    consumption-vector walk testing every other letter per candidate."""
+    occ = _occurrences(word, alph.symbols)
+    by_char = sorted(enumerate(alph.symbols), key=lambda pair: pair[1])
+    vector = [0] * len(alph.symbols)
+    out = []
+    for _ in word:
+        for idx, letter in by_char:
+            if _can_emit(occ, alph, vector, idx, letter):
+                break
+        vector[idx] += 1
+        out.append(letter)
+    return "".join(out)
+
+
+def reference_count_representatives(dfa, word, alph):
+    """count_representatives as it was before the per-letter position lists."""
+    occ = _occurrences(word, alph.symbols)
+    order = alph.symbols
+    counts = {(tuple(0 for _ in order), dfa.start): 1}
+    for _ in range(len(word)):
+        nxt = {}
+        for (vector, q), ways in counts.items():
+            for idx, letter in enumerate(order):
+                if _can_emit(occ, alph, vector, idx, letter):
+                    bumped = vector[:idx] + (vector[idx] + 1,) + vector[idx + 1 :]
+                    key = (bumped, dfa.trans[q][dfa.symbol_index(letter)])
+                    nxt[key] = nxt.get(key, 0) + ways
+        counts = nxt
+    return sum(ways for (vector, q), ways in counts.items() if q in dfa.finals)
 
 
 def every_relation(symbols):
@@ -89,6 +149,13 @@ class TestNormalForm:
             for n in range(1, 7):
                 for w in words_of(symbols, n):
                     assert normal_form(w, alph) == reference_normal_form(w, alph), (w, alph)
+
+    @pytest.mark.parametrize("symbols", ["abc", "bca", "abcd", "dbca"])
+    def test_equals_vector_reference(self, symbols):
+        for alph in every_relation(symbols):
+            for n in range(0, 6 if len(symbols) == 3 else 5):
+                for w in words_of(symbols, n):
+                    assert normal_form(w, alph) == reference_vector_normal_form(w, alph)
 
     def test_letter_outside_alphabet_refused(self):
         full = dfa_from_regex("(a|b|c)*", alphabet="abc")
@@ -183,6 +250,42 @@ class TestCountRepresentatives:
                     assert count_representatives(lang, nf, AB_FREE) == 1
 
 
+def random_dfa(symbols, seed):
+    rng = random.Random(seed)
+    states = rng.randint(1, 4)
+    trans = tuple(tuple(rng.randrange(states) for _ in symbols) for _ in range(states))
+    finals = frozenset(q for q in range(states) if rng.random() < 0.5)
+    return Dfa(tuple(symbols), trans, rng.randrange(states), finals)
+
+
+class TestRepresentativesFastPath:
+    @pytest.mark.parametrize("symbols", ["abc", "cab", "abcd", "dbca"])
+    def test_equals_reference(self, symbols):
+        full = Dfa(tuple(symbols), ((0,) * len(symbols),), 0, frozenset({0}))
+        automata = [full, *(random_dfa(symbols, seed) for seed in range(3))]
+        for alph in every_relation(symbols):
+            for n in range(0, 5 if len(symbols) == 3 else 4):
+                for w in words_of(symbols, n):
+                    for a in automata:
+                        assert count_representatives(a, w, alph) == \
+                            reference_count_representatives(a, w, alph), (w, alph, a)
+
+    def test_flagship_words_equal_reference(self):
+        for w in words_of("abc", 7):
+            assert count_representatives(FLAGSHIP_DFA, w, CHAIN) == \
+                reference_count_representatives(FLAGSHIP_DFA, w, CHAIN)
+
+    def test_automaton_without_a_letter_of_the_word(self):
+        ab_only = dfa_from_regex("(a|b)*", alphabet="ab")
+        assert count_representatives(ab_only, "ab", CHAIN) == 2
+        with pytest.raises(ValueError, match="symbol 'c' not in alphabet"):
+            count_representatives(ab_only, "abc", CHAIN)
+
+    def test_repeated_symbols_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            indep_alphabet("aba", [])
+
+
 class TestTraceDescription:
     def test_empty_independence_reduces_to_strings(self):
         lang = dfa_from_regex("(a|b)*")
@@ -243,14 +346,60 @@ class TestTraceDescription:
             estimate_census(desc, 2, Fraction(1, 2), CoinSource(0))
 
 
+ABC_DFA = "states 1\nalphabet a b c\nstart 0\nfinals 0\ntrans 0 a 0\ntrans 0 b 0\ntrans 0 c 0\n"
+
+
+def load_indep(text):
+    """The independence relation of ``text`` followed by a DFA over abc."""
+    return load_trace(text + ABC_DFA)[1]
+
+
+def reference_load_trace(text):
+    """The two-pass loader the CLI used before: the DFA, then a second read
+    for the ``indep`` lines."""
+    automaton = load_dfa(text)
+    lines = read_directives(text, {"indep": 2}, other=lambda number, tokens: None)
+    return automaton, indep_alphabet(automaton.alphabet, [tuple(args) for _, args in lines["indep"]])
+
+
+def outcome(load, text):
+    try:
+        return load(text)
+    except (FormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+TRACE_TEXT = ABC_DFA + "indep a b\nindep b c\n"
+
+
 class TestLoader:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TRACE_TEXT,
+            ABC_DFA,
+            TRACE_TEXT + "indep a\n",
+            TRACE_TEXT + "indep a a\n",
+            TRACE_TEXT + "indep a d\n",
+            TRACE_TEXT.replace("trans 0 c 0\n", ""),
+            TRACE_TEXT.replace("start 0", "start 0 0"),
+            TRACE_TEXT + "ambiguity 2\n",
+            TRACE_TEXT.replace("finals 0", "finals 1") + "indep a a\n",
+            TRACE_TEXT.replace("states 1", "states one") + "indep a\n",
+        ],
+        ids=["valid", "no-indep", "indep-short", "indep-same", "indep-unknown", "missing-trans",
+             "two-starts", "ambiguity", "bad-final-and-indep", "bad-states-and-indep"],
+    )
+    def test_one_pass_equals_two_pass(self, text):
+        assert outcome(load_trace, text) == outcome(reference_load_trace, text)
+
     def test_indep_lines(self):
-        alph = load_indep("indep a b\nindep b c\n", "abc")
+        alph = load_indep("indep a b\nindep b c\n")
         assert alph.independent("a", "b")
         assert alph.independent("c", "b")
         assert not alph.independent("a", "c")
 
     def test_comments(self):
-        alph = load_indep("indep a b  # commute\n# indep b c\n", "abc")
+        alph = load_indep("indep a b  # commute\n# indep b c\n")
         assert alph.independent("a", "b")
         assert not alph.independent("b", "c")
