@@ -157,11 +157,9 @@ class TreeTable(dict):
 
     def __init__(self, g: CnfGrammar):
         super().__init__((a, [0]) for a in g.variables)
-        self.splits = _splits(g, self)
-
-
-def _splits(g: CnfGrammar, table: dict) -> dict:
-    return {a: tuple((table[b], table[c], b, c) for b, c in g.binary[a]) for a in g.variables}
+        self.splits = {
+            a: tuple((self[b], self[c], b, c) for b, c in g.binary[a]) for a in g.variables
+        }
 
 
 def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
@@ -169,7 +167,7 @@ def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
     return grow_tree_table(g, TreeTable(g), n)
 
 
-def grow_tree_table(g: CnfGrammar, table: dict, n: int) -> dict:
+def grow_tree_table(g: CnfGrammar, table: TreeTable, n: int) -> TreeTable:
     """Append yield lengths to ``table`` until every row covers 0..n."""
     if n < 0:
         raise ValueError("yield length must be nonnegative")
@@ -192,20 +190,20 @@ def tree_census(g: CnfGrammar, a, n: int) -> int:
     return tree_census_table(g, n)[a][n]
 
 
-def random_tree(g: CnfGrammar, n: int, src, table: dict | None = None):
+def random_tree(g: CnfGrammar, n: int, src, table: TreeTable | None = None):
     """Uniform derivation tree with yield length n, or FAIL.
 
     The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
     is global, not per recursion level); the failure probability is at
-    most (2n - 1) / 2**kappa, below 1/4.  A given ``table`` is grown to n
-    in place.
+    most (2n - 1) / 2**kappa, below 1/4.  A given ``table`` (from
+    ``tree_census_table``) is grown to n in place.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
     table = tree_census_table(g, n) if table is None else grow_tree_table(g, table, n)
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
-    splits = table.splits if isinstance(table, TreeTable) else _splits(g, table)
+    splits = table.splits
     kappa = 3 + bit_size(n)
 
     def generate(a, length):
@@ -243,6 +241,8 @@ def random_tree(g: CnfGrammar, n: int, src, table: dict | None = None):
             acc += row_b[k] * row_c[length - k]
             if acc >= r:
                 break
+        else:
+            raise AssertionError("rank exceeded bucket weight")
         left = generate(b, k)
         if left is FAIL:
             return FAIL

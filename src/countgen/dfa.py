@@ -104,21 +104,15 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     if table.count(a.start, n) == 0:
         raise EmptySlice(f"no accepted words of length {n}")
     kappa = confidence + bit_size(n)
-    # every row now covers 0..n: walk them directly
-    counts, trans, alphabet = table.counts, a.trans, a.alphabet
+    counts = table.counts  # every row now covers 0..n
     q = a.start
     word = []
     for length in range(n, 0, -1):
         r = draw_uniform(src, counts[q][length], kappa)
         if r is FAIL:
             return FAIL
-        for s, p in enumerate(trans[q]):
-            below = counts[p][length - 1]
-            if r <= below:
-                break
-            r -= below
-        word.append(alphabet[s])
-        q = p
+        s, q, _ = _next_letter(counts, a.trans[q], length, r)
+        word.append(a.alphabet[s])
     return "".join(word)
 
 
@@ -166,23 +160,26 @@ def dfa_unrank(a: Dfa, k: int) -> str:
     return _unrank_slice(a, table, n, k)
 
 
-def _next_letter(a: Dfa, table: CensusTable, q: int, length: int, r: int):
-    """Letter index whose prefix cone from q holds rank r, and r inside it."""
-    for s, p in enumerate(a.trans[q]):
-        below = table.count(p, length - 1)
+def _next_letter(counts: list, moves: tuple, length: int, r: int) -> tuple:
+    """``(s, p, r')``: the letter s whose cone holds rank r among the words
+    of ``length`` from a state with transitions ``moves``, its target p,
+    and the rank r' inside that cone.  ``counts`` rows cover length - 1.
+    """
+    for s, p in enumerate(moves):
+        below = counts[p][length - 1]
         if r <= below:
-            return s, r
+            return s, p, r
         r -= below
     raise AssertionError("rank exceeded slice census")
 
 
 def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
+    counts = table.grow(n).counts
     q = a.start
     word = []
     for length in range(n, 0, -1):
-        s, r = _next_letter(a, table, q, length, r)
+        s, q, r = _next_letter(counts, a.trans[q], length, r)
         word.append(a.alphabet[s])
-        q = a.trans[q][s]
     return "".join(word)
 
 

@@ -356,11 +356,10 @@ class TestSplitSearch:
                 continue
             reference = tree_census_table(grammar, n)
             shared = tree_census_table(grammar, 0)
-            plain = {a: [0] for a in grammar.variables}
             for seed in range(6):
                 ref = CoinSource(seed)
                 expected = reference_random_tree(grammar, n, ref, table=reference)
-                for table in (shared, plain) if seed else (None, shared, plain):
+                for table in (shared,) if seed else (None, shared):
                     src = CoinSource(seed)
                     assert random_tree(grammar, n, src, table=table) == expected, (n, seed)
                     assert src.bits_consumed == ref.bits_consumed

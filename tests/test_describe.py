@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import countgen.describe as describe_module
 from countgen.cfg import CnfGrammar, cfl_description
 from countgen.coins import FAIL, CoinSource, gen_uniform, outcome_law
+from countgen.dfa import dfa_from_regex
 from countgen.describe import (
     Bound,
     Description,
@@ -30,14 +31,13 @@ from countgen.describe import (
     union,
     verify_description,
 )
-from countgen.traces import indep_alphabet, trace_description
-from countgen.dfa import dfa_from_regex
 from countgen.exceptions import (
     AmbiguityExceeded,
     CeilingExceeded,
     EmptyLanguage,
     EmptySlice,
 )
+from countgen.traces import indep_alphabet, trace_description
 
 
 def two_copy_description(elements):
@@ -209,18 +209,26 @@ def reference_estimate(desc, n, epsilon, src):
 
 
 def counting(desc):
-    """``desc`` with its projections and ambiguity calls logged in order."""
-    drawn, calls = [], []
+    """``desc`` with its carrier draws, ``project`` arguments (``projected``)
+    and results (``drawn``), and ``ambiguity`` calls logged in order."""
+    log = {"carriers": [], "projected": [], "drawn": [], "calls": []}
+
+    def sampler(n, src):
+        t = desc.sampler(n, src)
+        if t is not FAIL:
+            log["carriers"].append(t)
+        return t
 
     def project(t):
-        drawn.append(desc.project(t))
-        return drawn[-1]
+        log["projected"].append(t)
+        log["drawn"].append(desc.project(t))
+        return log["drawn"][-1]
 
     def ambiguity(s):
-        calls.append(s)
+        log["calls"].append(s)
         return desc.ambiguity(s)
 
-    return dataclasses.replace(desc, project=project, ambiguity=ambiguity), drawn, calls
+    return dataclasses.replace(desc, sampler=sampler, project=project, ambiguity=ambiguity), log
 
 
 # (x1) or (x1 and x2): multiplicities 1 (10) and 2 (11)
@@ -228,29 +236,45 @@ RUNNING_DNF = DnfFormula(2, ((1,), (1, 2)))
 
 
 def memo_descriptions():
+    """(description, n) whose estimates draw repeated carriers and elements."""
+    chain = indep_alphabet("abc", [("a", "b"), ("b", "c")])
+    flagship = dfa_from_regex("(a*c)*(ab)*c(a*c)*", alphabet="abc")
     return {
         "dnf": (dnf_description(DnfFormula(4, ((1,), (1, 2), (-3,), (2, 4)))), 4),
         "union": (union(finite_language(["aa", "ab", "ba"]), finite_language(["ab", "bb"])), 2),
         "cfl": (cfl_description(
             CnfGrammar(("S",), ("a", "b"), "S", {"S": [("S", "S")]}, {"S": ["a", "b"]}),
             Bound(const=5)), 4),
+        "trace": (trace_description(flagship, chain, Bound(coeff=1, power=1, const=1)), 5),
+        "product": (product(finite_language(["", "a", "ab"]), finite_language(["", "b", "ab"])), 2),
     }
 
 
+MEMO_NAMES = ["dnf", "union", "cfl", "trace", "product"]
+
+
 class TestEstimateMemo:
-    @pytest.mark.parametrize("name", ["dnf", "union", "cfl"])
+    @pytest.mark.parametrize("name", MEMO_NAMES)
     def test_one_ambiguity_call_per_distinct_element(self, name):
         desc, n = memo_descriptions()[name]
-        logged, drawn, calls = counting(desc)
         for seed in range(3):
-            drawn.clear()
-            calls.clear()
+            logged, log = counting(desc)
             est = estimate_census(logged, n, Fraction(1, 2), CoinSource(seed))
             assert est == reference_estimate(desc, n, Fraction(1, 2), CoinSource(seed))
-            assert sorted(calls) == sorted(set(drawn))
-            assert len(drawn) > len(calls)
+            assert sorted(log["calls"]) == sorted(set(log["drawn"]))
+            assert len(log["drawn"]) > len(log["calls"])
 
-    @pytest.mark.parametrize("name", ["dnf", "union", "cfl"])
+    @pytest.mark.parametrize("name", MEMO_NAMES)
+    def test_one_project_call_per_distinct_carrier(self, name):
+        desc, n = memo_descriptions()[name]
+        for seed in range(3):
+            logged, log = counting(desc)
+            estimate_census(logged, n, Fraction(1, 2), CoinSource(seed))
+            assert len(log["projected"]) == len(set(log["projected"]))
+            assert set(log["projected"]) == set(log["carriers"])
+            assert len(log["carriers"]) > len(log["projected"])
+
+    @pytest.mark.parametrize("name", MEMO_NAMES)
     def test_same_value_and_bits_as_unmemoized_loop(self, name):
         desc, n = memo_descriptions()[name]
         for seed in range(20):
@@ -288,10 +312,9 @@ class TestEstimateMemo:
             return 1
 
         desc = dataclasses.replace(identity_description(["a", "b", "c"]), ambiguity=ambiguity)
-        logged, drawn, calls = counting(desc)
         for seed in range(10):
-            drawn.clear()
-            calls.clear()
+            logged, log = counting(desc)
+            drawn, calls = log["drawn"], log["calls"]
             src, plain = CoinSource(seed), CoinSource(seed)
             with pytest.raises(AmbiguityExceeded):
                 estimate_census(logged, 1, Fraction(1, 2), src)
@@ -318,62 +341,6 @@ class TestEstimateMemo:
             expected = reference_estimate(desc, n, Fraction(1, 3 * total), plain)
             assert exact_count(desc, n, src) == int(expected + Fraction(1, 2))
             assert src.bits_consumed == plain.bits_consumed
-
-
-def carrier_memo_descriptions():
-    """(description, n) with repeated carrier draws under an estimate."""
-    chain = indep_alphabet("abc", [("a", "b"), ("b", "c")])
-    flagship = dfa_from_regex("(a*c)*(ab)*c(a*c)*", alphabet="abc")
-    return {
-        "trace": (trace_description(flagship, chain, Bound(coeff=1, power=1, const=1)), 5),
-        "cfl": (cfl_description(
-            CnfGrammar(("S",), ("a", "b"), "S", {"S": [("S", "S")]}, {"S": ["a", "b"]}),
-            Bound(const=5)), 3),
-        "dnf": (dnf_description(DnfFormula(4, ((1,), (1, 2), (-3,), (2, 4)))), 4),
-        "union": (union(finite_language(["aa", "ab", "ba"]), finite_language(["ab", "bb"])), 2),
-        "product": (product(finite_language(["", "a", "ab"]), finite_language(["", "b", "ab"])), 2),
-    }
-
-
-def counting_carriers(desc):
-    """``desc`` with every carrier draw and every ``project`` call logged."""
-    carriers, projected = [], []
-
-    def sampler(n, src):
-        t = desc.sampler(n, src)
-        if t is not FAIL:
-            carriers.append(t)
-        return t
-
-    def project(t):
-        projected.append(t)
-        return desc.project(t)
-
-    return dataclasses.replace(desc, sampler=sampler, project=project), carriers, projected
-
-
-class TestCarrierMemo:
-    @pytest.mark.parametrize("name", ["trace", "cfl", "dnf", "union", "product"])
-    def test_one_project_call_per_distinct_carrier(self, name):
-        desc, n = carrier_memo_descriptions()[name]
-        logged, carriers, projected = counting_carriers(desc)
-        for seed in range(3):
-            carriers.clear()
-            projected.clear()
-            estimate_census(logged, n, Fraction(1, 2), CoinSource(seed))
-            assert len(projected) == len(set(projected))
-            assert set(projected) == set(carriers)
-            assert len(carriers) > len(projected)
-
-    @pytest.mark.parametrize("name", ["trace", "cfl", "dnf", "union", "product"])
-    def test_same_value_and_bits_as_unmemoized_loop(self, name):
-        desc, n = carrier_memo_descriptions()[name]
-        for seed in range(12):
-            memo, plain = CoinSource(seed), CoinSource(seed)
-            assert estimate_census(desc, n, Fraction(1, 2), memo) == reference_estimate(
-                desc, n, Fraction(1, 2), plain
-            )
-            assert memo.bits_consumed == plain.bits_consumed
 
 
 class TestExactCount:

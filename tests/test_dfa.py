@@ -211,10 +211,17 @@ class TestSample:
             assert outcome_law(lambda src: run(src, shared)) == fresh
             assert outcome_law(lambda src: run(src, CensusTable(a))) == fresh
 
+    def test_census_out_of_step_with_dfa_is_refused(self):
+        table = dfa_census(ALL_WORDS, 2)
+        table.counts[ALL_WORDS.start][2] += 1  # a rank no letter's cone holds
+        with pytest.raises(AssertionError, match="rank exceeded slice census"):
+            for seed in range(40):
+                dfa_sample(ALL_WORDS, 2, CoinSource(seed), table=table)
+
 
 def reference_dfa_sample(a, n, src, confidence=3):
-    """dfa_sample as it was before it walked the table rows: one ``count``
-    call per draw and a letter search through ``count`` per letter."""
+    """dfa_sample with every census read through ``CensusTable.count``:
+    one call per draw and one per letter searched."""
     table = dfa_census(a, n)
     if table.count(a.start, n) == 0:
         raise EmptySlice(f"no accepted words of length {n}")
