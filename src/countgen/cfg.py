@@ -565,10 +565,15 @@ def load_grammar(text: str) -> Grammar:
         productions.append((number, tokens[0], tuple(tokens[2:])))
 
     lines = read_directives(text, {"var": None, "term": None, "start": 1}, rule)
-    variables, (start,) = (tuple(single(lines, key)[1]) for key in ("var", "start"))
+    var_line, variables = single(lines, "var")
+    start_line, (start,) = single(lines, "start")
     number, terminals = single(lines, "term")
+    if len(set(variables)) != len(variables):
+        raise FormatError(f"line {var_line}: variables must be distinct")
+    if start not in variables:
+        raise FormatError(f"line {start_line}: start symbol {start!r} is not a variable")
     if any(len(t) != 1 for t in terminals):
-        raise FormatError("terminals must be single characters")
+        raise FormatError(f"line {number}: terminals must be single characters")
     for t in terminals:
         if t in variables:
             raise FormatError(f"line {number}: {t!r} is both a variable and a terminal")
@@ -580,7 +585,7 @@ def load_grammar(text: str) -> Grammar:
             if sym not in known:
                 raise FormatError(f"line {number}: unknown symbol {sym!r}")
     return Grammar(
-        variables, tuple(terminals), start, tuple((lhs, rhs) for _, lhs, rhs in productions)
+        tuple(variables), tuple(terminals), start, tuple((lhs, rhs) for _, lhs, rhs in productions)
     )
 
 

@@ -110,20 +110,15 @@ def _equal(brute):
     return check
 
 
-def _brute_rank(all_lengths: bool):
-    """Members up to ``args.word`` in length-first alphabet order; shorter
-    lengths count only for a rank over the whole language."""
-
-    def rank(fam, spec, args):
-        total = 0
-        for length in range(0 if all_lengths else len(args.word), len(args.word) + 1):
-            for w in _words(fam.alphabet(spec), length):
-                total += fam.member(spec, w)
-                if w == args.word:
-                    break
-        return total
-
-    return rank
+def _brute_rank(fam, spec, args) -> int:
+    """Members up to ``args.word`` in length-first alphabet order."""
+    total = 0
+    for length in range(len(args.word) + 1):
+        for w in _words(fam.alphabet(spec), length):
+            total += fam.member(spec, w)
+            if w == args.word:
+                break
+    return total
 
 
 def _sampled(fam, spec, args, value):
@@ -257,7 +252,7 @@ _FAMILIES = {
                              a, args.n, src, confidence=retries_for(args.delta) + 1),
                          _sampled, ("n", "seed", "delta")),
             "rank": Op(lambda a, args, src: dfa.dfa_rank(a, args.word),
-                       _equal(_brute_rank(all_lengths=True)), ("word",)),
+                       _equal(_brute_rank), ("word",)),
             "unrank": Op(lambda a, args, src: dfa.dfa_unrank(a, args.k),
                          _round_trip(lambda a, args, w: dfa.dfa_rank(a, w)), ("k",)),
         },
@@ -272,11 +267,10 @@ _FAMILIES = {
                         _equal(_slice_census), ("n",)),
             "sample": Op(lambda a, args, src: nfa.nfa_sample_slice(a, args.n, src, args.delta),
                          _sampled, ("n", "seed", "delta")),
-            "rank": Op(lambda a, args, src: nfa.nfa_rank_slice(a, len(args.word), args.word),
-                       _equal(_brute_rank(all_lengths=False)), ("word",)),
-            "unrank": Op(lambda a, args, src: nfa.nfa_unrank_slice(a, args.n, args.k),
-                         _round_trip(lambda a, args, w: nfa.nfa_rank_slice(a, args.n, w)),
-                         ("n", "k")),
+            "rank": Op(lambda a, args, src: nfa.nfa_rank(a, args.word),
+                       _equal(_brute_rank), ("word",)),
+            "unrank": Op(lambda a, args, src: nfa.nfa_unrank(a, args.k),
+                         _round_trip(lambda a, args, w: nfa.nfa_rank(a, w)), ("k",)),
         },
     ),
     "cfg": Family(

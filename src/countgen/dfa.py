@@ -117,7 +117,7 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
 
 
 def dfa_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
-    """Number of accepted words at or before ``word`` in slice order.
+    """Number of accepted words at or before ``word`` in length-first order.
 
     Counts every accepted word that is shorter, plus the same-length
     accepted words that are lexicographically at most ``word`` (so a
@@ -140,24 +140,34 @@ def dfa_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
 
 def dfa_unrank(a: Dfa, k: int) -> str:
     """The unique accepted word of rank k (1-based); inverse of dfa_rank."""
+    table = CensusTable(a)
+    n, r = slice_of_rank(lambda length: table.count(a.start, length), k, a.n_states)
+    return _unrank_slice(a, table, n, r)
+
+
+def slice_of_rank(census, k: int, n_states: int) -> tuple:
+    """``(n, r)``: the length n of the member of rank k (1-based) of an
+    automaton's language, and its rank r among the members of length n.
+    ``census(n)`` counts the members of length n.
+    """
     if k < 1:
         raise RankOutOfRange("ranks are 1-based")
-    table = CensusTable(a)
     # With N states, an infinite language has a member in every window of N
-    # consecutive lengths [m, m + N): its shortest member w with |w| >= m + N
-    # repeats a state within its first N letters, and cutting that cycle
-    # (length 1..N) leaves a shorter member with length in [m, m + N).  A
-    # finite language has no member of length >= N, which could be pumped.
-    # So once N lengths in a row are empty, every member has been passed.
+    # consecutive lengths [m, m + N): an accepting path of its shortest
+    # member w with |w| >= m + N repeats a state within its first N letters,
+    # and cutting that cycle (length 1..N) leaves a shorter member with
+    # length in [m, m + N).  A finite language has no member of length >= N,
+    # which could be pumped.  So once N lengths in a row are empty, every
+    # member has been passed.
     n = empty = size = 0
-    while k > (count := table.count(a.start, n)):
+    while k > (count := census(n)):
         k -= count
         size += count
         empty = 0 if count else empty + 1
-        if empty == a.n_states:
+        if empty >= n_states:
             raise RankOutOfRange(f"language has only {size} members")
         n += 1
-    return _unrank_slice(a, table, n, k)
+    return n, k
 
 
 def _next_letter(counts: list, moves: tuple, length: int, r: int) -> tuple:
@@ -181,14 +191,6 @@ def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
         s, q, r = _next_letter(counts, a.trans[q], length, r)
         word.append(a.alphabet[s])
     return "".join(word)
-
-
-def slice_rank(a: Dfa, word: str) -> int:
-    """Rank within the fixed-length slice: shorter words are not counted."""
-    n = len(word)
-    table = dfa_census(a, n)
-    full = dfa_rank(a, word, table)
-    return full - sum(table.count(a.start, length) for length in range(n))
 
 
 # Longest slice a language view counts: its census table grows to every

@@ -1,4 +1,5 @@
-"""Ranking slices of bounded-ambiguity NFA languages without enumeration.
+"""Counting, ranking and sampling bounded-ambiguity NFA languages without
+enumeration.
 
 An NFA is kept as one transition matrix per symbol; the number of
 accepting paths on a word is a vector-matrix-vector product.  To count
@@ -7,8 +8,11 @@ the interpolation polynomial q with q(0) = 0 and q(c) = 1 for c up to the
 ambiguity bound.  Powers of path counts summed over whole prefix cones
 collapse to products of Kronecker powers of the transition matrices,
 which is what makes the rank of a slice computable in polynomial time.
-Each call builds the sparse lifts and suffix columns of its slice once;
+Each call builds the sparse lifts and suffix columns of its slices once;
 unranking and sampling walk prefix cones greedily over that table.
+
+Word order is the DFA module's: length-first, then lexicographic in the
+declared alphabet order; ranks are 1-based and a member counts itself.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .coins import FAIL, gen_uniform
-from .dfa import read_automaton
-from .exceptions import AmbiguityExceeded, EmptySlice, FormatError
-from .exceptions import RankOutOfRange, SizeGuard
+from .dfa import read_automaton, slice_of_rank
+from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def _matrix_times_col(matrix, col):
 
 
 class _SliceTable(NamedTuple):
-    """What a slice's census, rank and unrank read, built once per call.
+    """What a slice's census, rank and unrank read, built once per call;
+    ``suffix`` grows to each length ``census`` reads.
 
     The row a prefix reaches, dotted with ``suffix[j]``, is ``scale`` times
     the sum of q(paths), the accepted-word count, over its j-letter cone.
@@ -149,15 +153,22 @@ class _SliceTable(NamedTuple):
 
     lifts: tuple  # per symbol: sparse direct sum of its k-th Kronecker powers, k = 1..d
     start: list  # lifted start row, block k weighted by scale * (q's k-th coefficient)
-    suffix: list  # suffix[j] = (sum of the lifts)**j times the lifted accept column
+    suffix: list  # suffix[j] = alphabet_sum**j times the lifted accept column
     scale: int  # least common denominator of q's coefficients
+    alphabet_sum: tuple  # the sum of the lifts
 
     def words(self, scaled: int) -> int:
         assert scaled % self.scale == 0, "word counts must be integral"
         return scaled // self.scale
 
     def census(self, length: int) -> int:
+        self.grow(length)
         return self.words(_dot(self.start, self.suffix[length]))
+
+    def grow(self, n: int) -> None:
+        """Extend ``suffix`` to cover lengths 0..n."""
+        while len(self.suffix) <= n:
+            self.suffix.append(_matrix_times_col(self.alphabet_sum, self.suffix[-1]))
 
 
 # Largest Kronecker lift dimension, dim**ambiguity, a slice table builds,
@@ -183,10 +194,9 @@ def _slice_table(a: Nfa, n: int) -> _SliceTable:
             power = _kron_power_matrix(m, k)
             rows += [tuple((offset + j, x) for j, x in r) for r in power]
     alphabet_sum = reduce(_matrix_add, lifts, ((),) * len(start))
-    suffix = [tuple(accept)]
-    for _ in range(n):
-        suffix.append(_matrix_times_col(alphabet_sum, suffix[-1]))
-    return _SliceTable(lifts, start, suffix, scale)
+    table = _SliceTable(lifts, start, [tuple(accept)], scale, alphabet_sum)
+    table.grow(n)
+    return table
 
 
 def _cones(table: _SliceTable, row, j: int):
@@ -243,21 +253,17 @@ def nfa_slice_census(a: Nfa, n: int) -> int:
 
 
 def nfa_rank(a: Nfa, beta: str) -> int:
-    """Rank over all lengths: shorter accepted words plus the slice rank."""
+    """Number of accepted words at or before ``beta``: every shorter one
+    plus the slice rank."""
     table = _slice_table(a, len(beta))
-    shorter = sum(table.census(m) for m in range(len(beta)))
-    return shorter + _rank(a, table, beta)
+    return sum(table.census(m) for m in range(len(beta))) + _rank(a, table, beta)
 
 
-def nfa_unrank_slice(a: Nfa, n: int, k: int) -> str:
-    """The k-th (1-based) accepted word of length n; inverse of nfa_rank_slice."""
-    if k < 1:
-        raise RankOutOfRange("ranks are 1-based")
-    table = _slice_table(a, n)
-    census = table.census(n)
-    if k > census:
-        raise EmptySlice(f"slice holds {census} accepted words, fewer than {k}")
-    return _unrank(a, table, n, k)
+def nfa_unrank(a: Nfa, k: int) -> str:
+    """The accepted word of rank k (1-based); inverse of nfa_rank."""
+    table = _slice_table(a, 0)
+    n, r = slice_of_rank(table.census, k, a.dim)
+    return _unrank(a, table, n, r)
 
 
 def validate_ambiguity(a: Nfa, n: int) -> None:
@@ -267,34 +273,6 @@ def validate_ambiguity(a: Nfa, n: int) -> None:
     for length in range(n + 1):
         for tup in iproduct(a.alphabet, repeat=length):
             _bounded_path_count(a, "".join(tup))
-
-
-def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:
-    """Smallest word w of length n with rank_fn(w) >= k, by bisection.
-
-    ``rank_fn`` must be nondecreasing in the lexicographic order on the
-    full slice; the result is the k-th accepted word when ranks count
-    accepted words only.
-    """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if k < 1:
-        raise RankOutOfRange("ranks are 1-based")
-    base = len(alphabet)
-
-    def decode(code):
-        return "".join(alphabet[code // base**i % base] for i in reversed(range(n)))
-
-    lo, hi = 0, base**n - 1
-    if rank_fn(decode(hi)) < k:
-        raise EmptySlice(f"slice holds fewer than {k} accepted words")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rank_fn(decode(mid)) >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return decode(lo)
 
 
 def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):

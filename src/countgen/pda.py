@@ -311,19 +311,28 @@ def load_pda(text: str) -> Pda:
     """
     lines = read_directives(text, {"state": None, "input": None, "stack": None, "init": 1,
                                    "final": None, "consume": 4, "push": 4, "pop": 3})
-    states, stack, (init,) = (tuple(single(lines, key)[1]) for key in ("state", "stack", "init"))
+    states, stack = (tuple(single(lines, key)[1]) for key in ("state", "stack"))
     number, inputs = single(lines, "input")
     if any(len(sym) != 1 or sym == "-" for sym in inputs):
         raise FormatError(f"line {number}: input symbols are single characters; '-' is silent")
+    number, (init,) = single(lines, "init")
+    if init not in stack:
+        raise FormatError(f"line {number}: initial symbol {init!r} is not a stack symbol")
     for number, args in lines["final"]:
         for q in args:
             if q not in states:
                 raise FormatError(f"line {number}: final state {q!r} is not a state")
     finals = frozenset(q for _, args in lines["final"] for q in args)
+    # what each argument of a move line must name
+    known = {"consume": (states, (*inputs, "-"), stack, states),
+             "push": (states, stack, stack, states), "pop": (states, stack, states)}
     moves = []
-    for _, kind, args in sorted(
+    for number, kind, args in sorted(
         (number, kind, args) for kind in ("consume", "push", "pop") for number, args in lines[kind]
     ):
+        for name, names in zip(args, known[kind]):
+            if name not in names:
+                raise FormatError(f"line {number}: {kind} names unknown {name!r}")
         if kind == "consume" and args[1] == "-":
             args = [args[0], None, *args[2:]]
         moves.append((kind, *args))

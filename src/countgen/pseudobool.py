@@ -555,12 +555,20 @@ def load_circuit(text: str) -> Circuit:
             raise FormatError(f"line {number}: unknown node kind {kind!r}")
         values = tuple(integer(number, tok) for tok in args)
         if kind in ("add", "mul"):
+            if not values or not 0 <= min(values) <= max(values) < len(nodes):
+                raise FormatError(f"line {number}: {kind} takes one or more earlier node ids")
             nodes.append((kind, values))
         elif len(values) != 1:
             raise FormatError(f"line {number}: {kind} takes 1 argument, not {len(values)}")
+        elif kind == "in" and values[0] < 1:
+            raise FormatError(f"line {number}: variables are numbered from 1, not {values[0]}")
+        elif kind == "const" and values[0] not in (-1, 0, 1):
+            raise FormatError(f"line {number}: constants must be -1, 0 or 1")
         else:
             nodes.append((kind, values[0] - 1 if kind == "in" else values[0]))
 
     number, (out,) = single(read_directives(text, {"out": 1}, node), "out")
+    if not 0 <= (out := integer(number, out)) < len(nodes):
+        raise FormatError(f"line {number}: output node {out} is not a node")
     n_vars = max((k + 1 for kind, k in nodes if kind == "in"), default=0)
-    return Circuit(n_vars, tuple(nodes), integer(number, out))
+    return Circuit(n_vars, tuple(nodes), out)

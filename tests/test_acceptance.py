@@ -523,7 +523,7 @@ class TestCriterion12:
             ["dfa", "unrank", "-a", paths["ab.dfa"], "-k", "4"],
             ["nfa", "count", "-a", paths["two.nfa"], "-n", "1"],
             ["nfa", "rank", "-a", paths["two.nfa"], "-w", "a"],
-            ["nfa", "unrank", "-a", paths["two.nfa"], "-n", "1", "-k", "1"],
+            ["nfa", "unrank", "-a", paths["two.nfa"], "-k", "1"],
             ["nfa", "sample", "-a", paths["two.nfa"], "-n", "1", "--seed", "3"],
             ["cfg", "count", "-g", paths["catalan.cfg"], "-n", "6"],
             ["cfg", "sample", "-g", paths["catalan.cfg"], "-n", "4",

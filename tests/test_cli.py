@@ -47,6 +47,17 @@ trans 0 a 1
 trans 0 a 1
 """
 
+# (a|b)*, as a DFA and as an NFA
+SIGMA_DFA = """
+states 1
+alphabet a b
+start 0
+finals 0
+trans 0 a 0
+trans 0 b 0
+"""
+SIGMA_NFA = SIGMA_DFA + "ambiguity 1\n"
+
 # b(a|b)*, unambiguous
 B_THEN_ANY_NFA = """
 states 2
@@ -140,6 +151,8 @@ def files(tmp_path):
         ("catalan.cfg", CATALAN),
         ("two.nfa", TWO_ROUTE_NFA),
         ("b_then_any.nfa", B_THEN_ANY_NFA),
+        ("sigma.dfa", SIGMA_DFA),
+        ("sigma.nfa", SIGMA_NFA),
         ("eps.nfa", EPS_NFA),
         ("anbn.pda", ANBN_PDA),
         ("trace.dfa", TRACE_FILE),
@@ -187,6 +200,14 @@ class TestBasicCommands:
         code, out, _ = run_cli(["dfa", "unrank", "-a", files["ab.dfa"], "-k", str(rank)], capsys)
         assert code == 0
         assert out.splitlines()[0] == "abab"
+
+    @pytest.mark.parametrize("family", ["dfa", "nfa"])
+    def test_both_families_rank_length_first(self, files, capsys, family):
+        spec = files[f"sigma.{family}"]
+        assert run_cli([family, "rank", "-a", spec, "-w", "ab", "--oracle"], capsys) == (
+            0, "5\noracle ok\n", "")
+        assert run_cli([family, "unrank", "-a", spec, "-k", "5", "--oracle"], capsys) == (
+            0, "ab\noracle ok\n", "")
 
     def test_nfa_count(self, files, capsys):
         code, out, _ = run_cli(["nfa", "count", "-a", files["two.nfa"], "-n", "1"], capsys)
@@ -361,28 +382,25 @@ class TestFormatsAndErrors:
 class TestRangeValidation:
     @pytest.mark.parametrize("k", ["0", "-5"])
     def test_nfa_unrank_rank_below_one(self, files, capsys, k):
-        code, out, err = run_cli(
-            ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", k], capsys
-        )
+        code, out, err = run_cli(["nfa", "unrank", "-a", files["b_then_any.nfa"], "-k", k], capsys)
         assert code == 1
         assert out == ""
         assert "RankOutOfRange" in err
 
     def test_nfa_unrank_members_then_above_census(self, files, capsys):
         words = []
-        for k in range(1, 5):
-            argv = ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", str(k)]
+        for k in range(1, 8):
+            argv = ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-k", str(k)]
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
             words.append(out.splitlines()[0])
-        assert words == ["baa", "bab", "bba", "bbb"]
-        code, out, err = run_cli(
-            ["nfa", "unrank", "-a", files["b_then_any.nfa"], "-n", "3", "-k", "5"], capsys
+        assert words == ["b", "ba", "bb", "baa", "bab", "bba", "bbb"]
+        # two.nfa accepts only "a"
+        assert run_cli(["nfa", "unrank", "-a", files["two.nfa"], "-k", "2"], capsys) == (
+            1, "", "error: RankOutOfRange: language has only 1 members\n"
         )
-        assert code == 1
-        assert "EmptySlice" in err
 
-    @pytest.mark.parametrize("op", ["count", "sample", "unrank"])
+    @pytest.mark.parametrize("op", ["count", "sample"])
     def test_nfa_negative_length(self, files, capsys, op):
         # eps.nfa accepts the empty word: a length-0 answer would print 1
         code, out, err = run_cli(["nfa", op, "-a", files["eps.nfa"], "-n", "-2"], capsys)
@@ -526,7 +544,7 @@ ENTRY_ARGS = {
     ("nfa", "count"): "-a {b_then_any.nfa} -n 3",
     ("nfa", "sample"): "-a {b_then_any.nfa} -n 3 --seed 3",
     ("nfa", "rank"): "-a {b_then_any.nfa} -w bab",
-    ("nfa", "unrank"): "-a {b_then_any.nfa} -n 3 -k 2",
+    ("nfa", "unrank"): "-a {b_then_any.nfa} -k 5",
     ("cfg", "count"): "-g {catalan.cfg} -n 4",
     ("cfg", "sample"): "-g {catalan.cfg} -n 3 --ambiguity 2 --seed 5",
     ("cfg", "sample --tree"): "-g {catalan.cfg} -n 3 --seed 1",
@@ -564,8 +582,8 @@ WRONG = {
     ("dfa", "unrank"): (dfa, "dfa_unrank", _returns("ba")),
     ("nfa", "count"): (nfa, "nfa_slice_census", _returns(99)),
     ("nfa", "sample"): (nfa, "nfa_sample_slice", _returns("abb")),
-    ("nfa", "rank"): (nfa, "nfa_rank_slice", _returns(99)),
-    ("nfa", "unrank"): (nfa, "nfa_unrank_slice", _returns("bbb")),
+    ("nfa", "rank"): (nfa, "nfa_rank", _returns(99)),
+    ("nfa", "unrank"): (nfa, "nfa_unrank", _returns("bbb")),
     ("cfg", "count"): (cfg, "tree_census", _returns(99)),
     ("cfg", "sample"): (describe, "sample_report", _returns(SampleReport("aa", 1, 0))),
     ("cfg", "sample --tree"): (cfg, "random_tree", _returns(("S", "a"))),
@@ -653,6 +671,7 @@ class TestFamilyTable:
              "cfg sample --tree does not read --ambiguity, --trials"),
             (["trace", "count", "-a", "{trace.dfa}", "-w", "ab", "-n", "2"], "trace count does not read -n"),
             (["pb", "perm", "-m", "{ones3.mat}", "--cnf", "{two.cnf}"], "pb perm does not read --cnf"),
+            (["nfa", "unrank", "-a", "{b_then_any.nfa}", "-n", "2", "-k", "2"], "nfa unrank does not read -n"),
         ],
     )
     def test_unread_flag_is_named(self, files, capsys, argv, refused):

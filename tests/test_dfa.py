@@ -22,10 +22,9 @@ from countgen.dfa import (
     dfa_unrank,
     load_dfa,
     read_automaton,
-    slice_rank,
 )
 from countgen.exceptions import EmptySlice, FormatError, RankOutOfRange
-from countgen.nfa import Nfa, load_nfa
+from countgen.nfa import Nfa, load_nfa, nfa_from_dfa, nfa_rank, nfa_unrank
 
 import test_cli
 import test_nfa
@@ -252,12 +251,15 @@ def random_dfa(seed):
     return Dfa(tuple(alphabet), trans, rng.randrange(states), finals)
 
 
+FIXTURES_AND_RANDOM = [
+    *AUTOMATA, load_dfa(test_cli.AB_STAR), *(random_dfa(seed) for seed in range(16))
+]
+FIXTURE_IDS = [*(f"fixture-{i}" for i in range(len(AUTOMATA) + 1)),
+               *(f"random-{seed}" for seed in range(16))]
+
+
 class TestSampleFastPath:
-    @pytest.mark.parametrize(
-        "a", [*AUTOMATA, load_dfa(test_cli.AB_STAR), *(random_dfa(seed) for seed in range(16))],
-        ids=[*(f"fixture-{i}" for i in range(len(AUTOMATA) + 1)),
-             *(f"random-{seed}" for seed in range(16))],
-    )
+    @pytest.mark.parametrize("a", FIXTURES_AND_RANDOM, ids=FIXTURE_IDS)
     def test_words_and_bits_equal_reference(self, a):
         shared = CensusTable(a)
         for n in (1, 2, 3, 5, 8, 13, 30):
@@ -377,6 +379,34 @@ class TestUnrank:
             dfa_unrank(finite, 2)
         infinite = Dfa(("a",), chain, 0, frozenset({1199}))
         assert dfa_unrank(infinite, 3) == "a" * 1201
+
+
+class TestNfaFamilyAgreement:
+    """Both automaton families rank in the same length-first order."""
+
+    @pytest.mark.parametrize("a", FIXTURES_AND_RANDOM, ids=FIXTURE_IDS)
+    def test_same_rank_and_unrank(self, a):
+        lifted = nfa_from_dfa(a)
+        for length in range(7):
+            for w in words_of(a.alphabet, length):
+                assert nfa_rank(lifted, w) == dfa_rank(a, w)
+        members = members_up_to(a, 6)
+        for k, w in enumerate(members, 1):
+            assert nfa_unrank(lifted, k) == dfa_unrank(a, k) == w
+        if reference_is_finite(a):
+            message = f"^language has only {len(members)} members$"
+            for unrank in (lambda k: dfa_unrank(a, k), lambda k: nfa_unrank(lifted, k)):
+                with pytest.raises(RankOutOfRange, match=message):
+                    unrank(len(members) + 1)
+        else:
+            assert nfa_unrank(lifted, len(members) + 1) == dfa_unrank(a, len(members) + 1)
+
+
+def slice_rank(a, word):
+    """Reference rank within the fixed-length slice: shorter words are not counted."""
+    n = len(word)
+    table = dfa_census(a, n)
+    return dfa_rank(a, word, table) - sum(table.count(a.start, m) for m in range(n))
 
 
 class TestSliceRank:

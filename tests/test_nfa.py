@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from countgen.coins import FAIL, CoinSource, outcome_law
-from countgen.dfa import dfa_from_regex, slice_rank
+from countgen.dfa import dfa_from_regex
 from countgen import nfa
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from countgen.nfa import (
@@ -18,15 +18,53 @@ from countgen.nfa import (
     nfa_rank_slice,
     nfa_sample_slice,
     nfa_slice_census,
-    nfa_unrank_slice,
+    nfa_unrank,
     path_count,
-    unrank_slice,
     validate_ambiguity,
 )
 
 
 def words_of(alphabet, n):
     return ("".join(t) for t in iproduct(alphabet, repeat=n))
+
+
+def members_up_to(a, n):
+    """Accepted words of length at most n, in length-first order."""
+    return [w for m in range(n + 1) for w in words_of(a.alphabet, m) if path_count(a, w) >= 1]
+
+
+def shorter_members(a, n):
+    """Accepted words shorter than n: the rank offset of the length-n slice."""
+    return sum(nfa_slice_census(a, m) for m in range(n))
+
+
+def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:
+    """Reference unranker: the smallest word w of length n with
+    rank_fn(w) >= k, by bisection over the whole slice.
+
+    ``rank_fn`` must be nondecreasing in the lexicographic order on the
+    slice; the result is the k-th accepted word when ranks count accepted
+    words only.
+    """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if k < 1:
+        raise RankOutOfRange("ranks are 1-based")
+    base = len(alphabet)
+
+    def decode(code):
+        return "".join(alphabet[code // base**i % base] for i in reversed(range(n)))
+
+    lo, hi = 0, base**n - 1
+    if rank_fn(decode(hi)) < k:
+        raise EmptySlice(f"slice holds fewer than {k} accepted words")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rank_fn(decode(mid)) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return decode(lo)
 
 
 # two parallel deterministic branches: every word of (a|b)* is accepted
@@ -186,6 +224,8 @@ class TestRankSlice:
             assert nfa_rank_slice(a, n, beta) == expected
 
     def test_unambiguous_matches_dfa_slice_rank(self):
+        from test_dfa import slice_rank
+
         dfa = dfa_from_regex("(ab)*")
         lifted = nfa_from_dfa(dfa)
         for n in (1, 2, 3, 4):
@@ -288,33 +328,34 @@ class TestGreedyUnrank:
     @pytest.mark.parametrize("a", RANK_AUTOMATA)
     @pytest.mark.parametrize("n", range(5))
     def test_matches_bisection(self, a, n):
-        census = nfa_slice_census(a, n)
+        shorter, census = shorter_members(a, n), nfa_slice_census(a, n)
         rank_fn = lambda w: nfa_rank_slice(a, n, w)
         for k in range(1, census + 1):
-            assert nfa_unrank_slice(a, n, k) == unrank_slice(rank_fn, a.alphabet, n, k)
+            assert nfa_unrank(a, shorter + k) == unrank_slice(rank_fn, a.alphabet, n, k)
 
     @pytest.mark.parametrize("a", RANK_AUTOMATA)
     def test_inverts_rank_on_members(self, a):
-        n = 4
-        members = [w for w in words_of(a.alphabet, n) if path_count(a, w) >= 1]
-        for k, w in enumerate(members, start=1):
-            assert nfa_unrank_slice(a, n, k) == w
-            assert nfa_rank_slice(a, n, w) == k
+        for k, w in enumerate(members_up_to(a, 4), start=1):
+            assert nfa_unrank(a, k) == w
+            assert nfa_rank(a, w) == k
 
     @pytest.mark.parametrize("k", [0, -5])
     def test_rank_below_one_rejected(self, k):
         with pytest.raises(RankOutOfRange):
-            nfa_unrank_slice(UNION_OVERLAP, 3, k)
+            nfa_unrank(UNION_OVERLAP, k)
         with pytest.raises(RankOutOfRange):
             unrank_slice(lambda w: nfa_rank_slice(UNION_OVERLAP, 3, w), ("a", "b"), 3, k)
 
     def test_rank_above_census_rejected(self):
-        census = nfa_slice_census(UNION_OVERLAP, 3)
-        assert nfa_unrank_slice(UNION_OVERLAP, 3, census) == "bba"
-        with pytest.raises(EmptySlice):
-            nfa_unrank_slice(UNION_OVERLAP, 3, census + 1)
-        with pytest.raises(EmptySlice):
-            nfa_unrank_slice(DFA_AS_NFA, 3, 1)
+        # the last member of a slice, then the first of the next nonempty one
+        last = shorter_members(UNION_OVERLAP, 4)
+        assert nfa_unrank(UNION_OVERLAP, last) == "bba"
+        assert nfa_unrank(UNION_OVERLAP, last + 1) == "aaaa"
+        # (ab)* skips every odd length; a finite language runs out
+        assert nfa_unrank(DFA_AS_NFA, 3) == "abab"
+        assert nfa_unrank(TWO_PATHS_A, 1) == "a"
+        with pytest.raises(RankOutOfRange, match="^language has only 1 members$"):
+            nfa_unrank(TWO_PATHS_A, 2)
 
     def test_unranked_word_above_bound_raises(self):
         # "a" has 2 accepting paths but the bound says 1: q(2) = 2 makes the
@@ -323,14 +364,23 @@ class TestGreedyUnrank:
         assert nfa_slice_census(bad, 1) == 2
         for k in (1, 2):
             with pytest.raises(AmbiguityExceeded):
-                nfa_unrank_slice(bad, 1, k)
+                nfa_unrank(bad, k)
         with pytest.raises(AmbiguityExceeded):
             nfa_sample_slice(bad, 1, CoinSource(0))
 
     def test_empty_word_slice(self):
-        assert nfa_unrank_slice(DOUBLED, 0, 1) == ""
-        with pytest.raises(EmptySlice):
-            nfa_unrank_slice(TWO_PATHS_A, 0, 1)
+        assert nfa_unrank(DOUBLED, 1) == ""
+        assert nfa_unrank(DOUBLED, 2) == "a"
+        # TWO_PATHS_A does not accept the empty word: its first member is "a"
+        assert nfa_unrank(TWO_PATHS_A, 1) == "a"
+
+    def test_unrank_builds_one_slice_table(self, monkeypatch):
+        k = shorter_members(UNION_OVERLAP, 5) + 1
+        built = []
+        original = nfa._slice_table
+        monkeypatch.setattr(nfa, "_slice_table", lambda *args: built.append(args) or original(*args))
+        assert nfa_unrank(UNION_OVERLAP, k) == "aaaaa"
+        assert built == [(UNION_OVERLAP, 0)]
 
 
 class TestNegativeLength:
@@ -340,7 +390,6 @@ class TestNegativeLength:
         calls = [
             lambda: nfa_slice_census(DOUBLED, n),
             lambda: nfa_rank_slice(DOUBLED, n, ""),
-            lambda: nfa_unrank_slice(DOUBLED, n, 1),
             lambda: nfa_sample_slice(DOUBLED, n, CoinSource(0)),
             lambda: unrank_slice(lambda w: 1, DOUBLED.alphabet, n, 1),
         ]

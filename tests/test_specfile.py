@@ -99,6 +99,20 @@ MALFORMED = {
     "grammar-unknown-variable": (load_grammar, GRAMMAR + "# T\nT -> a\n", 7),
     "grammar-unknown-symbol": (load_grammar, edit(GRAMMAR, 5, "S -> a b"), 5),
     "pda-final-unknown": (load_pda, edit(PDA, 5, "final run\nfinal r # none"), 6),
+    "pda-init-unknown": (load_pda, edit(PDA, 4, "init Q"), 4),
+    "pda-move-state": (load_pda, edit(PDA, 11, "pop run@b X nowhere"), 11),
+    "pda-move-input": (load_pda, edit(PDA, 6, "consume run c Z run@a"), 6),
+    "pda-move-stack": (load_pda, edit(PDA, 8, "push run@a Z Y run"), 8),
+    "grammar-start-unknown": (load_grammar, edit(GRAMMAR, 3, "start T"), 3),
+    "grammar-var-repeated": (load_grammar, edit(GRAMMAR, 1, "var S S"), 1),
+    "grammar-term-long": (load_grammar, edit(GRAMMAR, 2, "term ab"), 2),
+    # a value the circuit refuses
+    "circuit-in-zero": (load_circuit, edit(CIRCUIT, 1, "0 in 0"), 1),
+    "circuit-const-two": (load_circuit, edit(CIRCUIT, 2, "1 const 2"), 2),
+    "circuit-add-empty": (load_circuit, edit(CIRCUIT, 3, "2 add"), 3),
+    "circuit-add-forward": (load_circuit, edit(CIRCUIT, 3, "2 add 0 2"), 3),
+    "circuit-mul-negative": (load_circuit, edit(CIRCUIT, 3, "2 mul 0 -1"), 3),
+    "circuit-out-range": (load_circuit, edit(CIRCUIT, 4, "out 3"), 4),
 }
 
 
@@ -211,10 +225,32 @@ class TestPdaLines:
          "line 4: unknown symbol 'b'"),
         (["pda", "grammar", "-n", "2", "-m"], "final.pda", edit(PDA, 5, "final r"),
          "line 5: final state 'r' is not a state"),
+        (["pb", "derand", "--circuit"], "zero.circ", "0 in 0\nout 0\n",
+         "line 1: variables are numbered from 1, not 0"),
+        (["pb", "derand", "--circuit"], "two.circ", "0 const 2\nout 0\n",
+         "line 1: constants must be -1, 0 or 1"),
+        (["pb", "derand", "--circuit"], "ahead.circ", "0 in 1\n1 add 0 1\nout 1\n",
+         "line 2: add takes one or more earlier node ids"),
+        (["pb", "derand", "--circuit"], "out.circ", "0 in 1\nout 1\n",
+         "line 2: output node 1 is not a node"),
+        (["cfg", "count", "-n", "1", "-g"], "start.cfg", edit(GRAMMAR, 3, "start T"),
+         "line 3: start symbol 'T' is not a variable"),
+        (["cfg", "count", "-n", "1", "-g"], "twice.cfg", edit(GRAMMAR, 1, "var S S"),
+         "line 1: variables must be distinct"),
+        (["pda", "grammar", "-n", "2", "-m"], "init.pda", edit(PDA, 4, "init Q"),
+         "line 4: initial symbol 'Q' is not a stack symbol"),
+        (["pda", "grammar", "-n", "2", "-m"], "state.pda", edit(PDA, 11, "pop run@b X nowhere"),
+         "line 11: pop names unknown 'nowhere'"),
+        (["pda", "grammar", "-n", "2", "-m"], "input.pda", edit(PDA, 6, "consume run c Z run@a"),
+         "line 6: consume names unknown 'c'"),
+        (["pda", "grammar", "-n", "2", "-m"], "stack.pda", edit(PDA, 8, "push run@a Z Y run"),
+         "line 8: push names unknown 'Y'"),
     ],
     ids=["pda-short-move", "pda-empty-init", "pda-dash-input", "cfg-overlap", "matrix-x",
          "circuit-const", "dfa-form-feed", "cfg-unknown-variable", "cfg-unknown-symbol",
-         "pda-unknown-final"],
+         "pda-unknown-final", "circuit-in-zero", "circuit-const-two", "circuit-add-ahead",
+         "circuit-out-range", "cfg-unknown-start", "cfg-repeated-variable", "pda-unknown-init",
+         "pda-unknown-state", "pda-unknown-input", "pda-unknown-stack"],
 )
 def test_cli_names_the_line(tmp_path, capsys, argv, name, text, message):
     spec = tmp_path / name
