@@ -113,6 +113,12 @@ class CnfGrammar:
         scanned = {a: {t: (a, (t,), 1) for t in self.unary[a]} for a in self.variables}
         return corner, binary, unary, scanned
 
+    @cached_property
+    def tree_table(self) -> TreeTable:
+        """The grammar's one tree-census table, built empty on first use;
+        each reader grows it to the yield length it reads."""
+        return tree_census_table(self, 0)
+
     def productive_variables(self):
         productive = {a for a in self.variables if self.unary[a]}
         changed = True
@@ -157,50 +163,50 @@ class TreeTable(dict):
 
     def __init__(self, g: CnfGrammar):
         super().__init__((a, [0]) for a in g.variables)
+        self.grammar = g
         self.splits = {
             a: tuple((self[b], self[c], b, c) for b, c in g.binary[a]) for a in g.variables
         }
 
+    def grow(self, n: int) -> "TreeTable":
+        """Append yield lengths until every row covers 0..n."""
+        if n < 0:
+            raise ValueError("yield length must be nonnegative")
+        g = self.grammar
+        for length in range(len(self[g.start]), n + 1):
+            for a in g.variables:
+                total = len(g.unary[a]) if length == 1 else 0
+                for row_b, row_c, _, _ in self.splits[a]:
+                    total += sum(
+                        row_b[i] * row_c[length - i] for i in range(1, length)
+                    )
+                self[a].append(total)
+        return self
+
 
 def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
-    """table[a][l] = number of derivation trees from a with yield length l."""
-    return grow_tree_table(g, TreeTable(g), n)
-
-
-def grow_tree_table(g: CnfGrammar, table: TreeTable, n: int) -> TreeTable:
-    """Append yield lengths to ``table`` until every row covers 0..n."""
-    if n < 0:
-        raise ValueError("yield length must be nonnegative")
-    for length in range(len(table[g.start]), n + 1):
-        for a in g.variables:
-            total = len(g.unary[a]) if length == 1 else 0
-            for b, c in g.binary[a]:
-                row_b, row_c = table[b], table[c]
-                total += sum(
-                    row_b[i] * row_c[length - i] for i in range(1, length)
-                )
-            table[a].append(total)
-    return table
+    """A fresh table whose rows cover yield lengths 0..n."""
+    return TreeTable(g).grow(n)
 
 
 def tree_census(g: CnfGrammar, a, n: int) -> int:
     """Number of derivation trees rooted at ``a`` with yield length n."""
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    return tree_census_table(g, n)[a][n]
+    return g.tree_table.grow(n)[a][n]
 
 
-def random_tree(g: CnfGrammar, n: int, src, table: TreeTable | None = None):
+def random_tree(g: CnfGrammar, n: int, src):
     """Uniform derivation tree with yield length n, or FAIL.
 
     The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
     is global, not per recursion level); the failure probability is at
-    most (2n - 1) / 2**kappa, below 1/4.  A given ``table`` (from
-    ``tree_census_table``) is grown to n in place.
+    most (2n - 1) / 2**kappa, below 1/4.  The grammar's ``tree_table`` is
+    grown to n in place.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    table = tree_census_table(g, n) if table is None else grow_tree_table(g, table, n)
+    table = g.tree_table.grow(n)
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
     splits = table.splits
@@ -272,10 +278,7 @@ def enumerate_trees(g: CnfGrammar, a, n: int):
     """All derivation trees from ``a`` with yield length n (oracle use)."""
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    return _enumerate(g, tree_census_table(g, n), a, n)
-
-
-def _enumerate(g: CnfGrammar, table: dict, a, n: int):
+    table = g.tree_table.grow(n)
     if table[a][n] > _TREE_GUARD:
         raise SizeGuard("too many trees to enumerate")
 
@@ -515,32 +518,19 @@ def cfl_description(g: CnfGrammar, bound: Bound) -> Description:
     and the multiplicity of a word is its number of derivation trees,
     counted by the weighted Earley chart.
     """
-    table = tree_census_table(g, 0)
-
-    def sampler(n, src):
-        return random_tree(g, n, src, table=table)
-
     return Description(
-        sampler=sampler,
+        sampler=lambda n, src: random_tree(g, n, src),
         project=tree_yield,
         ambiguity=lambda word: earley_count(g, word),
         bound=bound,
-        census=lambda n: grow_tree_table(g, table, n)[g.start][n],
+        census=lambda n: g.tree_table.grow(n)[g.start][n],
     )
 
 
 def validate_cfl_bound(g: CnfGrammar, bound: Bound, up_to: int) -> None:
     """Check the tree-count bound on every derivable word of length <= up_to."""
-    table = tree_census_table(g, max(up_to, 0))
     for n in range(1, up_to + 1):
-        if table[g.start][n] == 0:
-            continue
-        seen = set()
-        for tree in _enumerate(g, table, g.start, n):
-            w = tree_yield(tree)
-            if w in seen:
-                continue
-            seen.add(w)
+        for w in dict.fromkeys(map(tree_yield, enumerate_trees(g, g.start, n))):
             count = earley_count(g, w)
             if count > bound(n):
                 raise AmbiguityExceeded(

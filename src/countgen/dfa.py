@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import WordLanguage
-from .exceptions import EmptySlice, FormatError, RankOutOfRange
+from .exceptions import EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from .specfile import integer, read_directives, single
 
 
@@ -116,7 +116,7 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     return "".join(word)
 
 
-def dfa_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
+def dfa_rank(a: Dfa, word: str) -> int:
     """Number of accepted words at or before ``word`` in length-first order.
 
     Counts every accepted word that is shorter, plus the same-length
@@ -124,8 +124,7 @@ def dfa_rank(a: Dfa, word: str, table: CensusTable | None = None) -> int:
     member counts itself).
     """
     n = len(word)
-    if table is None:
-        table = dfa_census(a, n)
+    table = dfa_census(a, n)
     rank = sum(table.count(a.start, length) for length in range(n))
     q = a.start
     for i, sym in enumerate(word):
@@ -142,13 +141,14 @@ def dfa_unrank(a: Dfa, k: int) -> str:
     """The unique accepted word of rank k (1-based); inverse of dfa_rank."""
     table = CensusTable(a)
     n, r = slice_of_rank(lambda length: table.count(a.start, length), k, a.n_states)
-    return _unrank_slice(a, table, n, r)
+    return _unrank_slice(table, n, r)
 
 
 def slice_of_rank(census, k: int, n_states: int) -> tuple:
     """``(n, r)``: the length n of the member of rank k (1-based) of an
     automaton's language, and its rank r among the members of length n.
-    ``census(n)`` counts the members of length n.
+    ``census(n)`` counts the members of length n.  Raises SizeGuard
+    rather than read the census past length ``_LANGUAGE_MAX_LEN``.
     """
     if k < 1:
         raise RankOutOfRange("ranks are 1-based")
@@ -167,6 +167,8 @@ def slice_of_rank(census, k: int, n_states: int) -> tuple:
         if empty >= n_states:
             raise RankOutOfRange(f"language has only {size} members")
         n += 1
+        if n > _LANGUAGE_MAX_LEN:
+            raise SizeGuard(f"rank {size + k} not reached by length {_LANGUAGE_MAX_LEN}")
     return n, k
 
 
@@ -183,8 +185,8 @@ def _next_letter(counts: list, moves: tuple, length: int, r: int) -> tuple:
     raise AssertionError("rank exceeded slice census")
 
 
-def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
-    counts = table.grow(n).counts
+def _unrank_slice(table: CensusTable, n: int, r: int) -> str:
+    a, counts = table.dfa, table.grow(n).counts
     q = a.start
     word = []
     for length in range(n, 0, -1):
@@ -193,8 +195,8 @@ def _unrank_slice(a: Dfa, table: CensusTable, n: int, r: int) -> str:
     return "".join(word)
 
 
-# Longest slice a language view counts: its census table grows to every
-# length it is asked for.
+# Longest slice a language view counts and unranking walks to: a census
+# table grows to every length it is asked for.
 _LANGUAGE_MAX_LEN = 4096
 
 
@@ -211,7 +213,7 @@ def dfa_language(a: Dfa) -> WordLanguage:
         return dfa_sample(a, n, src, table=table)
 
     def unrank(n: int, i: int) -> str:
-        return _unrank_slice(a, table, n, i)
+        return _unrank_slice(table, n, i)
 
     return WordLanguage(sample, a.accepts, census, unrank)
 

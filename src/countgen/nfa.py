@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice, product as iproduct
 from math import lcm
 from typing import NamedTuple
@@ -55,9 +55,17 @@ class Nfa:
     def dim(self) -> int:
         return len(self.start)
 
-    def matrix(self, sym: str):
+    @cached_property
+    def letter_rows(self) -> tuple:
+        """Per symbol, its matrix as sparse rows of (column, value)."""
+        return tuple(
+            tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+            for m in self.matrices
+        )
+
+    def symbol_index(self, sym: str) -> int:
         try:
-            return self.matrices[self.alphabet.index(sym)]
+            return self.alphabet.index(sym)
         except ValueError:
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
 
@@ -80,7 +88,7 @@ def path_count(a: Nfa, word: str) -> int:
     """Number of accepting paths on ``word``."""
     row = a.start
     for sym in word:
-        row = _row_times_matrix(row, _kron_power_matrix(a.matrix(sym), 1))
+        row = _row_times_matrix(row, a.letter_rows[a.symbol_index(sym)])
     return _dot(row, a.accept)
 
 
@@ -114,13 +122,12 @@ def build_q(d: int) -> QPoly:
     return poly
 
 
-def _kron_power_matrix(m, k):
-    """k-th Kronecker power of a dense matrix, as sparse rows of (column, value)."""
-    base = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+def _kron_power_matrix(base, k):
+    """k-th Kronecker power of a square matrix of sparse rows of (column, value)."""
     out = base
     for _ in range(k - 1):
         out = tuple(
-            tuple((j * len(m) + l, x * y) for j, x in ra for l, y in rb)
+            tuple((j * len(base) + l, x * y) for j, x in ra for l, y in rb)
             for ra in out
             for rb in base
         )
@@ -190,8 +197,8 @@ def _slice_table(a: Nfa, n: int) -> _SliceTable:
         offset = len(start)
         start += [int(coeff * scale) * x for x in _kron_power_vec(a.start, k)]
         accept += _kron_power_vec(a.accept, k)
-        for rows, m in zip(lifts, a.matrices):
-            power = _kron_power_matrix(m, k)
+        for rows, base in zip(lifts, a.letter_rows):
+            power = _kron_power_matrix(base, k)
             rows += [tuple((offset + j, x) for j, x in r) for r in power]
     alphabet_sum = reduce(_matrix_add, lifts, ((),) * len(start))
     table = _SliceTable(lifts, start, [tuple(accept)], scale, alphabet_sum)

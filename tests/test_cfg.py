@@ -8,6 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from countgen import cfg
 from countgen.cfg import (
     CnfGrammar,
     TreeTable,
@@ -18,7 +19,6 @@ from countgen.cfg import (
     earley_count,
     enumerate_trees,
     format_tree,
-    grow_tree_table,
     load_grammar,
     random_tree,
     to_cnf,
@@ -72,6 +72,12 @@ MIXED = CnfGrammar(
 )
 
 GRAMMARS = [CATALAN, PAIR, ANBN, MIXED]
+
+
+def fresh_copy(g):
+    """An equal grammar whose tree table is not yet built."""
+    return CnfGrammar(g.variables, g.terminals, g.start, g.binary, g.unary)
+
 
 # concatenation of two even palindromes, ambiguity linear in n
 PALINDROME_PAIRS = Grammar(
@@ -139,7 +145,7 @@ class TestTreeCensus:
     def test_grown_out_of_order_matches_fresh(self, g):
         table = tree_census_table(g, 0)
         for n in (3, 9, 5):
-            assert grow_tree_table(g, table, n) is table
+            assert table.grow(n) is table
         for n in range(10):
             fresh = tree_census_table(g, n)
             assert {a: row[: n + 1] for a, row in table.items()} == fresh
@@ -150,6 +156,24 @@ class TestTreeCensus:
         desc = cfl_description(g, Bound(const=100))
         for n in (3, 9, 5, 1, 7):
             assert desc.census(n) == tree_census(g, g.start, n)
+
+    def test_every_reader_builds_one_table_per_grammar(self, monkeypatch):
+        built, build = [], cfg.tree_census_table
+
+        def counting(g, n):
+            built.append(g)
+            return build(g, n)
+
+        monkeypatch.setattr(cfg, "tree_census_table", counting)
+        grammars = [fresh_copy(g) for g in GRAMMARS]
+        for g in grammars:
+            n = next(n for n in range(1, 7) if tree_census(g, g.start, n))
+            random_tree(g, n, CoinSource(0))
+            enumerate_trees(g, g.start, 6)
+            validate_cfl_bound(g, Bound(const=100), 5)
+            assert cfl_description(g, Bound(const=100)).census(8) == tree_census(g, g.start, 8)
+        assert built == grammars
+        assert [g.tree_table.grammar for g in grammars] == grammars
 
 
 class TestRandomTree:
@@ -192,17 +216,18 @@ class TestRandomTree:
 
     @pytest.mark.parametrize("g", GRAMMARS)
     def test_shared_grown_table_keeps_law_and_bits(self, g):
-        shared = tree_census_table(g, 9)
+        grown = fresh_copy(g)
+        grown.tree_table.grow(9)
         for n in range(1, 4):
             if tree_census(g, g.start, n) == 0:
                 continue
 
-            def run(src, table=None):
-                return random_tree(g, n, src, table=table), src.bits_consumed
+            def run(src, grammar):
+                return random_tree(grammar, n, src), src.bits_consumed
 
-            fresh = outcome_law(run)
-            assert outcome_law(lambda src: run(src, shared)) == fresh
-            assert outcome_law(lambda src: run(src, tree_census_table(g, 0))) == fresh
+            fresh = outcome_law(lambda src: run(src, fresh_copy(g)))
+            assert outcome_law(lambda src: run(src, grown)) == fresh
+            assert outcome_law(lambda src: run(src, g)) == fresh
 
     def test_yields_have_requested_length(self):
         for seed in range(100):
@@ -355,13 +380,14 @@ class TestSplitSearch:
                     random_tree(grammar, n, CoinSource(0))
                 continue
             reference = tree_census_table(grammar, n)
-            shared = tree_census_table(grammar, 0)
             for seed in range(6):
                 ref = CoinSource(seed)
                 expected = reference_random_tree(grammar, n, ref, table=reference)
-                for table in (shared,) if seed else (None, shared):
+                # the grammar's own table grows over the lengths; a fresh
+                # copy builds its table at n
+                for sampled in (grammar,) if seed else (fresh_copy(grammar), grammar):
                     src = CoinSource(seed)
-                    assert random_tree(grammar, n, src, table=table) == expected, (n, seed)
+                    assert random_tree(sampled, n, src) == expected, (n, seed)
                     assert src.bits_consumed == ref.bits_consumed
 
     def test_random_grammars_reach_long_trees(self):
@@ -372,12 +398,12 @@ class TestSplitSearch:
 
     def test_split_rows_are_the_table_rows(self):
         table = tree_census_table(MIXED, 3)
-        assert isinstance(table, TreeTable)
+        assert isinstance(table, TreeTable) and table.grammar is MIXED
         for a in MIXED.variables:
             assert [(b, c) for _, _, b, c in table.splits[a]] == list(MIXED.binary[a])
             for row_b, row_c, b, c in table.splits[a]:
                 assert row_b is table[b] and row_c is table[c]
-        grow_tree_table(MIXED, table, 9)
+        table.grow(9)
         assert all(len(row_b) == 10 for a in MIXED.variables for row_b, *_ in table.splits[a])
 
 

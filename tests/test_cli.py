@@ -58,6 +58,10 @@ trans 0 b 0
 """
 SIGMA_NFA = SIGMA_DFA + "ambiguity 1\n"
 
+# a*, as a DFA and as an NFA
+ASTAR_DFA = "states 1\nalphabet a\nstart 0\nfinals 0\ntrans 0 a 0\n"
+ASTAR_NFA = ASTAR_DFA + "ambiguity 1\n"
+
 # b(a|b)*, unambiguous
 B_THEN_ANY_NFA = """
 states 2
@@ -153,6 +157,8 @@ def files(tmp_path):
         ("b_then_any.nfa", B_THEN_ANY_NFA),
         ("sigma.dfa", SIGMA_DFA),
         ("sigma.nfa", SIGMA_NFA),
+        ("astar.dfa", ASTAR_DFA),
+        ("astar.nfa", ASTAR_NFA),
         ("eps.nfa", EPS_NFA),
         ("anbn.pda", ANBN_PDA),
         ("trace.dfa", TRACE_FILE),
@@ -208,6 +214,12 @@ class TestBasicCommands:
             0, "5\noracle ok\n", "")
         assert run_cli([family, "unrank", "-a", spec, "-k", "5", "--oracle"], capsys) == (
             0, "ab\noracle ok\n", "")
+
+    @pytest.mark.parametrize("family", ["dfa", "nfa"])
+    def test_unrank_past_the_longest_slice_is_refused(self, files, capsys, family):
+        spec = files[f"astar.{family}"]
+        assert run_cli([family, "unrank", "-a", spec, "-k", "1000000000"], capsys) == (
+            1, "", "error: SizeGuard: rank 1000000000 not reached by length 4096\n")
 
     def test_nfa_count(self, files, capsys):
         code, out, _ = run_cli(["nfa", "count", "-a", files["two.nfa"], "-n", "1"], capsys)

@@ -23,7 +23,7 @@ from countgen.dfa import (
     load_dfa,
     read_automaton,
 )
-from countgen.exceptions import EmptySlice, FormatError, RankOutOfRange
+from countgen.exceptions import EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from countgen.nfa import Nfa, load_nfa, nfa_from_dfa, nfa_rank, nfa_unrank
 
 import test_cli
@@ -401,12 +401,20 @@ class TestNfaFamilyAgreement:
         else:
             assert nfa_unrank(lifted, len(members) + 1) == dfa_unrank(a, len(members) + 1)
 
+    def test_unrank_stops_at_the_longest_slice(self):
+        a = dfa_from_regex("a*")
+        lifted = nfa_from_dfa(a)
+        for unrank in (lambda k: dfa_unrank(a, k), lambda k: nfa_unrank(lifted, k)):
+            assert unrank(4097) == "a" * 4096
+            with pytest.raises(SizeGuard, match="^rank 4098 not reached by length 4096$"):
+                unrank(4098)
+
 
 def slice_rank(a, word):
     """Reference rank within the fixed-length slice: shorter words are not counted."""
     n = len(word)
     table = dfa_census(a, n)
-    return dfa_rank(a, word, table) - sum(table.count(a.start, m) for m in range(n))
+    return dfa_rank(a, word) - sum(table.count(a.start, m) for m in range(n))
 
 
 class TestSliceRank:

@@ -130,7 +130,7 @@ def brute_paths(a, word):
     """Path enumeration oracle: walk all state sequences."""
     paths = [(i, a.start[i]) for i in range(a.dim) if a.start[i]]
     for sym in word:
-        m = a.matrix(sym)
+        m = a.matrices[a.symbol_index(sym)]
         nxt = {}
         for state, mult in paths:
             for j in range(a.dim):
@@ -202,8 +202,8 @@ class TestKroneckerIdentity:
         for n in range(4):
             brute = sum(path_count(a, w) ** k for w in words_of(a.alphabet, n))
             lifted_sum = None
-            for sym in a.alphabet:
-                m = _kron_power_matrix(a.matrix(sym), k)
+            for rows in a.letter_rows:
+                m = _kron_power_matrix(rows, k)
                 lifted_sum = m if lifted_sum is None else _matrix_add(lifted_sum, m)
             col = _kron_power_vec(a.accept, k)
             for _ in range(n):
