@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, NamedTuple, Optional
@@ -75,13 +76,20 @@ def _derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _digits(n: int) -> str:
+    # exact at any size: str(int) refuses more than sys.get_int_max_str_digits()
+    return str(Decimal(n))
+
+
 def _render(value) -> str:
     if value is FAIL:
         return "FAIL (⊥)"
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
     if isinstance(value, tuple):
         return "".join(str(v) for v in value)
+    if type(value) is int:
+        return _digits(value)
     return str(value)
 
 
@@ -158,13 +166,16 @@ def _above_expectation(fam, problem, args, value):
 
 
 class Op(NamedTuple):
-    """One op: ``call(spec, args, src)``, its oracle (None: ``--oracle`` is
-    refused) and the flags it reads.  An op that reads ``seed`` reports one
-    trial unless it returns a SampleReport, which carries its own count."""
+    """One op: ``call(subject, args, src)``, its oracle (None: ``--oracle``
+    is refused) and the flags it reads.  ``prepare(spec, args)`` makes the
+    subject once per run, before the ``--repeat`` loop.  An op that reads
+    ``seed`` reports one trial unless it returns a SampleReport, which
+    carries its own count."""
 
     call: Callable
     oracle: Optional[Callable]
     flags: tuple
+    prepare: Callable = lambda spec, args: spec
 
 
 class Family(NamedTuple):
@@ -176,18 +187,19 @@ class Family(NamedTuple):
 
 
 def _described(desc, ops=("sample", "estimate", "exact")) -> dict:
-    """Ops served through the Description ``desc(spec, args)``."""
+    """Ops served through the Description ``desc(spec, args)``, built once
+    per run."""
     flags = ("n", "ambiguity", "seed")
     made = {
-        "sample": Op(lambda s, args, src: describe.sample_report(
-                         desc(s, args), args.n, src, trials=args.trials),
-                     _sampled, flags + ("trials",)),
-        "estimate": Op(lambda s, args, src: describe.estimate_census(
-                           desc(s, args), args.n, args.epsilon, src),
-                       _band, flags + ("epsilon",)),
-        "exact": Op(lambda s, args, src: describe.exact_count(
-                        desc(s, args), args.n, src, ceiling=args.ceiling),
-                    _equal(_slice_census), flags + ("ceiling",)),
+        "sample": Op(lambda d, args, src: describe.sample_report(
+                         d, args.n, src, trials=args.trials),
+                     _sampled, flags + ("trials",), desc),
+        "estimate": Op(lambda d, args, src: describe.estimate_census(
+                           d, args.n, args.epsilon, src),
+                       _band, flags + ("epsilon",), desc),
+        "exact": Op(lambda d, args, src: describe.exact_count(
+                        d, args.n, src, ceiling=args.ceiling),
+                    _equal(_slice_census), flags + ("ceiling",), desc),
     }
     return {op: made[op] for op in ops}
 
@@ -404,10 +416,11 @@ def dispatch(argv) -> int:
     lines = []
     try:
         spec = fam.load(args)
+        subject = op.prepare(spec, args)
         for index in range(args.repeat):
             seed = _derive_seed(args.seed, index)
             src = CoinSource(seed)
-            value = op.call(spec, args, src)
+            value = op.call(subject, args, src)
             trials = int("seed" in op.flags)
             if isinstance(value, SampleReport):
                 value, trials = value.value, value.trials

@@ -95,12 +95,15 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     At each remaining length, a rank is drawn by rejection against the
     census of the current state (confidence + ceil(log n) attempts) and
     prefix sums pick the next letter.  The failure probability is at most
-    n / 2**kappa <= 2**-confidence.
+    n / 2**kappa <= 2**-confidence.  A ``table`` passed in must be the
+    census of ``a`` itself; one of another automaton is refused.
     """
     if n < 1:
         raise ValueError("slice length must be >= 1")
     if table is None:
         table = dfa_census(a, n)
+    elif table.dfa is not a:
+        raise ValueError("census table belongs to another automaton")
     if table.count(a.start, n) == 0:
         raise EmptySlice(f"no accepted words of length {n}")
     kappa = confidence + bit_size(n)

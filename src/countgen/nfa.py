@@ -8,8 +8,8 @@ the interpolation polynomial q with q(0) = 0 and q(c) = 1 for c up to the
 ambiguity bound.  Powers of path counts summed over whole prefix cones
 collapse to products of Kronecker powers of the transition matrices,
 which is what makes the rank of a slice computable in polynomial time.
-Each call builds the sparse lifts and suffix columns of its slices once;
-unranking and sampling walk prefix cones greedily over that table.
+Each call builds one ``SliceTable`` of sparse lifts and growable suffix
+columns; unranking and sampling walk prefix cones greedily over it.
 
 Word order is the DFA module's: length-first, then lexicographic in the
 declared alphabet order; ranks are 1-based and a member counts itself.
@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice, product as iproduct
 from math import lcm
-from typing import NamedTuple
 
 from .coins import FAIL, gen_uniform
 from .dfa import read_automaton, slice_of_rank
@@ -150,72 +149,73 @@ def _matrix_times_col(matrix, col):
     return tuple(sum(x * col[j] for j, x in row) for row in matrix)
 
 
-class _SliceTable(NamedTuple):
-    """What a slice's census, rank and unrank read, built once per call;
-    ``suffix`` grows to each length ``census`` reads.
-
-    The row a prefix reaches, dotted with ``suffix[j]``, is ``scale`` times
-    the sum of q(paths), the accepted-word count, over its j-letter cone.
-    """
-
-    lifts: tuple  # per symbol: sparse direct sum of its k-th Kronecker powers, k = 1..d
-    start: list  # lifted start row, block k weighted by scale * (q's k-th coefficient)
-    suffix: list  # suffix[j] = alphabet_sum**j times the lifted accept column
-    scale: int  # least common denominator of q's coefficients
-    alphabet_sum: tuple  # the sum of the lifts
-
-    def words(self, scaled: int) -> int:
-        assert scaled % self.scale == 0, "word counts must be integral"
-        return scaled // self.scale
-
-    def census(self, length: int) -> int:
-        self.grow(length)
-        return self.words(_dot(self.start, self.suffix[length]))
-
-    def grow(self, n: int) -> None:
-        """Extend ``suffix`` to cover lengths 0..n."""
-        while len(self.suffix) <= n:
-            self.suffix.append(_matrix_times_col(self.alphabet_sum, self.suffix[-1]))
-
-
 # Largest Kronecker lift dimension, dim**ambiguity, a slice table builds,
 # and most words validate_ambiguity probes.
 _LIFT_CEILING = 4096
 _PROBE_MAX_WORDS = 1 << 16
 
 
-def _slice_table(a: Nfa, n: int) -> _SliceTable:
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    d = a.ambiguity
-    if a.dim**d > _LIFT_CEILING:
-        raise SizeGuard(f"lift dimension {a.dim}**{d} above {_LIFT_CEILING}")
-    coefficients = build_q(d).coefficients
-    scale = lcm(*(c.denominator for c in coefficients))
-    start, accept, lifts = [], [], tuple([] for _ in a.matrices)
-    for k, coeff in enumerate(coefficients, start=1):
-        offset = len(start)
-        start += [int(coeff * scale) * x for x in _kron_power_vec(a.start, k)]
-        accept += _kron_power_vec(a.accept, k)
-        for rows, base in zip(lifts, a.letter_rows):
-            power = _kron_power_matrix(base, k)
-            rows += [tuple((offset + j, x) for j, x in r) for r in power]
-    alphabet_sum = reduce(_matrix_add, lifts, ((),) * len(start))
-    table = _SliceTable(lifts, start, [tuple(accept)], scale, alphabet_sum)
-    table.grow(n)
-    return table
+class SliceTable:
+    """What an NFA's slice census, rank and unrank read, built from the
+    automaton ``nfa`` alone: per symbol, the sparse direct sum of its k-th
+    Kronecker powers, k = 1..d (``lifts``, summed in ``alphabet_sum``); the
+    lifted start row, block k weighted by ``scale`` times q's k-th
+    coefficient; and ``suffix[j]``, alphabet_sum**j times the lifted accept
+    column, grown to each length read.  The row a prefix reaches, dotted
+    with ``suffix[j]``, is ``scale`` (q's least common denominator) times
+    the sum of q(paths), the accepted-word count, over its j-letter cone.
+    """
+
+    def __init__(self, a: Nfa):
+        d = a.ambiguity
+        if a.dim**d > _LIFT_CEILING:
+            raise SizeGuard(f"lift dimension {a.dim}**{d} above {_LIFT_CEILING}")
+        coefficients = build_q(d).coefficients
+        self.nfa, self.scale = a, lcm(*(c.denominator for c in coefficients))
+        self.start, accept, self.lifts = [], [], tuple([] for _ in a.matrices)
+        for k, coeff in enumerate(coefficients, start=1):
+            offset = len(self.start)
+            self.start += [int(coeff * self.scale) * x for x in _kron_power_vec(a.start, k)]
+            accept += _kron_power_vec(a.accept, k)
+            for rows, base in zip(self.lifts, a.letter_rows):
+                rows += [tuple((offset + j, x) for j, x in r) for r in _kron_power_matrix(base, k)]
+        self.suffix = [tuple(accept)]
+        self.alphabet_sum = reduce(_matrix_add, self.lifts, ((),) * len(self.start))
+
+    def words(self, scaled: int) -> int:
+        # q is 0 or 1 up to the bound, so a negative count proves a word above it
+        assert scaled % self.scale == 0, "word counts must be integral"
+        count = scaled // self.scale
+        if count < 0:
+            raise AmbiguityExceeded(
+                f"negative word count {count}: a word has more than "
+                f"{self.nfa.ambiguity} accepting paths"
+            )
+        return count
+
+    def census(self, length: int) -> int:
+        self.grow(length)
+        return self.words(_dot(self.start, self.suffix[length]))
+
+    def grow(self, n: int) -> "SliceTable":
+        """Extend ``suffix`` to cover lengths 0..n."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        while len(self.suffix) <= n:
+            self.suffix.append(_matrix_times_col(self.alphabet_sum, self.suffix[-1]))
+        return self
 
 
-def _cones(table: _SliceTable, row, j: int):
+def _cones(table: SliceTable, row, j: int):
     """(scaled count, row) of each one-letter extension of a prefix, in order."""
     for lift in table.lifts:
         child = _row_times_matrix(row, lift)
         yield _dot(child, table.suffix[j]), child
 
 
-def _unrank(a: Nfa, table: _SliceTable, n: int, r: int) -> str:
+def _unrank(table: SliceTable, n: int, r: int) -> str:
     """The r-th accepted word, 1 <= r <= census, by greedy prefix cones."""
-    row, r, word = table.start, r * table.scale, ""
+    a, row, r, word = table.nfa, table.start, r * table.scale, ""
     for i in range(n):
         for s, (count, child) in enumerate(_cones(table, row, n - 1 - i)):
             if r <= count:
@@ -232,20 +232,19 @@ def _unrank(a: Nfa, table: _SliceTable, n: int, r: int) -> str:
 def nfa_rank_slice(a: Nfa, n: int, beta: str) -> int:
     """Number of accepted words of length n lexicographically <= beta.
 
-    Every word in the prefix cone below ``beta`` contributes q(paths),
-    which is 1 exactly for accepted words within the ambiguity bound.  The
-    k-th powers of path counts summed over each cone are evaluated as
-    single products of Kronecker-power matrices, so no word is
-    enumerated.
+    Every word in the prefix cone below ``beta`` contributes q(paths), 1
+    exactly for accepted words within the ambiguity bound; power sums of
+    path counts over each cone are single Kronecker-power products, so no
+    word is enumerated.
     """
-    table = _slice_table(a, n)
+    table = SliceTable(a).grow(n)
     if len(beta) != n:
         raise ValueError("beta must have length n")
-    return _rank(a, table, beta)
+    return _rank(table, beta)
 
 
-def _rank(a: Nfa, table: _SliceTable, beta: str) -> int:
-    n = len(beta)
+def _rank(table: SliceTable, beta: str) -> int:
+    a, n = table.nfa, len(beta)
     below, row, member = 0, table.start, _bounded_path_count(a, beta) > 0
     for i, sym in enumerate(beta):
         cones = list(islice(_cones(table, row, n - 1 - i), a.alphabet.index(sym) + 1))
@@ -256,21 +255,21 @@ def _rank(a: Nfa, table: _SliceTable, beta: str) -> int:
 
 def nfa_slice_census(a: Nfa, n: int) -> int:
     """Number of accepted words of length n (not paths)."""
-    return _slice_table(a, n).census(n)
+    return SliceTable(a).census(n)
 
 
 def nfa_rank(a: Nfa, beta: str) -> int:
     """Number of accepted words at or before ``beta``: every shorter one
     plus the slice rank."""
-    table = _slice_table(a, len(beta))
-    return sum(table.census(m) for m in range(len(beta))) + _rank(a, table, beta)
+    table = SliceTable(a).grow(len(beta))
+    return sum(table.census(m) for m in range(len(beta))) + _rank(table, beta)
 
 
 def nfa_unrank(a: Nfa, k: int) -> str:
     """The accepted word of rank k (1-based); inverse of nfa_rank."""
-    table = _slice_table(a, 0)
+    table = SliceTable(a)
     n, r = slice_of_rank(table.census, k, a.dim)
-    return _unrank(a, table, n, r)
+    return _unrank(table, n, r)
 
 
 def validate_ambiguity(a: Nfa, n: int) -> None:
@@ -288,14 +287,14 @@ def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):
     Draws a rank below the census and walks it to its word over one slice
     table; uniform unless the draw fails, with probability below ``delta``.
     """
-    table = _slice_table(a, n)
+    table = SliceTable(a)
     census = table.census(n)
-    if census <= 0:
+    if census == 0:
         raise EmptySlice("slice census is 0")
     k = gen_uniform(src, census, delta)
     if k is FAIL:
         return FAIL
-    return _unrank(a, table, n, k)
+    return _unrank(table, n, k)
 
 
 def nfa_from_dfa(dfa) -> Nfa:

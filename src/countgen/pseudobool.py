@@ -28,6 +28,9 @@ from .specfile import integer, integer_lines, read_directives, single
 
 # Largest matrix side any permanent method accepts.
 _PERMANENT_CEILING = 8
+# Most flip sets one local-search sweep may scan: radius 3 on 40 variables
+# is 10,700 of them.
+_FLIP_SET_CEILING = 1 << 16
 
 
 class _Plan(NamedTuple):
@@ -426,10 +429,18 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
 
     Flip sets are scanned by size then lexicographically, so runs are
     reproducible; the result is a local optimum of the radius-bounded
-    neighborhood and the objective never decreases along the way.
+    neighborhood and the objective never decreases along the way.  A
+    radius whose sweep scans more than ``_FLIP_SET_CEILING`` flip sets is
+    refused with SizeGuard.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    sets = sum(math.comb(p.n, size) for size in range(1, min(radius, p.n) + 1))
+    if sets > _FLIP_SET_CEILING:
+        raise SizeGuard(
+            f"radius {radius} on {p.n} variables scans {sets} flip sets a sweep, "
+            f"above {_FLIP_SET_CEILING}"
+        )
     current = tuple(start)
     current_value = p.value(current)
     improved = True

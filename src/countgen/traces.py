@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .describe import Bound, Description
-from .dfa import CensusTable, Dfa, automaton_dfa, dfa_sample, read_automaton
+from .dfa import Dfa, automaton_dfa, dfa_language, read_automaton
 from .exceptions import SizeGuard
 
 # Largest commutation class the swap oracle lists, and largest state
@@ -182,23 +182,20 @@ def count_representatives(dfa: Dfa, word: str, alph: IndepAlphabet) -> int:
 def trace_description(dfa: Dfa, alph: IndepAlphabet, bound: Bound) -> Description:
     """Description of the trace closure of a regular language.
 
-    The carrier is the string language itself; projection is the
-    canonical form and the multiplicity of a trace is the number of its
+    The carrier is the string language itself, ``dfa_language(dfa)``,
+    whose census table serves every draw; projection is the canonical
+    form and the multiplicity of a trace is the number of its
     representatives inside the language.
     """
     if tuple(dfa.alphabet) != tuple(alph.symbols):
         raise ValueError("automaton and independence alphabets must agree")
-    table = CensusTable(dfa)
-
-    def sampler(n, src):
-        return dfa_sample(dfa, n, src, table=table)
-
+    lang = dfa_language(dfa)
     return Description(
-        sampler=sampler,
+        sampler=lang.sample,
         project=lambda w: normal_form(w, alph),
         ambiguity=lambda trace: count_representatives(dfa, trace, alph),
         bound=bound,
-        census=lambda n: table.count(dfa.start, n),
+        census=lang.census,
     )
 
 

@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from countgen import cfg, cli, describe, dfa, nfa, pseudobool, traces
+from countgen import cfg, cli, describe, dfa, nfa, pda, pseudobool, traces
 from countgen.cli import dispatch
 from countgen.describe import SampleReport
 
@@ -715,3 +716,105 @@ class TestFamilyTable:
         assert code == 1
         assert out == ""
         assert "SizeGuard" in err
+
+
+class TestLongIntegers:
+    """Integers past Python's integer-to-string digit limit print exactly."""
+
+    def test_dfa_count_past_the_digit_limit(self, files, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["dfa", "count", "-a", files["sigma.dfa"], "-n", "14300"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert len(out) == 4306 and int(Decimal(out)) == 2**14300
+        code, out, err = run_cli(argv + ["--format", "json-lines"], capsys)
+        assert (code, err) == (0, "")
+        assert int(Decimal(json.loads(out)["value"])) == 2**14300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_nfa_count_json_lines(self, files, capsys):
+        argv = ["nfa", "count", "-a", files["sigma.nfa"], "-n", "14300", "--format", "json-lines"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert int(Decimal(json.loads(out)["value"])) == 2**14300
+
+    def test_render_is_exact(self):
+        shown = cli._render(Fraction(2**14300, 3))
+        numerator, denominator = shown.split("/")
+        assert (int(Decimal(numerator)), denominator) == (2**14300, "3")
+        # values under the limit print as str does
+        assert [cli._render(v) for v in (0, -7, 12345, Fraction(-3, 4), Fraction(5))] == [
+            "0", "-7", "12345", "-3/4", "5/1"
+        ]
+
+
+class TestOneDescriptionPerRun:
+    def test_repeat_builds_one_slice_grammar(self, tmp_path, capsys, monkeypatch):
+        machine = tmp_path / "dyck.pda"
+        machine.write_text(DYCK_PDA)
+        head = ["pda", "sample", "-m", str(machine), "-n", "8", "--ambiguity", "1,1,1",
+                "--format", "json-lines"]
+        built = []
+        original = pda.build_slice_grammar
+        monkeypatch.setattr(
+            pda, "build_slice_grammar", lambda *args: built.append(args) or original(*args)
+        )
+        code, out, err = run_cli(head + ["--seed", "4", "--repeat", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert len(built) == 1
+        records = out.splitlines()
+        assert len(records) == 3
+        for line in records:
+            seed = json.loads(line)["seed"]
+            code, single, _ = run_cli(head + ["--seed", str(seed)], capsys)
+            assert code == 0
+            assert single.splitlines() == [line]
+        assert len(built) == 4  # one more per run, none shared across runs
+
+
+class TestLocalRadiusGuard:
+    def test_radius_past_the_ceiling_exits_at_once(self, tmp_path, capsys):
+        formula = tmp_path / "wide.cnf"
+        formula.write_text("24 1\n1 2 3\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["pb", "derand", "--cnf", str(formula), "--local-radius", "24"], capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: SizeGuard: radius 24 on 24 variables scans 16777215 flip sets a sweep, "
+            "above 65536\n"
+        )
+
+    def test_radius_one_is_unchanged(self, tmp_path, capsys):
+        formula = tmp_path / "wide.cnf"
+        formula.write_text("24 1\n1 2 3\n")
+        code, out, err = run_cli(
+            ["pb", "derand", "--cnf", str(formula), "--local-radius", "1"], capsys
+        )
+        assert (code, out, err) == (0, "1" + "0" * 23 + "\n", "")
+
+
+# four parallel a-edges declared ambiguity 2: "a" has 4 paths, q(4) = -2
+FOUR_PATHS_NFA = "states 2\nalphabet a\nstart 0\nfinals 1\nambiguity 2\n" + "trans 0 a 1\n" * 4
+
+
+class TestNegativeNfaCount:
+    @pytest.mark.parametrize("op", [["count", "-n", "1"], ["sample", "-n", "1"], ["unrank", "-k", "1"]])
+    def test_negative_count_is_refused(self, tmp_path, capsys, op):
+        automaton = tmp_path / "four.nfa"
+        automaton.write_text(FOUR_PATHS_NFA)
+        code, out, err = run_cli(["nfa", op[0], "-a", str(automaton)] + op[1:], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: AmbiguityExceeded: negative word count -2: "
+            "a word has more than 2 accepting paths\n"
+        )
+
+    def test_rank_is_refused(self, tmp_path, capsys):
+        automaton = tmp_path / "four.nfa"
+        automaton.write_text(FOUR_PATHS_NFA)
+        code, out, err = run_cli(["nfa", "rank", "-a", str(automaton), "-w", "a"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: AmbiguityExceeded: 'a' has 4 accepting paths > 2\n"

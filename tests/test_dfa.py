@@ -210,6 +210,16 @@ class TestSample:
             assert outcome_law(lambda src: run(src, shared)) == fresh
             assert outcome_law(lambda src: run(src, CensusTable(a))) == fresh
 
+    def test_table_of_another_automaton_is_refused(self):
+        abb = dfa_from_regex("(a|b)*abb")
+        for a, other in ((ALL_WORDS, abb), (abb, ALL_WORDS), (ALL_WORDS, dfa_from_regex("(a|b)*"))):
+            table = dfa_census(other, 4)
+            src = CoinSource(0)
+            with pytest.raises(ValueError, match="^census table belongs to another automaton$"):
+                dfa_sample(a, 4, src, table=table)
+            assert src.bits_consumed == 0
+            assert len(table.counts[0]) == 5  # refused before the table was read
+
     def test_census_out_of_step_with_dfa_is_refused(self):
         table = dfa_census(ALL_WORDS, 2)
         table.counts[ALL_WORDS.start][2] += 1  # a rank no letter's cone holds

@@ -11,6 +11,7 @@ from countgen import nfa
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from countgen.nfa import (
     Nfa,
+    SliceTable,
     build_q,
     load_nfa,
     nfa_from_dfa,
@@ -124,6 +125,25 @@ TRIPLED = Nfa(
 DFA_AS_NFA = nfa_from_dfa(dfa_from_regex("(ab)*"))
 
 RANK_AUTOMATA = [DFA_AS_NFA, DOUBLED, TWO_PATHS_A, UNION_OVERLAP, TRIPLED]
+
+# four parallel 'a'-edges declared ambiguity 2: "a" has 4 paths and
+# q(4) = 1 - C(3, 2) = -2, so the length-1 census reads -2
+FOUR_PATHS_A = load_nfa(
+    "states 2\nalphabet a b\nstart 0\nfinals 1\nambiguity 2\n" + "trans 0 a 1\n" * 4
+)
+
+
+def counted_tables(monkeypatch) -> list:
+    """Patch ``nfa.SliceTable`` to record the automaton of every table built."""
+    built = []
+
+    class Counted(nfa.SliceTable):
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr(nfa, "SliceTable", Counted)
+    return built
 
 
 def brute_paths(a, word):
@@ -282,11 +302,21 @@ class TestRankSlice:
         expected = nfa_rank_slice(UNION_OVERLAP, 4, "abab") + sum(
             nfa_slice_census(UNION_OVERLAP, m) for m in range(4)
         )
-        built = []
-        original = nfa._slice_table
-        monkeypatch.setattr(nfa, "_slice_table", lambda *args: built.append(args) or original(*args))
+        k = shorter_members(UNION_OVERLAP, 5) + 1
+        built = counted_tables(monkeypatch)
         assert nfa_rank(UNION_OVERLAP, "abab") == expected
-        assert len(built) == 1
+        # every entry point builds exactly one table, however many lengths it reads
+        calls = [
+            lambda: nfa_rank_slice(UNION_OVERLAP, 4, "abab"),
+            lambda: nfa_slice_census(UNION_OVERLAP, 4),
+            lambda: nfa_rank(UNION_OVERLAP, "abab"),
+            lambda: nfa_unrank(UNION_OVERLAP, k),
+            lambda: nfa_sample_slice(UNION_OVERLAP, 4, CoinSource(0)),
+        ]
+        for call in calls:
+            built.clear()
+            call()
+            assert built == [UNION_OVERLAP]
 
 
 class TestUnrankAndSampling:
@@ -376,11 +406,67 @@ class TestGreedyUnrank:
 
     def test_unrank_builds_one_slice_table(self, monkeypatch):
         k = shorter_members(UNION_OVERLAP, 5) + 1
-        built = []
-        original = nfa._slice_table
-        monkeypatch.setattr(nfa, "_slice_table", lambda *args: built.append(args) or original(*args))
+        built = counted_tables(monkeypatch)
         assert nfa_unrank(UNION_OVERLAP, k) == "aaaaa"
-        assert built == [(UNION_OVERLAP, 0)]
+        assert built == [UNION_OVERLAP]
+
+
+class TestSliceTable:
+    def test_keeps_its_automaton_and_grows_in_place(self):
+        table = SliceTable(UNION_OVERLAP)
+        assert table.nfa is UNION_OVERLAP
+        assert len(table.suffix) == 1
+        assert table.grow(6) is table and len(table.suffix) == 7
+        assert table.grow(3) is table and len(table.suffix) == 7
+        assert [table.census(m) for m in range(7)] == [
+            nfa_slice_census(UNION_OVERLAP, m) for m in range(7)
+        ]
+
+    def test_grow_refuses_negative_length(self):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            SliceTable(UNION_OVERLAP).grow(-1)
+
+    def test_lift_guard_in_constructor(self):
+        big = Nfa(("a",), (((0,) * 9,) * 9,), (1,) + (0,) * 8, (0,) * 8 + (1,), 5)
+        with pytest.raises(SizeGuard, match=r"^lift dimension 9\*\*5 above 4096$"):
+            SliceTable(big)
+
+
+class TestNegativeCount:
+    """A negative word count can only come from a word with more paths
+    than declared: q is 0 or 1 up to the bound."""
+
+    MESSAGE = "^negative word count -2: a word has more than 2 accepting paths$"
+
+    def test_census_raises(self):
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_slice_census(FOUR_PATHS_A, 1)
+        assert nfa_slice_census(FOUR_PATHS_A, 0) == 0
+
+    def test_rank_raises(self):
+        # "b" itself has no path, but the cone of "a" below it counts -2
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_rank_slice(FOUR_PATHS_A, 1, "b")
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_rank(FOUR_PATHS_A, "b")
+        with pytest.raises(AmbiguityExceeded):
+            nfa_rank(FOUR_PATHS_A, "a")
+
+    def test_unrank_raises(self):
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_unrank(FOUR_PATHS_A, 1)
+        # with a loop on the final state every nonempty word has 4 paths, so
+        # no length has a positive count: the walk once ran to length 4096
+        looping = load_nfa(
+            "states 2\nalphabet a\nstart 0\nfinals 1\nambiguity 2\ntrans 1 a 1\n"
+            + "trans 0 a 1\n" * 4
+        )
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_unrank(looping, 1)
+
+    def test_sample_raises(self):
+        with pytest.raises(AmbiguityExceeded, match=self.MESSAGE):
+            nfa_sample_slice(FOUR_PATHS_A, 1, CoinSource(0))
 
 
 class TestNegativeLength:

@@ -400,6 +400,23 @@ class TestSearches:
         out = local_search(p, 1, start)
         assert p.value(out) >= p.value(start)
 
+    def test_local_search_refuses_a_radius_past_the_flip_set_ceiling(self):
+        p = PbProblem(24, max_sat_circuit(24, [(1, 2, 3)]))
+        message = "^radius 24 on 24 variables scans 16777215 flip sets a sweep, above 65536$"
+        with pytest.raises(SizeGuard, match=message):
+            local_search(p, 24, (0,) * 24)
+        # past the number of variables, every nonempty flip set counts once
+        with pytest.raises(SizeGuard, match="^radius 99 on 24 variables scans 16777215 "):
+            local_search(p, 99, (0,) * 24)
+        # 24 + 276 + 2024 + 10626 + 42504 + 134596 sets at radius 6
+        with pytest.raises(SizeGuard, match="^radius 6 on 24 variables scans 190050 "):
+            local_search(p, 6, (0,) * 24)
+
+    def test_local_search_admits_radius_3_on_40_variables(self):
+        # 40 + 780 + 9880 = 10,700 flip sets a sweep
+        p = PbProblem(40, max_sat_circuit(40, [(1,)]))
+        assert local_search(p, 3, (1,) * 40) == (1,) * 40
+
     def test_eg_solve_beats_expectation(self):
         clauses = [(1, 2, 3), (-1, 2, -3)]
         p = PbProblem(3, max_sat_circuit(3, clauses))

@@ -335,6 +335,13 @@ class TestTraceDescription:
             )
             assert carrier == fresh
 
+    def test_census_limit_is_the_language_views(self):
+        lang = dfa_from_regex("(a|b)*ab")
+        desc = trace_description(lang, AB_FREE, Bound(const=4))
+        assert desc.census(4096) == 2**4094
+        with pytest.raises(ValueError, match="^census length 4097 above limit 4096$"):
+            desc.census(4097)
+
     def test_ambiguity_guard(self):
         lang = dfa_from_regex("ab|ba")
         desc = trace_description(lang, AB_FREE, Bound(const=1))
