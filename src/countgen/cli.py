@@ -16,6 +16,7 @@ given on the command line that it does not read.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -378,22 +379,31 @@ def _family_flags(fam: Family) -> set:
     return set(fam.spec).union(*reads, _OUTPUT_FLAGS)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(accepted: dict) -> _Parser:
+    """The parser for the families' ``accepted`` flag dests."""
     parser = _Parser(prog="countgen")
     sub = parser.add_subparsers(dest="family", required=True)
     for name, fam in _FAMILIES.items():
         p = sub.add_parser(name)
         p.add_argument("op", choices=[op for op in fam.ops if " " not in op])
-        accepted = _family_flags(fam)
         for dest, (names, options) in _FLAGS.items():
-            if dest in accepted:
+            if dest in accepted[name]:
                 # absent flags stay unset, so dispatch sees which were given
                 p.add_argument(*names.split(), **{**options, "default": argparse.SUPPRESS})
     return parser
 
 
+@functools.cache
+def _parser() -> tuple:
+    """The parser and each family's flag dests, built once per process at
+    the first dispatch.  The parser holds no per-call state: every parse
+    makes a new namespace, and dispatch fills the flags not given on it."""
+    accepted = {name: _family_flags(fam) for name, fam in _FAMILIES.items()}
+    return _build_parser(accepted), accepted
+
+
 def dispatch(argv) -> int:
-    parser = _build_parser()
+    parser, accepted = _parser()
     try:
         args = parser.parse_args(argv)
         fam = _FAMILIES[args.family]
@@ -406,7 +416,7 @@ def dispatch(argv) -> int:
         unread = [_FLAGS[d][0].split()[-1] for d in _FLAGS if d in given - read]
         if unread:
             parser.error(f"{args.family} {key} does not read {', '.join(unread)}")
-        for dest in _family_flags(fam) - given:
+        for dest in accepted[args.family] - given:
             setattr(args, dest, _FLAGS[dest][1].get("default"))
         if args.oracle and op.oracle is None:
             parser.error(f"no oracle for {args.family} {key}")

@@ -31,6 +31,9 @@ _PERMANENT_CEILING = 8
 # Most flip sets one local-search sweep may scan: radius 3 on 40 variables
 # is 10,700 of them.
 _FLIP_SET_CEILING = 1 << 16
+# Largest degree bound eval_circuit accepts on a circuit whose output may
+# hold a squared variable; a multilinear one has degree at most its support.
+_DEGREE_CEILING = 4096
 
 
 class _Plan(NamedTuple):
@@ -167,11 +170,18 @@ def eval_circuit(c: Circuit, point) -> Fraction:
     d is an integer numerator over D**d: an ``add`` scales each distinct
     child by D to the power of its degree gap, times how often it is
     named, a ``mul`` multiplies numerators, and only the output is
-    reduced to a Fraction.
+    reduced to a Fraction.  Repeated squaring makes the degree bound grow
+    exponentially with ``mul`` depth, so a circuit that may square a
+    variable is refused with SizeGuard above degree ``_DEGREE_CEILING``.
     """
     if len(point) != c.n_vars:
         raise ValueError(f"need {c.n_vars} coordinates")
     plan = c.plan
+    if plan.squared and plan.degree > _DEGREE_CEILING:
+        raise SizeGuard(
+            f"degree bound {plan.degree} of a circuit that squares a variable "
+            f"is above {_DEGREE_CEILING}"
+        )
     point = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]
     common = math.lcm(*(x.denominator for x in point))
     numerators = [x.numerator * (common // x.denominator) for x in point]
@@ -397,12 +407,22 @@ def derandomize(p: PbProblem) -> tuple:
 
     The output's objective value is at least (for max; at most for min)
     the unconditioned expectation, by internality.  Ties prefer bit 0.
+
+    A multilinear objective is affine in each variable, so the expectation
+    given a prefix is the mean of its two extensions: E[prefix] =
+    (E[prefix+0] + E[prefix+1]) / 2, exactly.  Each step therefore
+    evaluates only E[prefix+0], takes E[prefix+1] = 2 E[prefix] - E[prefix+0],
+    and carries the chosen branch's value on: n + 1 circuit evaluations in
+    all, with the same Fractions, so the same choices, as evaluating both.
     """
     prefix = []
+    current = cond_expectation(p, prefix)
     for _ in range(p.n):
         with_zero = cond_expectation(p, prefix + [0])
-        with_one = cond_expectation(p, prefix + [1])
-        prefix.append(1 if p.better(with_one, with_zero) else 0)
+        with_one = 2 * current - with_zero
+        bit = int(p.better(with_one, with_zero))
+        prefix.append(bit)
+        current = with_one if bit else with_zero
     return tuple(prefix)
 
 

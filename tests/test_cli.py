@@ -1,5 +1,6 @@
 """End-to-end CLI runs, formats, exit codes, determinism."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -770,6 +771,44 @@ class TestOneDescriptionPerRun:
             assert code == 0
             assert single.splitlines() == [line]
         assert len(built) == 4  # one more per run, none shared across runs
+
+
+class TestOneParserPerProcess:
+    """The parser is built at the first dispatch and reused; no call sees
+    another's flags."""
+
+    def sequence(self, files):
+        ab, catalan = files["ab.dfa"], files["catalan.cfg"]
+        return [
+            ["dfa", "sample", "-a", ab, "-n", "4", "--seed", "5"],
+            ["dfa", "sample", "-a", ab, "-n", "4"],
+            ["cfg", "sample", "-g", catalan, "-n", "3", "--tree", "--seed", "1"],
+            ["cfg", "sample", "-g", catalan, "-n", "3", "--ambiguity", "2", "--seed", "1"],
+            ["dfa", "count", "-a", ab, "-n", "4", "--seed", "9"],
+            ["dfa", "count", "-a", ab, "-n", "4"],
+            ["cfg", "count", "-g", catalan, "-n", "4", "--format", "json-lines"],
+            ["cfg", "count", "-g", catalan, "-n", "4"],
+        ]
+
+    def test_reused_parser_matches_a_fresh_one(self, files, capsys, monkeypatch):
+        calls = self.sequence(files)
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+            fresh.append(run_cli(argv, capsys))
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda accepted: builds.append(1) or build(accepted))
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        assert [run_cli(argv, capsys) for argv in calls] == fresh
+        assert len(builds) == 1
+        seeded, unseeded, tree, word, refused, valid, lines, text = fresh
+        assert seeded[1].endswith("seed=5]\n") and unseeded[1].endswith("seed=0]\n")
+        assert tree[1].startswith("(S") and word[1].startswith("aaa ")
+        assert refused == (1, "", "error: dfa count does not read --seed\n")
+        assert valid == (0, "1\n", "")
+        assert json.loads(lines[1]) == {"value": "5", "trials": 0, "bits": 0, "seed": 0}
+        assert text == (0, "5\n", "")
 
 
 class TestLocalRadiusGuard:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countgen import pseudobool
 from countgen.coins import CoinSource
 from countgen.exceptions import FormatError, SizeGuard
 from countgen.pseudobool import (
@@ -96,6 +97,39 @@ def brute_msf_coefficients(c: Circuit):
             )
             coeffs[frozenset(subset)] = value - below
     return coeffs
+
+
+def random_multilinear_circuit(rng, n) -> Circuit:
+    """Sums with repeated ids and -1 constants, products of disjoint supports."""
+    b = CircuitBuilder(n)
+    ids = [b.var(k) for k in range(n)] + [b.const(c) for c in (-1, 0, 1, -1)]
+    support = [1 << k for k in range(n)] + [0] * 4
+    for _ in range(rng.randint(1, 12)):
+        take = [rng.choice(ids) for _ in range(rng.randint(1, 4))]
+        mask = 0
+        if rng.random() < 0.5:
+            for j in take:
+                mask |= support[j]
+            ids.append(b.add(*take))
+        else:
+            factors = []
+            for j in take:
+                if not mask & support[j]:
+                    factors.append(j)
+                    mask |= support[j]
+            ids.append(b.mul(*factors))
+        support.append(mask)
+    return b.build(rng.choice(ids[-3:]))
+
+
+def reference_derandomize(p: PbProblem) -> tuple:
+    """The slow path: both extensions of every prefix evaluated, 2n evaluations."""
+    prefix = []
+    for _ in range(p.n):
+        with_zero = cond_expectation(p, prefix + [0])
+        with_one = cond_expectation(p, prefix + [1])
+        prefix.append(1 if p.better(with_one, with_zero) else 0)
+    return tuple(prefix)
 
 
 def average_over_suffixes(p: PbProblem, prefix):
@@ -359,6 +393,101 @@ class TestDerandomize:
             out = derandomize(p)
             assert p.value(out) >= cond_expectation(p, [])
             assert p.value(out) == sat_value(clauses, out)
+
+
+class TestDerandomizeAgainstReference:
+    """One evaluation per variable against the 2n-evaluation loop it replaced."""
+
+    def problems(self):
+        rng = random.Random(17)
+        for goal in ("max", "min"):
+            for _ in range(12):
+                n = rng.randint(1, 10)
+                clauses = [
+                    tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 3 * n))
+                ]
+                yield PbProblem(n, max_sat_circuit(n, clauses), goal)
+                edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2 * n))]
+                yield PbProblem(n, max_cut_circuit(n, edges), goal)
+            for _ in range(60):
+                n = rng.randint(0, 6)
+                yield PbProblem(n, random_multilinear_circuit(rng, n), goal)
+
+    def test_builders_and_random_circuits(self):
+        for p in self.problems():
+            assert derandomize(p) == reference_derandomize(p)
+
+    @pytest.mark.parametrize("goal", ["max", "min"])
+    def test_constant_objective_gives_all_zeros(self, goal):
+        for c in (0, 1, -1):
+            b = CircuitBuilder(5)
+            p = PbProblem(5, b.build(b.const(c)), goal)
+            assert derandomize(p) == reference_derandomize(p) == (0,) * 5
+
+    @pytest.mark.parametrize("goal", ["max", "min"])
+    def test_tie_heavy_objectives(self, goal):
+        # an even cycle's cut, symmetric clause pairs, and unused variables
+        # tie at many prefixes; ties prefer 0 on both paths
+        cycle = [(k, (k + 1) % 6) for k in range(6)]
+        pairs = [(1, 2), (-1, -2), (3, -3), (-4, 5), (4, -5, -5)]
+        for p in (
+            PbProblem(6, max_cut_circuit(6, cycle), goal),
+            PbProblem(7, max_sat_circuit(7, pairs), goal),
+        ):
+            assert derandomize(p) == reference_derandomize(p)
+
+    def test_no_variables(self):
+        b = CircuitBuilder(0)
+        p = PbProblem(0, b.build(b.const(1)))
+        assert derandomize(p) == reference_derandomize(p) == ()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_one_evaluation_per_variable_and_one_more(self, monkeypatch, n):
+        rng = random.Random(n)
+        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                   for _ in range(3 * n)]
+        p = PbProblem(n, max_sat_circuit(n, clauses))
+        calls = []
+        monkeypatch.setattr(
+            pseudobool, "eval_circuit", lambda c, point: calls.append(1) or eval_circuit(c, point)
+        )
+        assert derandomize(p) == reference_derandomize(p)
+        assert len(calls) == n + 1 + 2 * n  # derandomize, then the reference
+
+
+class TestDegreeCeiling:
+    """A circuit that may square a variable is refused past degree 4096."""
+
+    @staticmethod
+    def squarings(k: int) -> Circuit:
+        b = CircuitBuilder(2)
+        x = b.var(0)
+        for _ in range(k):
+            x = b.mul(x, x)
+        return b.build(b.add(x, b.var(1)))
+
+    def test_twenty_squarings_refused(self):
+        c = self.squarings(20)
+        assert c.plan.degree == 2**20
+        with pytest.raises(SizeGuard, match="degree bound 1048576 .* above 4096"):
+            eval_circuit(c, [0, Fraction(1, 3)])
+
+    def test_just_under_the_ceiling_matches_reference(self):
+        c = self.squarings(12)
+        assert c.plan.degree == 4096 == pseudobool._DEGREE_CEILING
+        for point in ([0, Fraction(1, 3)], [Fraction(1, 2), Fraction(-5, 7)], [1, 1], [-1, 2]):
+            assert eval_circuit(c, point) == reference_eval_circuit(c, point)
+        with pytest.raises(SizeGuard):
+            eval_circuit(self.squarings(13), [1, 1])
+
+    def test_multilinear_circuit_past_the_ceiling_is_evaluated(self):
+        n = 5000
+        b = CircuitBuilder(n)
+        c = b.build(b.mul(*(b.var(k) for k in range(n))))
+        assert c.plan.degree == n > pseudobool._DEGREE_CEILING and not c.plan.squared
+        point = [Fraction(1, 2)] * n
+        assert eval_circuit(c, point) == Fraction(1, 2**n)
 
 
 class TestSearches:
