@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measured runtime scaling of the weighted Earley chart.
+"""Measured runtime scaling of the Earley derivation-tree counter.
 
 Times the derivation-tree counter on growing inputs of a finitely
 ambiguous and an unboundedly ambiguous grammar and prints the observed

@@ -1,5 +1,5 @@
 """Context-free machinery: CNF grammars, tree census, tree sampling,
-multiplicity Earley parsing, and the word sampler built from them.
+Earley tree counting, and the word sampler built from them.
 
 Derivation trees of a fixed yield length are counted exactly by the
 binary-production convolution; the same (growable) table drives a uniform tree
@@ -8,9 +8,11 @@ the rows of its two children, so the sampler sums a split point's weight
 straight from those rows, and it finds the split by a two-ended
 (boustrophedonic) prefix-sum scan: split points are taken alternately
 from both ends, so split k of a length-l node costs min(k, l - k) bucket
-sums.  The weighted Earley chart counts the derivation trees
-of a given word, which is the multiplicity needed to flatten trees into
-uniformly random words.
+sums.  A weighted Earley recognizer counts the derivation trees of a
+given word, which is the multiplicity needed to flatten trees into
+uniformly random words: it keeps, per span, only the completed variables
+and the productions waiting for their second child, and looks each
+column's prediction up in a per-grammar memo.
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ class CnfGrammar:
 
     @cached_property
     def earley_tables(self) -> tuple:
-        """Prediction tables of the Earley chart, built on first use.
+        """Earley prediction for this grammar, built on first use.
 
-        Four dicts keyed by variable A: ``corner``, the variables reached
-        from A through leftmost children (A included); ``binary``, for
-        each production A -> B C its predicted state, B, the state with
-        the dot after B, C, and the completed state; ``unary``, the
-        predicted state A -> .t of each letter t; ``scanned``, letter t ->
-        the state A -> t. it scans into.
+        ``corner`` maps each variable A to the variables reached from A
+        through leftmost children (A included).  ``plans`` is a memo that
+        grows on use, from the frozen set of variables a column predicts
+        to that column's plan: letter t -> the predicted variables A with
+        A -> t, and variable B -> the pairs (A, C) of the predicted
+        productions A -> B C.
         """
         corner = {}
         for a in self.variables:
@@ -105,13 +107,7 @@ class CnfGrammar:
                         reach.add(b)
                         frontier.append(b)
             corner[a] = frozenset(reach)
-        binary = {
-            a: tuple(((a, bc, 0), bc[0], (a, bc, 1), bc[1], (a, bc, 2)) for bc in self.binary[a])
-            for a in self.variables
-        }
-        unary = {a: tuple((a, (t,), 0) for t in self.unary[a]) for a in self.variables}
-        scanned = {a: {t: (a, (t,), 1) for t in self.unary[a]} for a in self.variables}
-        return corner, binary, unary, scanned
+        return corner, {}
 
     @cached_property
     def tree_table(self) -> TreeTable:
@@ -299,92 +295,70 @@ def enumerate_trees(g: CnfGrammar, a, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Weighted Earley chart: counting derivation trees of one word.
+# Earley counting: derivation trees of one word.
 
 
-def earley_chart(g: CnfGrammar, word: str) -> dict:
-    """Weighted Earley chart of ``word``: {(i, j): {(A, rhs, dot): weight}}.
-
-    Each non-empty cell keeps at most one weighted state per dotted
-    production; a state's weight is the number of leftmost derivations of
-    the span it consumed.  States whose dot sits before a variable B are
-    indexed by (B, start of the dot), so a completed B reads only the
-    states waiting for it.  In CNF a completed state in (i, j) completes
-    states only in cells (k, j) with k < i, so one pass over each column
-    with descending i reads every completed weight after its last update.
-    """
-    n = len(word)
-    if n < 1:
-        raise ValueError("word must be non-empty")
-    corner, binary, unary, scanned = g.earley_tables
-    cells = {}
-    # (B, i) -> [(k, cell, key, advanced, then)] for states at (k, i) with
-    # the dot before B; ``then`` is (C, key advanced twice) while the
-    # advanced state still waits for C, else None
-    waiting = defaultdict(list)
-
-    def predict(j, needed):
-        closure = set().union(*(corner[b] for b in needed))
-        cell = cells[j, j] = {}
-        for a in closure:
-            for key in unary[a]:
-                cell[key] = 1
-            for key, b, advanced, c, done in binary[a]:
-                cell[key] = 1
-                waiting[b, j].append((j, cell, key, advanced, (c, done)))
-        return closure
-
-    closure = predict(0, (g.start,))
-    for j in range(1, n + 1):
-        column = {}  # i -> cell (i, j)
-        complete = defaultdict(lambda: defaultdict(int))  # i -> {A: weight of A over (i, j)}
-        # scanner: unscanned letter states live only in cell (j - 1, j - 1)
-        letter = word[j - 1]
-        for a in closure:
-            key = scanned[a].get(letter)
-            if key is not None:
-                column.setdefault(j - 1, {})[key] = 1
-                complete[j - 1][a] += 1
-        # completer: descending start index so weights are final when read
-        needed = set()
-        for i in range(j - 1, -1, -1):
-            for b, weight in complete.pop(i, {}).items():
-                for k, pcell, pkey, advanced, then in waiting.get((b, i), ()):
-                    cell = column.get(k)
-                    if cell is None:
-                        cell = column[k] = {}
-                    product = weight * pcell[pkey]
-                    if advanced in cell:
-                        cell[advanced] += product
-                    else:
-                        cell[advanced] = product
-                        if then is not None:
-                            c, done = then
-                            waiting[c, j].append((k, cell, advanced, done, None))
-                            needed.add(c)
-                    if then is None:
-                        complete[k][advanced[0]] += product
-        for i, cell in column.items():
-            cells[i, j] = cell
-        if not needed:
-            break
-        # predictor
-        closure = predict(j, needed)
-    return cells
+def _earley_plan(g: CnfGrammar, predicted: frozenset) -> tuple:
+    """The plan of a column that predicts ``predicted``, from the memo."""
+    corner, plans = g.earley_tables
+    plan = plans.get(predicted)
+    if plan is None:
+        scans, waits = {}, {}
+        for a in frozenset().union(*(corner[b] for b in predicted)):
+            for t in g.unary[a]:
+                scans.setdefault(t, []).append(a)
+            for b, c in g.binary[a]:
+                waits.setdefault(b, []).append((a, c))
+        plan = plans[predicted] = (scans, waits)
+    return plan
 
 
 def earley_count(g: CnfGrammar, word: str) -> int:
     """Number of derivation trees of ``word`` (0 for non-members).
 
-    Sums the weights of the completed start-variable states spanning the
-    whole word in the weighted chart.
+    Earley's recognizer with weights that keeps no dotted states.  A
+    completed B over (i, j) with w trees multiplies into every entry
+    (k, A, pw) filed under (B, i), adding pw * w trees to A over (k, j),
+    and, for each production A -> B C predicted at i, files (i, A, w)
+    under (C, j).  In CNF a completion over (i, j) only adds to starts
+    k < i, so a pass over column j with descending i reads each weight
+    after its last update.  Column j predicts the left-corner closure of
+    the variables filed under it, and its plan comes from the grammar's
+    memo (``CnfGrammar.earley_tables``).
     """
-    cells = earley_chart(g, word)
-    return sum(
-        weight
-        for (a, rhs, dot), weight in cells.get((0, len(word)), {}).items()
-        if a == g.start and dot == len(rhs)
-    )
+    n = len(word)
+    if n < 1:
+        raise ValueError("word must be non-empty")
+    plans = [_earley_plan(g, frozenset((g.start,)))]
+    filed = [{}]  # filed[i][C]: the entries (k, A, w) filed under (C, i)
+    for j in range(1, n + 1):
+        complete = [None] * j  # complete[i]: {B: trees of B over (i, j)}
+        complete[j - 1] = dict.fromkeys(plans[j - 1][0].get(word[j - 1], ()), 1)
+        column = {}  # C -> the entries filed under (C, j)
+        for i in range(j - 1, -1, -1):
+            done = complete[i]
+            if not done:
+                continue
+            waiting = filed[i]
+            # nothing reads the entries of the last column
+            predicted = plans[i][1] if j < n else {}
+            for b, w in done.items():
+                for k, a, pw in waiting.get(b, ()):
+                    cell = complete[k]
+                    if cell is None:
+                        complete[k] = {a: pw * w}
+                    else:
+                        cell[a] = cell.get(a, 0) + pw * w
+                for a, c in predicted.get(b, ()):
+                    entries = column.get(c)
+                    if entries is None:
+                        column[c] = [(i, a, w)]
+                    else:
+                        entries.append((i, a, w))
+        if not column:
+            return complete[0].get(g.start, 0) if j == n and complete[0] else 0
+        plans.append(_earley_plan(g, frozenset(column)))
+        filed.append(column)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +490,7 @@ def cfl_description(g: CnfGrammar, bound: Bound) -> Description:
 
     The carrier sampler draws uniform trees, the projection is the yield,
     and the multiplicity of a word is its number of derivation trees,
-    counted by the weighted Earley chart.
+    counted by ``earley_count``.
     """
     return Description(
         sampler=lambda n, src: random_tree(g, n, src),

@@ -37,9 +37,9 @@ _DEGREE_CEILING = 4096
 
 
 class _Plan(NamedTuple):
-    """What evaluating and checking a circuit needs, from one pass."""
+    """What evaluating and checking a circuit needs, built once per circuit."""
 
-    steps: tuple  # per node (kind, arg); an add's arg holds (child, w) per distinct child
+    steps: tuple  # per node to the output (kind, arg); an add's arg holds (child, w) per distinct child
     weights: tuple  # the w-th (gap, count) scales a child's numerator by count * D**gap
     degree: int  # the output's total degree bound
     squared: int  # bitmask of the variables the output may hold squared
@@ -78,22 +78,38 @@ class Circuit:
 
     @cached_property
     def plan(self) -> _Plan:
-        """One pass in node order, built on first use.
+        """Two passes, built on first use: one back from the output marks
+        the nodes it reaches, one in node order plans them.
 
         Each node gets a total degree bound (``in`` 1, ``const`` 0, ``add``
         the max of its children, ``mul`` their sum) and, as bitmasks, its
         support and the variables it may hold squared: a ``mul`` whose
         factors' supports overlap squares their common variables.  A node
         with no squared variable has degree at most its support size.
+        Any node up to the output that it does not reach is a ``dead``
+        placeholder with no degree, weight or scale, and the nodes after
+        the output are left out.
         """
+        live = [False] * (self.out + 1)
+        live[self.out] = True
+        added = {}  # live add node -> how often it names each child
+        for i in range(self.out, -1, -1):
+            kind, arg = self.nodes[i]
+            if live[i] and kind in ("add", "mul"):
+                if kind == "add":
+                    arg = added[i] = Counter(arg)
+                for j in arg:
+                    live[j] = True
         steps, weights, degree, support, squared = [], {}, [], [], []
-        for kind, arg in self.nodes:
-            if kind == "in":
+        for i, (kind, arg) in enumerate(self.nodes[: self.out + 1]):
+            if not live[i]:
+                kind, arg, d, s, q = "dead", None, None, None, None
+            elif kind == "in":
                 d, s, q = 1, 1 << arg, 0
             elif kind == "const":
                 d, s, q = 0, 0, 0
             elif kind == "add":
-                counts = Counter(arg)
+                counts = added[i]
                 d = max(degree[j] for j in counts)
                 s = q = 0
                 for j in counts:
@@ -164,7 +180,8 @@ class CircuitBuilder:
 
 
 def eval_circuit(c: Circuit, point) -> Fraction:
-    """Exact evaluation at a rational point, in node order.
+    """Exact evaluation at a rational point, in node order, of the nodes
+    the output reaches (see ``Circuit.plan``).
 
     With the point over one common denominator D, a node of degree bound
     d is an integer numerator over D**d: an ``add`` scales each distinct
@@ -198,7 +215,7 @@ def eval_circuit(c: Circuit, point) -> Fraction:
                 value += values[j] * scale[w]
         elif kind == "in":
             value = numerators[arg]
-        else:
+        else:  # a constant, or None for a dead node
             value = arg
         values.append(value)
     return Fraction(values[c.out], common**plan.degree)

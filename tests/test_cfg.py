@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -15,7 +15,6 @@ from countgen.cfg import (
     Grammar,
     cfl_description,
     dump_grammar,
-    earley_chart,
     earley_count,
     enumerate_trees,
     format_tree,
@@ -418,6 +417,112 @@ class TestYield:
         assert format_tree(("S", ("X", "a"), ("Y", "b"))) == "(S (X a) (Y b))"
 
 
+def chart_tables(g):
+    """The chart's prediction tables: per variable A, its left-corner
+    closure; for each production A -> B C its predicted state, B, the
+    state with the dot after B, C, and the completed state; the predicted
+    state A -> .t of each letter t; and letter t -> the state A -> t. it
+    scans into."""
+    corner = {}
+    for a in g.variables:
+        reach = {a}
+        frontier = [a]
+        while frontier:
+            for b, _ in g.binary[frontier.pop()]:
+                if b not in reach:
+                    reach.add(b)
+                    frontier.append(b)
+        corner[a] = frozenset(reach)
+    binary = {
+        a: tuple(((a, bc, 0), bc[0], (a, bc, 1), bc[1], (a, bc, 2)) for bc in g.binary[a])
+        for a in g.variables
+    }
+    unary = {a: tuple((a, (t,), 0) for t in g.unary[a]) for a in g.variables}
+    scanned = {a: {t: (a, (t,), 1) for t in g.unary[a]} for a in g.variables}
+    return corner, binary, unary, scanned
+
+
+def indexed_earley_chart(g, word):
+    """Reference for ``earley_count``: the weighted Earley chart with its
+    dotted states, {(i, j): {(A, rhs, dot): weight}}.
+
+    Each non-empty cell keeps at most one weighted state per dotted
+    production; a state's weight is the number of leftmost derivations of
+    the span it consumed.  States whose dot sits before a variable B are
+    indexed by (B, start of the dot), so a completed B reads only the
+    states waiting for it.  In CNF a completed state in (i, j) completes
+    states only in cells (k, j) with k < i, so one pass over each column
+    with descending i reads every completed weight after its last update.
+    """
+    n = len(word)
+    if n < 1:
+        raise ValueError("word must be non-empty")
+    corner, binary, unary, scanned = chart_tables(g)
+    cells = {}
+    # (B, i) -> [(k, cell, key, advanced, then)] for states at (k, i) with
+    # the dot before B; ``then`` is (C, key advanced twice) while the
+    # advanced state still waits for C, else None
+    waiting = defaultdict(list)
+
+    def predict(j, needed):
+        closure = set().union(*(corner[b] for b in needed))
+        cell = cells[j, j] = {}
+        for a in closure:
+            for key in unary[a]:
+                cell[key] = 1
+            for key, b, advanced, c, done in binary[a]:
+                cell[key] = 1
+                waiting[b, j].append((j, cell, key, advanced, (c, done)))
+        return closure
+
+    closure = predict(0, (g.start,))
+    for j in range(1, n + 1):
+        column = {}  # i -> cell (i, j)
+        complete = defaultdict(lambda: defaultdict(int))  # i -> {A: weight of A over (i, j)}
+        # scanner: unscanned letter states live only in cell (j - 1, j - 1)
+        letter = word[j - 1]
+        for a in closure:
+            key = scanned[a].get(letter)
+            if key is not None:
+                column.setdefault(j - 1, {})[key] = 1
+                complete[j - 1][a] += 1
+        # completer: descending start index so weights are final when read
+        needed = set()
+        for i in range(j - 1, -1, -1):
+            for b, weight in complete.pop(i, {}).items():
+                for k, pcell, pkey, advanced, then in waiting.get((b, i), ()):
+                    cell = column.get(k)
+                    if cell is None:
+                        cell = column[k] = {}
+                    product = weight * pcell[pkey]
+                    if advanced in cell:
+                        cell[advanced] += product
+                    else:
+                        cell[advanced] = product
+                        if then is not None:
+                            c, done = then
+                            waiting[c, j].append((k, cell, advanced, done, None))
+                            needed.add(c)
+                    if then is None:
+                        complete[k][advanced[0]] += product
+        for i, cell in column.items():
+            cells[i, j] = cell
+        if not needed:
+            break
+        # predictor
+        closure = predict(j, needed)
+    return cells
+
+
+def chart_count(chart, g, word):
+    """Sum of the completed start-variable states spanning ``word``."""
+    return sum(
+        weight
+        for (a, rhs, dot), weight in chart.get((0, len(word)), {}).items()
+        if a == g.start and dot == len(rhs)
+    )
+
+
 class TestEarley:
     def test_catalan_triple(self):
         assert earley_count(CATALAN, "aaa") == 2
@@ -445,7 +550,7 @@ class TestEarley:
         # the chart datatype keys states by dotted production, so scan the
         # raw cells for duplicates after a run
         for w in ("aab", "aaaa", "ab"):
-            cells = earley_chart(g, w)
+            cells = indexed_earley_chart(g, w)
             for cell in cells.values():
                 keys = list(cell)
                 assert len(keys) == len(set(keys))
@@ -453,7 +558,7 @@ class TestEarley:
                     assert 0 <= dot <= len(rhs)
 
     def test_weights_count_leftmost_derivations_of_span(self):
-        cells = earley_chart(CATALAN, "aaa")
+        cells = indexed_earley_chart(CATALAN, "aaa")
         complete = {
             key: w
             for key, w in cells[0, 3].items()
@@ -553,11 +658,7 @@ def non_empty(chart):
 
 
 def reference_count(g, word):
-    return sum(
-        weight
-        for (a, rhs, dot), weight in reference_earley_chart(g, word).get((0, len(word)), {}).items()
-        if a == g.start and dot == len(rhs)
-    )
+    return chart_count(reference_earley_chart(g, word), g, word)
 
 
 PALINDROME_PAIRS_CNF = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
@@ -590,13 +691,14 @@ class TestIndexedChart:
         g = CHART_GRAMMARS[name]
         for n in range(1, 8):
             for w in words_of(g.terminals, n):
-                assert non_empty(earley_chart(g, w)) == non_empty(reference_earley_chart(g, w)), w
-                assert earley_count(g, w) == reference_count(g, w), w
+                chart = indexed_earley_chart(g, w)
+                assert non_empty(chart) == non_empty(reference_earley_chart(g, w)), w
+                assert earley_count(g, w) == reference_count(g, w) == chart_count(chart, g, w), w
 
     def test_same_cells_on_long_palindrome_pairs(self):
         g = PALINDROME_PAIRS_CNF
         for w in palindrome_pair_words(50, 32, seed=7):
-            assert non_empty(earley_chart(g, w)) == non_empty(reference_earley_chart(g, w)), w
+            assert non_empty(indexed_earley_chart(g, w)) == non_empty(reference_earley_chart(g, w)), w
             assert earley_count(g, w) == reference_count(g, w) >= 1, w
 
     def test_tables_belong_to_the_grammar(self):
@@ -606,7 +708,103 @@ class TestIndexedChart:
         tables = g.earley_tables
         earley_count(g, "aaaa")
         assert g.earley_tables is tables
-        assert tables[0] == {"S": frozenset({"S"})}
+        corner, plans = tables
+        assert corner == {"S": frozenset({"S"})}
+        # every column of a^n predicts {S}: scan a with S, wait on S for S -> S S
+        assert plans == {frozenset({"S"}): ({"a": ["S"]}, {"S": [("S", "S")]})}
+
+
+def with_left_recursion(g):
+    """``g`` with start -> start start added."""
+    binary = {a: list(g.binary[a]) for a in g.variables}
+    if (g.start, g.start) not in binary[g.start]:
+        binary[g.start].append((g.start, g.start))
+    return CnfGrammar(g.variables, g.terminals, g.start, binary, g.unary)
+
+
+def random_chart_cnf(seed):
+    """A seeded random CNF grammar over ab, useless variables allowed."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(1, 5))]
+    pairs = [(b, c) for b in names for c in names]
+    binary = {a: rng.sample(pairs, rng.randint(0, min(4, len(pairs)))) for a in names}
+    unary = {a: rng.sample(["a", "b"], rng.randint(0, 2)) for a in names}
+    unary[names[0]] = unary[names[0]] or ["a"]
+    return CnfGrammar(names, ("a", "b"), names[-1], binary, unary)
+
+
+RANDOM_CHART_GRAMMARS = [random_chart_cnf(seed) for seed in range(40)]
+RANDOM_CHART_GRAMMARS += [with_left_recursion(g) for g in RANDOM_CHART_GRAMMARS[:20]]
+
+
+class TestEarleyCount:
+    """``earley_count`` against the indexed chart and the rescanning reference."""
+
+    @staticmethod
+    def counts(g, w):
+        return earley_count(g, w), chart_count(indexed_earley_chart(g, w), g, w), reference_count(g, w)
+
+    @pytest.mark.parametrize("length", [32, 64])
+    def test_long_palindrome_pairs(self, length):
+        g = PALINDROME_PAIRS_CNF
+        for w in palindrome_pair_words(200, length, seed=length):
+            count, chart, reference = self.counts(g, w)
+            assert count == chart == reference >= 1, w
+
+    @pytest.mark.parametrize(
+        "g, words",
+        [
+            (CATALAN, ["b", "ab", "aab", "aaaaab"]),
+            (PAIR, ["a", "ba", "abb", "abab", "c", "ac", "abc"]),
+            (ANBN, ["ba", "aab", "abab", "aaabbbb", "aXbb"]),
+            (PALINDROME_PAIRS_CNF, ["aaab", "abababa", "aac", "c" * 6]),
+            (CHART_GRAMMARS["dyck-slice-6"], ["abbaab", "bababa", "aaaaab", "aab", "abab" * 2, "aabbac"]),
+        ],
+    )
+    def test_non_members_and_foreign_letters_count_zero(self, g, words):
+        for w in words:
+            if set(w) <= set(g.terminals):
+                assert leftmost_derivation_count(g, w) == 0, w
+            assert self.counts(g, w) == (0, 0, 0), w
+
+    def test_random_grammars(self):
+        ambiguous = left_recursive = useless = 0
+        for g in RANDOM_CHART_GRAMMARS:
+            left_recursive += (g.start, g.start) in g.binary[g.start]
+            live = g.productive_variables() & g.reachable_variables()
+            useless += len(live) < len(g.variables)
+            most = 0
+            for n in range(1, 7):
+                for w in words_of(g.terminals, n):
+                    count, chart, reference = self.counts(g, w)
+                    assert count == chart == reference, (g.binary, g.unary, w)
+                    most = max(most, count)
+            ambiguous += most > 1
+        assert min(ambiguous, left_recursive, useless) >= 10
+
+    @pytest.mark.parametrize(
+        "name, plan_count",
+        [("catalan", 1), ("pair", 2), ("anbn", 3), ("mixed", 2), ("palindrome-pairs", 11),
+         ("dyck-slice-6", 12)],
+    )
+    def test_plans_belong_to_the_grammar(self, name, plan_count):
+        g = fresh_copy(CHART_GRAMMARS[name])
+        words = [w for n in range(1, 11) for w in words_of(g.terminals, n)]
+        counts = [earley_count(g, w) for w in words]
+        corner, plans = g.earley_tables
+        assert len(plans) == plan_count
+        grown = dict(plans)
+        assert [earley_count(g, w) for w in words] == counts
+        assert g.earley_tables[1] is plans and plans == grown
+        assert fresh_copy(g).earley_tables[1] == {}
+        for predicted, (scans, waits) in plans.items():
+            closure = frozenset().union(*(corner[b] for b in predicted))
+            assert Counter((t, a) for t, vs in scans.items() for a in vs) == Counter(
+                (t, a) for a in closure for t in g.unary[a]
+            )
+            assert Counter((b, a, c) for b, pairs in waits.items() for a, c in pairs) == Counter(
+                (b, a, c) for a in closure for b, c in g.binary[a]
+            )
 
 
 def reference_to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:

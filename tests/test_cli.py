@@ -334,6 +334,14 @@ class TestOracles:
         )
 
 
+    def test_dead_squarings_are_not_evaluated(self, tmp_path, capsys):
+        # x1 squared 20 times, then added to x2, with output x2
+        spec = tmp_path / "dead.circ"
+        squarings = "".join(f"{i} mul {i - 1} {i - 1}\n" for i in range(1, 21))
+        spec.write_text(f"0 in 1\n{squarings}21 in 2\n22 add 20 21\nout 21\n")
+        assert run_cli(["pb", "derand", "--circuit", str(spec)], capsys) == (0, "01\n", "")
+
+
 class TestFormatsAndErrors:
     def test_json_lines(self, files, capsys):
         code, out, _ = run_cli(

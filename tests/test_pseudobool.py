@@ -82,6 +82,39 @@ def random_circuit(rng) -> Circuit:
     return b.build(rng.choice(ids[-4:]))
 
 
+def circuit_with_dead_nodes(rng) -> Circuit:
+    """A random circuit beside a squaring chain, and its sum, that the
+    output may or may not read; nodes may follow the output."""
+    n = rng.randint(0, 5)
+    b = CircuitBuilder(n)
+    ids = [b.var(k) for k in range(n)] + [b.const(c) for c in (-1, 0, 1, -1)]
+    for _ in range(rng.randint(0, 3)):
+        x = rng.choice(ids)
+        for _ in range(rng.randint(1, 8)):
+            x = b.mul(x, x)
+        if rng.random() < 0.5:
+            x = b.add(x, rng.choice(ids))
+        if rng.random() < 0.2:
+            ids.append(x)
+    for _ in range(rng.randint(1, 8)):
+        take = [rng.choice(ids) for _ in range(rng.randint(1, 4))]
+        ids.append(b.add(*take) if rng.random() < 0.5 else b.mul(*take))
+    return b.build(rng.randrange(len(b.nodes)))
+
+
+def reached(c: Circuit) -> set:
+    """Oracle: the nodes the output reaches, by depth-first search."""
+    seen = set()
+    stack = [c.out]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            if c.nodes[i][0] in ("add", "mul"):
+                stack.extend(c.nodes[i][1])
+    return seen
+
+
 def brute_msf_coefficients(c: Circuit):
     """Oracle: recover square-free coefficients from {0,1} evaluations."""
     n = c.n_vars
@@ -204,6 +237,16 @@ class TestIntegerEvaluation:
         rng = random.Random(12)
         for _ in range(300):
             c = random_circuit(rng)
+            for point in random_points(rng, c.n_vars):
+                assert eval_circuit(c, point) == reference_eval_circuit(c, point)
+
+    def test_circuits_with_dead_nodes_match_reference(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            c = circuit_with_dead_nodes(rng)
+            steps = c.plan.steps
+            assert len(steps) == c.out + 1
+            assert {i for i, (kind, _) in enumerate(steps) if kind != "dead"} == reached(c)
             for point in random_points(rng, c.n_vars):
                 assert eval_circuit(c, point) == reference_eval_circuit(c, point)
 
@@ -472,6 +515,20 @@ class TestDegreeCeiling:
         assert c.plan.degree == 2**20
         with pytest.raises(SizeGuard, match="degree bound 1048576 .* above 4096"):
             eval_circuit(c, [0, Fraction(1, 3)])
+
+    def test_dead_squarings_are_not_planned(self):
+        # x squared 20 times, then added to y, with output y
+        b = CircuitBuilder(2)
+        x = b.var(0)
+        for _ in range(20):
+            x = b.mul(x, x)
+        y = b.var(1)
+        b.add(x, y)
+        c = b.build(y)
+        assert c.plan == ((("dead", None),) * 21 + (("in", 1),), (), 1, 0)
+        for point in ([0, Fraction(1, 3)], [1, Fraction(-5, 7)], [-1, 2]):
+            assert eval_circuit(c, point) == reference_eval_circuit(c, point) == point[1]
+        assert derandomize(PbProblem(2, c)) == (0, 1)
 
     def test_just_under_the_ceiling_matches_reference(self):
         c = self.squarings(12)
