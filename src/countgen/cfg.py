@@ -155,6 +155,8 @@ class TreeTable(dict):
     ``splits[a]`` holds ``(table[b], table[c], b, c)`` for each production
     a -> b c, in the grammar's order.  The rows are the table's own lists,
     which grow in place, so the tuples are built once per table.
+    ``leaves`` maps each variable with exactly one terminal production
+    a -> t to its one tree of yield length 1, the leaf ``(a, t)``.
     """
 
     def __init__(self, g: CnfGrammar):
@@ -163,6 +165,7 @@ class TreeTable(dict):
         self.splits = {
             a: tuple((self[b], self[c], b, c) for b, c in g.binary[a]) for a in g.variables
         }
+        self.leaves = {a: (a, g.unary[a][0]) for a in g.variables if len(g.unary[a]) == 1}
 
     def grow(self, n: int) -> "TreeTable":
         """Append yield lengths until every row covers 0..n."""
@@ -198,7 +201,9 @@ def random_tree(g: CnfGrammar, n: int, src):
     The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
     is global, not per recursion level); the failure probability is at
     most (2n - 1) / 2**kappa, below 1/4.  The grammar's ``tree_table`` is
-    grown to n in place.
+    grown to n in place.  A child of yield length 1 whose variable has one
+    terminal is taken from ``TreeTable.leaves``: its draw would be a
+    forced choice, which reads no bits.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
@@ -206,6 +211,7 @@ def random_tree(g: CnfGrammar, n: int, src):
     if table[g.start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
     splits = table.splits
+    leaves = table.leaves
     kappa = 3 + bit_size(n)
 
     def generate(a, length):
@@ -245,12 +251,18 @@ def random_tree(g: CnfGrammar, n: int, src):
                 break
         else:
             raise AssertionError("rank exceeded bucket weight")
-        left = generate(b, k)
-        if left is FAIL:
-            return FAIL
-        right = generate(c, length - k)
-        if right is FAIL:
-            return FAIL
+        if k == 1 and b in leaves:
+            left = leaves[b]
+        else:
+            left = generate(b, k)
+            if left is FAIL:
+                return FAIL
+        if k == length - 1 and c in leaves:
+            right = leaves[c]
+        else:
+            right = generate(c, length - k)
+            if right is FAIL:
+                return FAIL
         return (a, left, right)
 
     return generate(g.start, n)

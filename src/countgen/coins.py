@@ -49,14 +49,18 @@ class CoinSource:
     key=seed as 8 little-endian bytes)``.  Equal seeds therefore replay the
     identical bit sequence, and a draw may take any run of bits from one
     block at once.  ``bits_consumed`` advances by exactly k on every k-bit
-    draw.
+    draw.  The source keeps the last block it hashed with its bit range, so
+    a draw that lies inside that range costs one range check, one shift
+    and one mask.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self.bits_consumed = 0
         self._key = self.seed.to_bytes(8, "little")
-        self._block_index = -1
+        # the loaded block holds tape bits _block_start .. _block_end - 1
+        self._block_start = 0
+        self._block_end = 0
         self._block = 0
 
     def draw(self, k: int) -> int:
@@ -65,17 +69,23 @@ class CoinSource:
             raise ValueError("bit count must be nonnegative")
         pos = self.bits_consumed
         end = pos + k
+        start = self._block_start
+        if start <= pos and end <= self._block_end:
+            self.bits_consumed = end
+            return (self._block >> (pos - start)) & ((1 << k) - 1)
         value = 0
         shift = 0
         while pos < end:
-            index, offset = divmod(pos, _BLOCK_BITS)
-            if index != self._block_index:
+            if not self._block_start <= pos < self._block_end:
+                index = pos // _BLOCK_BITS
                 digest = hashlib.blake2b(
                     index.to_bytes(8, "little"), key=self._key
                 ).digest()
                 self._block = int.from_bytes(digest, "little")
-                self._block_index = index
-            take = min(_BLOCK_BITS - offset, end - pos)
+                self._block_start = index * _BLOCK_BITS
+                self._block_end = self._block_start + _BLOCK_BITS
+            offset = pos - self._block_start
+            take = min(self._block_end, end) - pos
             value |= ((self._block >> offset) & ((1 << take) - 1)) << shift
             shift += take
             pos += take
@@ -151,8 +161,14 @@ def draw_uniform(src, total: int, attempts: int):
     """Uniform integer in {1..total}, or FAIL after ``attempts`` rejections.
 
     Each attempt draws ``bit_size(total)`` bits and rejects values above total.
+    A forced choice (``total == 1``) returns 1 without calling ``src.draw``:
+    its attempt would draw 0 bits, which consume nothing and cannot fail.
     """
-    width = bit_size(total)
+    if total < 1:
+        raise ValueError("range must contain at least 1")
+    if total == 1 and attempts >= 1:
+        return 1
+    width = (total - 1).bit_length()
     for _ in range(attempts):
         u = src.draw(width) + 1
         if u <= total:

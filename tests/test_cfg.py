@@ -8,7 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from countgen import cfg
+from countgen import cfg, coins
 from countgen.cfg import (
     CnfGrammar,
     TreeTable,
@@ -28,9 +28,9 @@ from countgen.cfg import (
     _fresh_terminal_wrapper,
     _restrict,
 )
-from countgen.coins import FAIL, CoinSource, bit_size, draw_uniform, outcome_law
+from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, draw_uniform, outcome_law
 from countgen.describe import Bound, estimate_census, sample_described
-from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage
+from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage, TapeExhausted
 from countgen.pda import build_slice_grammar
 from test_pda import ANBN as ANBN_PDA
 from test_pda import DYCK
@@ -325,15 +325,33 @@ def random_cnf(seed):
     """A seeded random CNF grammar over ab, useless variables allowed."""
     rng = random.Random(seed)
     names = [f"V{i}" for i in range(rng.randint(1, 5))]
-    binary = {a: rng.sample([(b, c) for b in names for c in names], rng.randint(0, 4))
-              for a in names}
+    pairs = [(b, c) for b in names for c in names]
+    binary = {a: rng.sample(pairs, min(rng.randint(0, 4), len(pairs))) for a in names}
     unary = {a: rng.sample(["a", "b"], rng.randint(0, 2)) for a in names}
     unary[names[0]] = unary[names[0]] or ["a"]
     return CnfGrammar(names, ("a", "b"), names[-1], binary, unary)
 
 
+# sha256 of the dumps of random_cnf(0) .. random_cnf(11), first 16 digits
+RANDOM_CNF_DIGEST = "2c512cfeb41d115f"
+
+
 def dyck_slice(n):
     return build_slice_grammar(DYCK, n).grammar
+
+
+# The grammars random_tree is checked on against reference_random_tree, with
+# the yield lengths sampled: every length to 12, then every third to 40 (a
+# Dyck slice grammar has one length).  Some random grammars have variables
+# with two terminals, so leaf draws remain beside the leaves random_tree
+# takes from TreeTable.leaves without a draw.
+SAMPLED_LENGTHS = [*range(1, 13), *range(13, 41, 3)]
+SAMPLER_GRAMMARS = {
+    **{f"test-{i}": (lambda g=g: g, SAMPLED_LENGTHS) for i, g in enumerate(GRAMMARS)},
+    **{f"dyck-{n}": (lambda n=n: dyck_slice(n), [n]) for n in (2, 4, 6, 8, 10, 12, 20, 40)},
+    **{f"random-{seed}": (lambda seed=seed: random_cnf(seed), SAMPLED_LENGTHS)
+       for seed in range(40)},
+}
 
 
 class TestSplitSearch:
@@ -361,17 +379,9 @@ class TestSplitSearch:
                 lambda src: run(src, lambda g, n, src: reference_random_tree(g, n, src, locate))
             )
 
-    @pytest.mark.parametrize(
-        "make, lengths",
-        [
-            *((lambda g=g: g, range(1, 41, 3)) for g in GRAMMARS),
-            *((lambda n=n: dyck_slice(n), [n]) for n in (2, 8, 20, 40)),
-            *((lambda seed=seed: random_cnf(seed), range(1, 41, 3)) for seed in range(12)),
-        ],
-        ids=[*(f"test-{i}" for i in range(len(GRAMMARS))),
-             *(f"dyck-{n}" for n in (2, 8, 20, 40)), *(f"random-{seed}" for seed in range(12))],
-    )
-    def test_trees_and_bits_equal_reference(self, make, lengths):
+    @pytest.mark.parametrize("name", SAMPLER_GRAMMARS)
+    def test_trees_and_bits_equal_reference(self, name):
+        make, lengths = SAMPLER_GRAMMARS[name]
         grammar = make()
         for n in lengths:
             if tree_census(grammar, grammar.start, n) == 0:
@@ -395,6 +405,12 @@ class TestSplitSearch:
         live = [g for g in grammars if any(tree_census(g, g.start, n) for n in (37, 40))]
         assert len(live) >= 4
 
+    def test_random_grammars_are_unchanged(self):
+        # capping the sample at the pairs available keeps seeds 0-11 as
+        # they were drawn before; the digest covers every production
+        text = "".join(dump_grammar(random_cnf(seed)) for seed in range(12))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == RANDOM_CNF_DIGEST
+
     def test_split_rows_are_the_table_rows(self):
         table = tree_census_table(MIXED, 3)
         assert isinstance(table, TreeTable) and table.grammar is MIXED
@@ -404,6 +420,73 @@ class TestSplitSearch:
                 assert row_b is table[b] and row_c is table[c]
         table.grow(9)
         assert all(len(row_b) == 10 for a in MIXED.variables for row_b, *_ in table.splits[a])
+
+
+class TestLeafChildren:
+    def test_leaves_are_the_single_terminal_variables(self):
+        two_terminals = 0
+        for make, _ in SAMPLER_GRAMMARS.values():
+            g = make()
+            table = tree_census_table(g, 1)
+            assert table.leaves == {a: (a, g.unary[a][0]) for a in g.variables
+                                    if len(g.unary[a]) == 1}
+            assert all(table[a][1] == 1 for a in table.leaves)
+            two_terminals += any(len(g.unary[a]) == 2 for a in g.reachable_variables())
+        # leaf draws remain in the sampler tests
+        assert two_terminals >= 5
+
+    def test_law_and_bits_equal_reference(self, monkeypatch):
+        # exact laws for n <= 4 wherever the tape tree has at most 2,000
+        # prefixes; rejections at several nodes make the others too large
+        monkeypatch.setattr(coins, "_LAW_MAX_LEAVES", 2000)
+        compared = 0
+        for make, lengths in SAMPLER_GRAMMARS.values():
+            if min(lengths) > 4:
+                continue
+            grammar = make()
+            for n in lengths:
+                if n > 4 or tree_census(grammar, grammar.start, n) == 0:
+                    continue
+
+                def run(src, sample):
+                    return sample(grammar, n, src), src.bits_consumed
+
+                try:
+                    law = outcome_law(lambda src: run(src, random_tree))
+                except RuntimeError:
+                    continue
+                assert law == outcome_law(lambda src: run(src, reference_random_tree)), n
+                compared += 1
+        assert compared >= 75
+
+    def test_failure_at_an_internal_node(self):
+        # Catalan, n = 6: rank 1 of 42 puts a leaf left of a yield-5 node
+        # (14 trees), whose 6 attempts of 4 bits all draw 16
+        tape = [0] * 6 + [1] * 24
+        for sample in (random_tree, reference_random_tree):
+            src = TapeSource(tape)
+            assert sample(CATALAN, 6, src) is FAIL
+            assert src.bits_consumed == 30
+
+    @pytest.mark.parametrize("name, n", [("test-0", 6), ("test-3", 5), ("dyck-8", 8)])
+    def test_truncated_tapes_equal_reference(self, name, n):
+        # every prefix of a tape: both samplers run out at the same draw
+        g = SAMPLER_GRAMMARS[name][0]()
+        bits = CoinSource(11).draw(160)
+        tape = [(bits >> i) & 1 for i in range(160)]
+
+        def run(sample, prefix):
+            src = TapeSource(prefix)
+            try:
+                out = sample(g, n, src)
+            except TapeExhausted:
+                out = "exhausted"
+            return out, src.bits_consumed
+
+        outcomes = [run(random_tree, tape[:cut]) for cut in range(len(tape) + 1)]
+        assert outcomes == [run(reference_random_tree, tape[:cut])
+                            for cut in range(len(tape) + 1)]
+        assert any(out == "exhausted" and used > 0 for out, used in outcomes)
 
 
 class TestYield:

@@ -548,6 +548,16 @@ class TestDeterminism:
         argv = [family, "estimate", flag, str(spec), *argv.split(), "--format", "json-lines"]
         assert run_cli(argv, capsys) == (0, line + "\n", "")
 
+    # the tree sampler's tape is pinned too: a faster sampler must draw the
+    # same bits (the same line is checked in CI)
+    def test_pinned_tree_line(self, files, capsys):
+        argv = ["cfg", "sample", "-g", files["catalan.cfg"], "-n", "12", "--tree",
+                "--seed", "3", "--format", "json-lines"]
+        tree = ("(S (S (S (S (S (S (S a) (S (S a) (S a))) (S (S a) (S a))) (S a)) (S a))"
+                " (S a)) (S (S a) (S (S a) (S (S a) (S a)))))")
+        line = f'{{"value": "{tree}", "trials": 1, "bits": 59, "seed": 3}}'
+        assert run_cli(argv, capsys) == (0, line + "\n", "")
+
 
 # ---------------------------------------------------------------------------
 # The CLI's family table: every (family, op) entry below is taken from it,

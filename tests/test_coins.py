@@ -76,6 +76,16 @@ def reference_draw(src, k):
     return value
 
 
+def reference_draw_uniform(src, total, attempts):
+    """draw_uniform as it was before forced choices skipped the draw."""
+    width = bit_size(total)
+    for _ in range(attempts):
+        u = src.draw(width) + 1
+        if u <= total:
+            return u
+    return FAIL
+
+
 def reference_tape_draw(bits, base, k):
     value = 0
     for j in range(k):
@@ -170,16 +180,44 @@ class TestBlockDraws:
                 assert src.bits_consumed == ref.bits_consumed
             assert {0, 511, 512, 513} <= starts
 
+    @staticmethod
+    def assert_widths_match(seed, widths):
+        src, ref = CoinSource(seed), ReferenceCoinSource(seed)
+        for k in widths:
+            assert src.draw(k) == reference_draw(ref, k), (seed, k, ref.bits_consumed)
+            assert src.bits_consumed == ref.bits_consumed
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fresh_source_draws_zero_bits_first(self, seed):
+        self.assert_widths_match(seed, [0, 0, 1, 0, 5])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("head", [[512], [511, 1], [500, 12], [3, 509]])
+    def test_draw_ending_at_block_boundary(self, seed, head):
+        # the draw ends exactly at bit 512; a 0-bit draw there and the next
+        # 1-bit draw, which loads block 1
+        self.assert_widths_match(seed, head + [0, 1, 0, 2])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_short_draws_across_three_blocks(self, seed):
+        rng = random.Random(seed & 0xFFFF)
+        widths = []
+        while sum(widths) < 3 * _BLOCK_BITS + 40:
+            widths.append(rng.randint(1, 3))
+        self.assert_widths_match(seed, widths)
+
     def test_seed_reduced_mod_two_to_the_64(self):
         assert CoinSource(-1).draw(700) == CoinSource(2**64 - 1).draw(700)
         assert CoinSource(2**64 + 5).draw(700) == CoinSource(5).draw(700)
 
     def test_negative_width_rejected(self):
-        src = CoinSource(0)
-        src.draw(5)
+        src, ref = CoinSource(0), ReferenceCoinSource(0)
+        assert src.draw(5) == reference_draw(ref, 5)
         with pytest.raises(ValueError):
             src.draw(-1)
         assert src.bits_consumed == 5
+        # the loaded block is still read from bit 5
+        assert src.draw(9) == reference_draw(ref, 9)
 
     def test_pinned_tape_digest(self):
         h = hashlib.sha256()
@@ -279,6 +317,61 @@ class TestDrawUniform:
         src = TapeSource(())
         assert draw_uniform(src, 7, 0) is FAIL
         assert src.bits_consumed == 0
+
+    def test_forced_choice(self):
+        # one option: the value is 1 and no bit is read, but it still takes
+        # an attempt
+        for src in (TapeSource(()), CoinSource(3)):
+            assert draw_uniform(src, 1, 1) == 1
+            assert draw_uniform(src, 1, 0) is FAIL
+            assert src.bits_consumed == 0
+
+    @pytest.mark.parametrize("total", [0, -1, -(2**70)])
+    def test_empty_range_rejected(self, total):
+        for attempts in (0, 1):
+            with pytest.raises(ValueError):
+                draw_uniform(CoinSource(0), total, attempts)
+
+    TOTALS = sorted(
+        {*range(1, 71)} | {2**k + d for k in range(1, 71) for d in (-1, 0, 1)}
+    )
+
+    @staticmethod
+    def outcome(draw, src, total, attempts):
+        try:
+            value = draw(src, total, attempts)
+        except TapeExhausted:
+            value = "exhausted"
+        return value, src.bits_consumed
+
+    @pytest.mark.parametrize("attempts", range(5))
+    def test_equals_reference_on_coin_sources(self, attempts):
+        for total in self.TOTALS:
+            for seed in range(3):
+                src, ref = CoinSource(seed), CoinSource(seed)
+                for _ in range(4):
+                    assert self.outcome(draw_uniform, src, total, attempts) == \
+                        self.outcome(reference_draw_uniform, ref, total, attempts)
+
+    @pytest.mark.parametrize("attempts", range(5))
+    def test_equals_reference_on_tape_sources(self, attempts):
+        rng = random.Random(attempts)
+        for total in self.TOTALS:
+            for length in (0, 1, 7, 70, 150):
+                bits = [rng.randrange(2) for _ in range(length)]
+                src, ref = TapeSource(bits), TapeSource(bits)
+                for _ in range(3):
+                    assert self.outcome(draw_uniform, src, total, attempts) == \
+                        self.outcome(reference_draw_uniform, ref, total, attempts)
+
+    @pytest.mark.parametrize("attempts", range(5))
+    def test_law_equals_reference(self, attempts):
+        for total in [*range(1, 13), 16]:
+            def run(src, draw):
+                return draw(src, total, attempts), src.bits_consumed
+
+            assert outcome_law(lambda src: run(src, draw_uniform)) == \
+                outcome_law(lambda src: run(src, reference_draw_uniform))
 
 
 class TestRetriesFor:
