@@ -4,6 +4,10 @@ Words of a fixed length accepted by a DFA are counted exactly by dynamic
 programming over states; the same table drives a per-letter rejection
 sampler, lexicographic ranking by prefix sums, and unranking.  The table
 is prefix-closed, so one table per automaton grows to any length read.
+Equivalent states accept the same words, so they have equal counts at
+every length (Myhill-Nerode): the table grows one row per class of
+equivalent states, and the states of a class share that row, which no
+reader may mutate.
 
 Word order is length-first, then lexicographic in the declared alphabet
 order; ranks are 1-based and a word counts itself when it is a member.
@@ -12,6 +16,7 @@ order; ranks are 1-based and a word counts itself when it is a member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import WordLanguage
@@ -50,6 +55,23 @@ class Dfa:
         except ValueError:
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
 
+    @property
+    def state_classes(self) -> tuple:
+        """``classes[q]``: the class of state q, where two states share a
+        class exactly when they accept the same words.  Classes are numbered
+        in the order of their least states.  Computed at the first read,
+        not at construction, and kept.
+        """
+        # Kept by object.__setattr__, not functools.cached_property: reading
+        # the instance __dict__, as cached_property does, makes CPython drop
+        # its fast attribute path, and every later read of a.trans on that
+        # automaton then costs about three times as much.
+        try:
+            return self._state_classes
+        except AttributeError:
+            object.__setattr__(self, "_state_classes", _state_classes(self))
+            return self._state_classes
+
     def accepts(self, word: str) -> bool:
         q = self.start
         for sym in word:
@@ -57,15 +79,79 @@ class Dfa:
         return q in self.finals
 
 
+def _state_classes(a: Dfa) -> tuple:
+    """``Dfa.state_classes`` by Hopcroft's partition refinement ("An n log n
+    algorithm for minimizing states in a finite automaton", 1971): O(k n
+    log n) for k letters and n states, reachable or not.
+    """
+    n, k = a.n_states, len(a.alphabet)
+    preimages = [[[] for _ in range(n)] for _ in range(k)]
+    for q, moves in enumerate(a.trans):
+        for s, p in enumerate(moves):
+            preimages[s][p].append(q)
+    finals = set(a.finals)
+    blocks = [b for b in (finals, set(range(n)) - finals) if b]
+    block_of = [0] * n
+    for b, members in enumerate(blocks):
+        for q in members:
+            block_of[q] = b
+    # (block, letter) splitters still to apply; of two halves of a split,
+    # only the smaller need be queued, which gives the log n
+    pending = []
+    if len(blocks) == 2:
+        smaller = int(len(blocks[1]) < len(blocks[0]))
+        pending = [(smaller, s) for s in range(k)]
+    queued = set(pending)
+    while pending and len(blocks) < n:  # n blocks cannot split further
+        b, s = splitter = pending.pop()
+        queued.discard(splitter)
+        hit = {}
+        for p in blocks[b]:
+            for q in preimages[s][p]:
+                hit.setdefault(block_of[q], []).append(q)
+        for c, members in hit.items():
+            rest = blocks[c]
+            if len(members) == len(rest):
+                continue
+            part = set(members)
+            rest -= part
+            new = len(blocks)
+            blocks.append(part)
+            for q in part:
+                block_of[q] = new
+            for t in range(k):
+                if (c, t) in queued:
+                    item = (new, t)
+                else:
+                    item = (new if len(part) <= len(rest) else c, t)
+                queued.add(item)
+                pending.append(item)
+    number = {}
+    return tuple(number.setdefault(b, len(number)) for b in block_of)
+
+
 class CensusTable:
     """counts[q][l] = number of words of length l accepted from state q.
 
     Every row grows to a length the first time a count there is read.
+    The states of one ``Dfa.state_classes`` class share one row object,
+    grown once from a representative's transitions, so a reader must not
+    mutate a row: the change would show in every state of its class.
     """
 
     def __init__(self, a: Dfa):
         self.dfa = a
-        self.counts = [[1 if q in a.finals else 0] for q in range(a.n_states)]
+        classes = a.state_classes
+        rows, leaders = [], []
+        for q, c in enumerate(classes):
+            if c == len(rows):  # q is the least state of its class
+                rows.append([1 if q in a.finals else 0])
+                leaders.append(q)
+        self.counts = [rows[c] for c in classes]
+        # per class: its row and the rows its least state moves to
+        self._plan = [
+            (rows[c], tuple(rows[classes[p]] for p in a.trans[q])) for c, q in enumerate(leaders)
+        ]
 
     def count(self, q: int, length: int) -> int:
         row = self.counts[q]
@@ -77,10 +163,10 @@ class CensusTable:
         """Extend every row to cover lengths 0..n."""
         if n < 0:
             raise ValueError("census length must be nonnegative")
-        counts, trans = self.counts, self.dfa.trans
-        for length in range(len(counts[0]), n + 1):
-            for q, row in enumerate(counts):
-                row.append(sum(counts[p][length - 1] for p in trans[q]))
+        for length in range(len(self.counts[0]), n + 1):
+            below = itemgetter(length - 1)
+            for row, successors in self._plan:
+                row.append(sum(map(below, successors)))
         return self
 
 
@@ -95,11 +181,14 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     At each remaining length, a rank is drawn by rejection against the
     census of the current state (confidence + ceil(log n) attempts) and
     prefix sums pick the next letter.  The failure probability is at most
-    n / 2**kappa <= 2**-confidence.  A ``table`` passed in must be the
-    census of ``a`` itself; one of another automaton is refused.
+    n / 2**kappa <= 2**-confidence, so a negative confidence is refused.
+    A ``table`` passed in must be the census of ``a`` itself; one of
+    another automaton is refused.
     """
     if n < 1:
         raise ValueError("slice length must be >= 1")
+    if confidence < 0:
+        raise ValueError("confidence must be >= 0")
     if table is None:
         table = dfa_census(a, n)
     elif table.dfa is not a:

@@ -32,14 +32,16 @@ from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
 class Nfa:
     alphabet: tuple
     matrices: tuple  # per symbol: dim x dim tuple of nonnegative ints
-    start: tuple  # 0/1 row vector
-    accept: tuple  # 0/1 column vector
+    start: tuple  # row vector of nonnegative integer weights
+    accept: tuple  # column vector of nonnegative integer weights
     ambiguity: int  # declared bound on accepting paths per word
 
     def __post_init__(self):
         dim = len(self.start)
         if len(self.accept) != dim:
             raise ValueError("start/accept dimension mismatch")
+        if any(w < 0 for w in (*self.start, *self.accept)):
+            raise ValueError("start/accept weights must be nonnegative")
         if len(self.matrices) != len(self.alphabet):
             raise ValueError("one matrix per symbol required")
         for m in self.matrices:

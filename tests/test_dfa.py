@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countgen import dfa as dfa_module
 from countgen.coins import FAIL, CoinSource, bit_size, draw_uniform, outcome_law
 from countgen.dfa import (
     CensusTable,
@@ -151,6 +152,208 @@ class TestCensus:
             view.census(4097)
 
 
+def reference_census_table(a, n):
+    """Per-state census rows for lengths 0..n, by the DP over every state:
+    no state shares a row."""
+    rows = [[1 if q in a.finals else 0] for q in range(a.n_states)]
+    for length in range(1, n + 1):
+        for q, row in enumerate(rows):
+            row.append(sum(rows[p][length - 1] for p in a.trans[q]))
+    return rows
+
+
+def reference_state_classes(a):
+    """Moore refinement: split by finality, then by the classes of each
+    state's successors, until the number of classes stops growing.
+    Classes are numbered in the order of their least states."""
+    classes = [int(q in a.finals) for q in range(a.n_states)]
+    while True:
+        signatures = {}
+        refined = [
+            signatures.setdefault((classes[q], tuple(classes[p] for p in a.trans[q])), len(signatures))
+            for q in range(a.n_states)
+        ]
+        if len(signatures) == len(set(classes)):
+            return tuple(refined)
+        classes = refined
+
+
+def random_dfa_with_copies(seed):
+    """A seeded random DFA, then copies of some of its states (same moves,
+    same finality; some edges retargeted to the copy) and states nothing
+    reaches, so that classes of several states are common."""
+    rng = random.Random(seed)
+    core = rng.randint(1, 6)
+    alphabet = "abc"[: rng.randint(1, 3)]
+    trans = [[rng.randrange(core) for _ in alphabet] for _ in range(core)]
+    finals = {q for q in range(core) if rng.random() < 0.4}
+    for _ in range(rng.randint(0, 4)):
+        original, copy = rng.randrange(len(trans)), len(trans)
+        trans.append(list(trans[original]))
+        if original in finals:
+            finals.add(copy)
+        for moves in trans:
+            for s, p in enumerate(moves):
+                if p == original and rng.random() < 0.5:
+                    moves[s] = copy
+    for _ in range(rng.randint(0, 2)):
+        trans.append([rng.randrange(len(trans)) for _ in alphabet])
+        if rng.random() < 0.4:
+            finals.add(len(trans) - 1)
+    return Dfa(tuple(alphabet), tuple(map(tuple, trans)), rng.randrange(core), frozenset(finals))
+
+
+REGEX_DFAS = [
+    dfa_from_regex(pattern)
+    for pattern in ("(a|b)*abb(a|b)*", "(a|b)*aab(a|b)*", "(a|b)*abb", "(ab|ba)*(a|bb)+", "a(a|b)*a|b")
+]
+FIXTURE_DFAS = [*AUTOMATA, load_dfa(test_cli.AB_STAR), load_dfa(test_cli.TRACE_FILE)]
+CLASS_CASES = [*FIXTURE_DFAS, *REGEX_DFAS, *(random_dfa_with_copies(seed) for seed in range(300))]
+CLASS_IDS = [*(f"fixture-{i}" for i in range(len(FIXTURE_DFAS))),
+             *(f"regex-{i}" for i in range(len(REGEX_DFAS))),
+             *(f"copies-{seed}" for seed in range(300))]
+
+
+def chain_dfa(n_states):
+    """``a`` moves one state on, ``b`` goes to the last state (a sink); only
+    the state before the sink is final, so no two states are equivalent."""
+    sink = n_states - 1
+    trans = tuple((min(q + 1, sink), sink) for q in range(n_states))
+    return Dfa(("a", "b"), trans, 0, frozenset({sink - 1}))
+
+
+class TestStateClasses:
+    """The census grows one row per class of equivalent states; every
+    state's row must still equal the per-state DP."""
+
+    @pytest.mark.parametrize("a", CLASS_CASES, ids=CLASS_IDS)
+    def test_classes_equal_moore_refinement(self, a):
+        assert a.state_classes == reference_state_classes(a)
+
+    @pytest.mark.parametrize("a", CLASS_CASES, ids=CLASS_IDS)
+    def test_rows_equal_reference(self, a):
+        reference = reference_census_table(a, 40)
+        table = dfa_census(a, 40)
+        assert table.counts == reference
+        assert all(table.count(q, 40) == reference[q][40] for q in range(a.n_states))
+
+    @pytest.mark.parametrize("a", CLASS_CASES, ids=CLASS_IDS)
+    def test_out_of_order_growth_and_language_view(self, a):
+        reference = reference_census_table(a, 40)
+        table = CensusTable(a)
+        for n in (3, 9, 5):
+            table.count(a.start, n)
+        table.grow(4)
+        assert table.counts == [row[:10] for row in reference]
+        view = dfa_language(a)
+        for n in (3, 9, 5, 4, 40, *range(41)):
+            assert view.census(n) == reference[a.start][n]
+
+    @pytest.mark.parametrize("a", CLASS_CASES, ids=CLASS_IDS)
+    def test_equivalent_states_share_one_row(self, a):
+        classes, counts = a.state_classes, CensusTable(a).counts
+        for p in range(a.n_states):
+            for q in range(a.n_states):
+                assert (counts[p] is counts[q]) == (classes[p] == classes[q])
+
+    def test_abb_has_four_classes(self):
+        abb = REGEX_DFAS[0]
+        assert abb.n_states == 9
+        assert len(set(abb.state_classes)) == 4
+        assert len({id(row) for row in dfa_census(abb, 3).counts}) == 4
+
+    def test_chain_has_no_equivalent_states(self):
+        chain = chain_dfa(4097)
+        assert chain.state_classes == tuple(range(4097))
+        table = dfa_census(chain, 10)
+        assert table.count(chain.start, 10) == 0
+        assert table.count(4085, 10) == 1
+
+    def test_classes_are_computed_once_at_the_first_census(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return partition(a)
+
+        partition = dfa_module._state_classes
+        monkeypatch.setattr(dfa_module, "_state_classes", counted)
+        a = random_dfa_with_copies(7)
+        assert calls == []
+        dfa_census(a, 5)
+        dfa_rank(a, "aaaa")
+        assert calls == [a]
+        assert a.state_classes is a.state_classes
+        assert a == random_dfa_with_copies(7)  # the kept classes are not a field
+
+
+def reference_rank(a, rows, word):
+    """dfa_rank read off per-state reference rows."""
+    n = len(word)
+    rank = sum(rows[a.start][length] for length in range(n))
+    q = a.start
+    for i, sym in enumerate(word):
+        s = a.symbol_index(sym)
+        rank += sum(rows[a.trans[q][t]][n - i - 1] for t in range(s))
+        q = a.trans[q][s]
+    return rank + (q in a.finals)
+
+
+def reference_unrank(a, rows, k):
+    """dfa_unrank read off per-state reference rows (k is in range)."""
+    n = 0
+    while k > rows[a.start][n]:
+        k -= rows[a.start][n]
+        n += 1
+    q, word = a.start, []
+    for length in range(n, 0, -1):
+        for s, p in enumerate(a.trans[q]):
+            if k <= rows[p][length - 1]:
+                break
+            k -= rows[p][length - 1]
+        word.append(a.alphabet[s])
+        q = p
+    return "".join(word)
+
+
+class TestSharedRowsAtScale:
+    """Samples, ranks and unranks on (a|b)*abb(a|b)* at the lengths the
+    benchmark uses read the same counts as the per-state DP."""
+
+    ABB = REGEX_DFAS[0]
+    LENGTHS = range(990, 1011)
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return reference_census_table(self.ABB, self.LENGTHS[-1])
+
+    def reference_table(self, rows):
+        table = CensusTable(self.ABB)
+        table.counts = rows  # per-state rows, none shared
+        return table
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_words_and_bits(self, rows, seed):
+        for n in self.LENGTHS:
+            ref = CoinSource(1000 * seed + n)
+            expected = dfa_sample(self.ABB, n, ref, table=self.reference_table(rows))
+            src = CoinSource(1000 * seed + n)
+            assert dfa_sample(self.ABB, n, src) == expected
+            assert src.bits_consumed == ref.bits_consumed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_and_unrank(self, rows, seed):
+        rng = random.Random(seed)
+        for n in self.LENGTHS:
+            body = "".join(rng.choice("ab") for _ in range(n - 3))
+            cut = rng.randint(0, n - 3)
+            word = body[:cut] + "abb" + body[cut:]
+            assert dfa_rank(self.ABB, word) == reference_rank(self.ABB, rows, word)
+            shorter = sum(rows[self.ABB.start][:n])
+            k = shorter + rng.randint(1, rows[self.ABB.start][n])
+            assert dfa_unrank(self.ABB, k) == reference_unrank(self.ABB, rows, k)
+
+
 class TestSample:
     def test_singleton_slice(self):
         assert dfa_sample(AB_STAR, 2, CoinSource(0)) == "ab"
@@ -219,6 +422,20 @@ class TestSample:
                 dfa_sample(a, 4, src, table=table)
             assert src.bits_consumed == 0
             assert len(table.counts[0]) == 5  # refused before the table was read
+
+    def test_negative_confidence_is_refused(self):
+        # kappa = confidence + bit_size(n) <= 0 once left no draw attempts,
+        # so every call came back FAIL
+        abb = dfa_from_regex("(a|b)*abb")
+        for seed in range(4):
+            for confidence in (-1, -5):
+                src, table = CoinSource(seed), CensusTable(abb)
+                with pytest.raises(ValueError, match="^confidence must be >= 0$"):
+                    dfa_sample(abb, 6, src, confidence=confidence, table=table)
+                assert src.bits_consumed == 0
+                assert len(table.counts[abb.start]) == 1  # refused before the table was read
+            word = dfa_sample(abb, 6, CoinSource(seed), confidence=0)  # 0 stays legal
+            assert word is FAIL or (len(word) == 6 and abb.accepts(word))
 
     def test_census_out_of_step_with_dfa_is_refused(self):
         table = dfa_census(ALL_WORDS, 2)

@@ -469,6 +469,29 @@ class TestNegativeCount:
             nfa_sample_slice(FOUR_PATHS_A, 1, CoinSource(0))
 
 
+class TestNegativeWeights:
+    """A negative start or accept weight is refused at construction, not
+    blamed on the declared ambiguity by a census that reads below 0."""
+
+    @pytest.mark.parametrize(
+        "start, accept",
+        [((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((1, -2), (0, 1)), ((0, 1), (-3, 0))],
+    )
+    def test_refused(self, start, accept):
+        matrices = (((0, 1), (0, 0)),)
+        with pytest.raises(ValueError, match="^start/accept weights must be nonnegative$"):
+            Nfa(("a",), matrices, start, accept, 2)
+
+    def test_single_state_example(self):
+        with pytest.raises(ValueError, match="^start/accept weights must be nonnegative$"):
+            Nfa(("a",), (((1,),),), (1,), (-1,), 2)
+
+    def test_weights_above_one_stay_legal(self):
+        assert TRIPLED.start == (3,)
+        weighted = Nfa(("a",), (((0, 1), (0, 0)),), (1, 0), (0, 2), 2)
+        assert nfa_slice_census(weighted, 1) == 1
+
+
 class TestNegativeLength:
     @pytest.mark.parametrize("n", [-1, -2])
     def test_every_entry_point_rejects(self, n):
