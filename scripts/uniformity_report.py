@@ -15,7 +15,7 @@ from scipy.stats import chisquare
 
 from countgen.cfg import CnfGrammar, random_tree, tree_yield
 from countgen.coins import FAIL, CoinSource, bit_size
-from countgen.describe import DnfFormula, dnf_description, sample_described
+from countgen.describe import DnfFormula, dnf_description, sample_report
 from countgen.dfa import dfa_from_regex, dfa_sample
 
 
@@ -59,7 +59,7 @@ def main():
     formula = DnfFormula(3, ((1,), (1, 2), (2, 3)))
     desc = dnf_description(formula)
     draws = [
-        sample_described(desc, 3, CoinSource(args.seed0 + s))
+        sample_report(desc, 3, CoinSource(args.seed0 + s)).value
         for s in range(args.samples)
     ]
     frequency_block("DNF satisfying assignments, 3 vars", draws, 0.25)

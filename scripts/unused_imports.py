@@ -2,7 +2,7 @@
 
 Usage: python3 scripts/unused_imports.py [FILE ...]
 
-Defaults to src/countgen/*.py.  Package ``__init__.py`` files (whose
+Defaults to src/countgen/*.py, tests/*.py and scripts/*.py.  Package ``__init__.py`` files (whose
 imports are re-exports) and ``from __future__`` imports are exempt.  A
 name counts as read when it appears as a loaded name anywhere in the
 module, annotations included.  Exits 1 and lists each unused import as
@@ -37,7 +37,9 @@ def unused_imports(source: str):
 
 def main(argv) -> int:
     root = Path(__file__).resolve().parent.parent
-    paths = [Path(p) for p in argv] or sorted((root / "src" / "countgen").glob("*.py"))
+    paths = [Path(p) for p in argv] or [
+        path for folder in ("src/countgen", "tests", "scripts") for path in sorted((root / folder).glob("*.py"))
+    ]
     found = 0
     for path in paths:
         if path.name == "__init__.py":

@@ -12,10 +12,7 @@ from .describe import (
     dnf_description,
     estimate_census,
     exact_count,
-    finite_language,
     product,
-    product_fixed,
-    sample_described,
     sample_report,
     trial_budget,
     union,

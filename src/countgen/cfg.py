@@ -24,7 +24,6 @@ from functools import cached_property
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import Bound, Description
 from .exceptions import (
-    AmbiguityExceeded,
     EmptySlice,
     EpsilonInLanguage,
     FormatError,
@@ -141,12 +140,6 @@ class CnfGrammar:
                         reachable.add(v)
                         frontier.append(v)
         return reachable
-
-    def check_no_useless(self):
-        live = self.productive_variables() & self.reachable_variables()
-        dead = [a for a in self.variables if a not in live]
-        if dead:
-            raise ValueError(f"useless variables: {dead!r}")
 
 
 class TreeTable(dict):
@@ -511,17 +504,6 @@ def cfl_description(g: CnfGrammar, bound: Bound) -> Description:
         bound=bound,
         census=lambda n: g.tree_table.grow(n)[g.start][n],
     )
-
-
-def validate_cfl_bound(g: CnfGrammar, bound: Bound, up_to: int) -> None:
-    """Check the tree-count bound on every derivable word of length <= up_to."""
-    for n in range(1, up_to + 1):
-        for w in dict.fromkeys(map(tree_yield, enumerate_trees(g, g.start, n))):
-            count = earley_count(g, w)
-            if count > bound(n):
-                raise AmbiguityExceeded(
-                    f"{w!r} has {count} trees, bound {bound(n)}"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .coins import FAIL, bit_size, gen_uniform, lcm_upto
+from .coins import FAIL, draw_uniform, gen_uniform, lcm_upto
 from .exceptions import (
     AmbiguityExceeded,
     CeilingExceeded,
@@ -116,14 +116,24 @@ def _multiplicity(desc: Description, s, d_max: int) -> int:
     return d
 
 
-def _sample_loop(desc: Description, n: int, src, trials=None):
+def sample_report(desc: Description, n: int, src, trials=None) -> SampleReport:
+    """Uniform element of the described structure at size n, or FAIL, with
+    the trials and bits it used.
+
+    A carrier draw t is kept with probability proportional to
+    1/ambiguity(project(t)), which exactly flattens the multiplicity: the
+    acceptance coin is one ``draw_uniform`` over lcm{1..bound(n)}, kept
+    at or below that lcm divided by the multiplicity.  ``trials``
+    overrides the computed retry budget; the conditional output law does
+    not depend on it.  A FAIL reports the whole budget as its trials.
+    """
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
     if desc.census(n) == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")
+    before = src.bits_consumed
     d_max = desc.bound(n)
     m = lcm_upto(d_max)
-    width = bit_size(m)
     budget = trials if trials is not None else trial_budget(
         1, Fraction(3, 8), Fraction(1, d_max), Fraction(1, 4)
     )
@@ -133,29 +143,10 @@ def _sample_loop(desc: Description, n: int, src, trials=None):
             continue
         s = desc.project(t)
         d = _multiplicity(desc, s, d_max)
-        r = src.draw(width) + 1
-        if r <= m // d:
-            return s, trial
-    return FAIL, budget
-
-
-def sample_described(desc: Description, n: int, src, trials=None):
-    """Uniform element of the described structure at size n, or FAIL.
-
-    A carrier draw t is kept with probability proportional to
-    1/ambiguity(project(t)), which exactly flattens the multiplicity.
-    ``trials`` overrides the computed retry budget; the conditional output
-    law does not depend on it.
-    """
-    value, _ = _sample_loop(desc, n, src, trials)
-    return value
-
-
-def sample_report(desc: Description, n: int, src, trials=None) -> SampleReport:
-    """Like ``sample_described`` but reporting trials and bits used."""
-    before = src.bits_consumed
-    value, used = _sample_loop(desc, n, src, trials)
-    return SampleReport(value, used, src.bits_consumed - before)
+        r = draw_uniform(src, m, 1)
+        if r is not FAIL and r <= m // d:
+            return SampleReport(s, trial, src.bits_consumed - before)
+    return SampleReport(FAIL, budget, src.bits_consumed - before)
 
 
 def estimate_census(desc: Description, n: int, epsilon, src):
@@ -300,73 +291,44 @@ class WordLanguage:
     unrank: Optional[Callable] = None  # (n, i) -> word
 
 
-def finite_language(words) -> WordLanguage:
-    """WordLanguage view of an explicit finite set of words."""
-    by_size: dict = {}
-    for w in words:
-        by_size.setdefault(len(w), []).append(w)
-    for group in by_size.values():
-        group.sort()
-
-    def census(n):
-        return len(by_size.get(n, ()))
-
-    def member(w):
-        return w in by_size.get(len(w), ())
-
-    def sample(n, src):
-        slice_ = by_size.get(n, ())
-        if not slice_:
-            raise EmptySlice(f"no words of length {n}")
-        r = gen_uniform(src, len(slice_))
-        if r is FAIL:
-            return FAIL
-        return slice_[r - 1]
-
-    def unrank(n, i):
-        return by_size[n][i - 1]
-
-    return WordLanguage(sample, member, census, unrank)
-
-
 def union(a: WordLanguage, b: WordLanguage) -> Description:
     """Description of the union of two word languages.
 
     The carrier is the tagged disjoint union; a word is covered once per
-    operand containing it, so multiplicities are 1 or 2.  A routing draw
-    over ``bit_size(total census)`` bits picks the side by threshold.
+    operand containing it, so multiplicities are 1 or 2.  A routing
+    ``draw_uniform`` over the total census picks the side by threshold.
     When an operand lacks ``unrank``, both operands are presampled every
     attempt so that a side failing more often cannot skew the law.
     """
     def census(n):
         return a.census(n) + b.census(n)
 
+    exact = a.unrank is not None and b.unrank is not None
+
     def sampler(n, src):
         total = census(n)
         if total == 0:
             raise EmptySlice(f"both operands empty at size {n}")
-        width = bit_size(total)
         left = a.census(n)
-        exact = a.unrank is not None and b.unrank is not None
         budget = trial_budget(1, Fraction(3, 8), 1, Fraction(1, 4))
+        if exact:
+            r = draw_uniform(src, total, budget)
+            if r is FAIL:
+                return FAIL
+            return ("L", a.unrank(n, r)) if r <= left else ("R", b.unrank(n, r - left))
         for _ in range(budget):
-            r = src.draw(width) + 1
-            if exact:
-                if r <= left:
-                    return ("L", a.unrank(n, r))
-                if r <= total:
-                    return ("R", b.unrank(n, r - left))
-                continue
+            r = draw_uniform(src, total, 1)
             # draw both sides before routing: the joint failure event is
             # independent of the side, so the conditional law stays uniform
             wa = a.sample(n, src) if left else FAIL
             wb = b.sample(n, src) if total > left else FAIL
+            if r is FAIL:
+                continue
             if r <= left:
                 if wa is not FAIL and (total == left or wb is not FAIL):
                     return ("L", wa)
-            elif r <= total:
-                if wb is not FAIL and (left == 0 or wa is not FAIL):
-                    return ("R", wb)
+            elif wb is not FAIL and (left == 0 or wa is not FAIL):
+                return ("R", wb)
         return FAIL
 
     def ambiguity(w):
@@ -438,46 +400,6 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
         project=lambda pair: pair[0] + pair[1],
         ambiguity=ambiguity,
         bound=Bound(coeff=1, power=1, const=1),
-        census=census,
-    )
-
-
-def product_fixed(a: WordLanguage, b: WordLanguage) -> Description:
-    """Midpoint-split product: both halves sampled at size n/2.
-
-    Covers only the even-size slices S_h * T_h; each word there factors
-    uniquely at the midpoint, so the description is unambiguous and its
-    carrier census is the product of the halves' censuses.
-    """
-    def census(n):
-        if n % 2:
-            return 0
-        return a.census(n // 2) * b.census(n // 2)
-
-    def sampler(n, src):
-        if census(n) == 0:
-            raise EmptySlice(f"midpoint product empty at size {n}")
-        h = n // 2
-        budget = trial_budget(1, Fraction(9, 16), 1, Fraction(1, 4))
-        for _ in range(budget):
-            s = a.sample(h, src)
-            if s is FAIL:
-                continue
-            t = b.sample(h, src)
-            if t is FAIL:
-                continue
-            return (s, t)
-        return FAIL
-
-    def ambiguity(w):
-        h = len(w) // 2
-        return int(len(w) % 2 == 0 and a.member(w[:h]) and b.member(w[h:]))
-
-    return Description(
-        sampler=sampler,
-        project=lambda pair: pair[0] + pair[1],
-        ambiguity=ambiguity,
-        bound=Bound(const=1),
         census=census,
     )
 

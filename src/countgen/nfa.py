@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import islice, product as iproduct
+from itertools import islice
 from math import lcm
 
 from .coins import FAIL, gen_uniform
@@ -151,10 +151,8 @@ def _matrix_times_col(matrix, col):
     return tuple(sum(x * col[j] for j, x in row) for row in matrix)
 
 
-# Largest Kronecker lift dimension, dim**ambiguity, a slice table builds,
-# and most words validate_ambiguity probes.
+# Largest Kronecker lift dimension, dim**ambiguity, a slice table builds.
 _LIFT_CEILING = 4096
-_PROBE_MAX_WORDS = 1 << 16
 
 
 class SliceTable:
@@ -272,15 +270,6 @@ def nfa_unrank(a: Nfa, k: int) -> str:
     table = SliceTable(a)
     n, r = slice_of_rank(table.census, k, a.dim)
     return _unrank(table, n, r)
-
-
-def validate_ambiguity(a: Nfa, n: int) -> None:
-    """Exhaustively check path counts up to length n against the bound."""
-    if len(a.alphabet) ** n > _PROBE_MAX_WORDS:
-        raise SizeGuard(f"{len(a.alphabet)}**{n} words is too many to probe")
-    for length in range(n + 1):
-        for tup in iproduct(a.alphabet, repeat=length):
-            _bounded_path_count(a, "".join(tup))
 
 
 def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):

@@ -28,9 +28,10 @@ from .specfile import integer, integer_lines, read_directives, single
 
 # Largest matrix side any permanent method accepts.
 _PERMANENT_CEILING = 8
-# Most flip sets one local-search sweep may scan: radius 3 on 40 variables
-# is 10,700 of them.
-_FLIP_SET_CEILING = 1 << 16
+# Most assignments one search may evaluate: the flip sets of a local-search
+# sweep (radius 3 on 40 variables is 10,700 of them), or the draws of a
+# random search.
+_SEARCH_CEILING = 1 << 16
 # Largest degree bound eval_circuit accepts on a circuit whose output may
 # hold a squared variable; a multilinear one has degree at most its support.
 _DEGREE_CEILING = 4096
@@ -130,20 +131,6 @@ class Circuit:
             support.append(s)
             squared.append(q)
         return _Plan(tuple(steps), tuple(weights), degree[self.out], squared[self.out])
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def depth(self) -> int:
-        depths = []
-        for node in self.nodes:
-            if node[0] in ("add", "mul"):
-                depths.append(1 + max(depths[j] for j in node[1]))
-            else:
-                depths.append(0)
-        return depths[self.out]
 
 
 class CircuitBuilder:
@@ -383,15 +370,13 @@ def permanent(a, method: str = "bruteforce") -> int:
 
 @dataclass(frozen=True)
 class PbProblem:
-    """Objective circuit over {0,1}^n, checked multilinear (see ``Circuit.plan``)."""
+    """Objective circuit over {0,1}^n to maximize, checked multilinear (see
+    ``Circuit.plan``).  To minimize an objective, maximize its negation."""
 
     n: int
     objective: Circuit
-    goal: str = "max"
 
     def __post_init__(self):
-        if self.goal not in ("max", "min"):
-            raise ValueError("goal must be 'max' or 'min'")
         if self.objective.n_vars != self.n:
             raise ValueError("objective arity mismatch")
         squared = self.objective.plan.squared
@@ -401,9 +386,6 @@ class PbProblem:
 
     def value(self, assignment) -> Fraction:
         return eval_circuit(self.objective, assignment)
-
-    def better(self, x, y) -> bool:
-        return x > y if self.goal == "max" else x < y
 
 
 def cond_expectation(p: PbProblem, prefix) -> Fraction:
@@ -422,8 +404,8 @@ def cond_expectation(p: PbProblem, prefix) -> Fraction:
 def derandomize(p: PbProblem) -> tuple:
     """Greedy bit fixing along conditional expectations.
 
-    The output's objective value is at least (for max; at most for min)
-    the unconditioned expectation, by internality.  Ties prefer bit 0.
+    The output's objective value is at least the unconditioned
+    expectation, by internality.  Ties prefer bit 0.
 
     A multilinear objective is affine in each variable, so the expectation
     given a prefix is the mean of its two extensions: E[prefix] =
@@ -437,26 +419,37 @@ def derandomize(p: PbProblem) -> tuple:
     for _ in range(p.n):
         with_zero = cond_expectation(p, prefix + [0])
         with_one = 2 * current - with_zero
-        bit = int(p.better(with_one, with_zero))
+        bit = int(with_one > with_zero)
         prefix.append(bit)
         current = with_one if bit else with_zero
     return tuple(prefix)
 
 
 def random_search(p: PbProblem, epsilon, delta, src) -> tuple:
-    """Best of N uniform assignments, N = ceil(log(1/delta) / (2 eps^2))."""
+    """Best of N uniform assignments, N = ceil(log(1/delta) / (2 eps^2)).
+
+    An N above ``_SEARCH_CEILING`` is refused with SizeGuard before any draw.
+    """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     if not (0 < delta < 1 and epsilon > 0):
         raise ValueError("need 0 < delta < 1 and epsilon > 0")
-    n_draws = max(1, math.ceil(math.log(1 / float(delta)) / (2 * float(epsilon) ** 2)))
+    # log(1/delta) from delta's integers, and N as an exact ceiling: both
+    # stay finite where float(delta) or float(epsilon) would underflow
+    log_term = math.log(delta.denominator) - math.log(delta.numerator)
+    n_draws = max(1, math.ceil(Fraction(log_term) / (2 * epsilon**2)))
+    if n_draws > _SEARCH_CEILING:
+        raise SizeGuard(
+            f"epsilon {epsilon} and delta {delta} take {n_draws} random-search draws, "
+            f"above {_SEARCH_CEILING}"
+        )
     best = None
     best_value = None
     for _ in range(n_draws):
         bits = src.draw(p.n)
         assignment = tuple((bits >> k) & 1 for k in range(p.n))
         value = p.value(assignment)
-        if best is None or p.better(value, best_value):
+        if best is None or value > best_value:
             best, best_value = assignment, value
     return best
 
@@ -467,16 +460,16 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
     Flip sets are scanned by size then lexicographically, so runs are
     reproducible; the result is a local optimum of the radius-bounded
     neighborhood and the objective never decreases along the way.  A
-    radius whose sweep scans more than ``_FLIP_SET_CEILING`` flip sets is
+    radius whose sweep scans more than ``_SEARCH_CEILING`` flip sets is
     refused with SizeGuard.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     sets = sum(math.comb(p.n, size) for size in range(1, min(radius, p.n) + 1))
-    if sets > _FLIP_SET_CEILING:
+    if sets > _SEARCH_CEILING:
         raise SizeGuard(
             f"radius {radius} on {p.n} variables scans {sets} flip sets a sweep, "
-            f"above {_FLIP_SET_CEILING}"
+            f"above {_SEARCH_CEILING}"
         )
     current = tuple(start)
     current_value = p.value(current)
@@ -490,7 +483,7 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
                     candidate[k] ^= 1
                 candidate = tuple(candidate)
                 value = p.value(candidate)
-                if p.better(value, current_value):
+                if value > current_value:
                     current, current_value = candidate, value
                     improved = True
                     break

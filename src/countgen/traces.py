@@ -131,12 +131,6 @@ def swap_closure(word: str, alph: IndepAlphabet) -> set:
     return seen
 
 
-def class_size(word: str, alph: IndepAlphabet) -> int:
-    """Number of words in the commutation class of ``word``."""
-    every_word = Dfa(alph.symbols, ((0,) * len(alph.symbols),), 0, frozenset({0}))
-    return count_representatives(every_word, word, alph)
-
-
 def count_representatives(dfa: Dfa, word: str, alph: IndepAlphabet) -> int:
     """Number of words of the regular language inside the word's class.
 

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 from itertools import product as iproduct
 
-import pytest
 from scipy.stats import chisquare
 
 from countgen.cfg import (
@@ -21,16 +20,14 @@ from countgen.cfg import (
     random_tree,
     to_cnf,
     tree_census,
-    tree_yield,
 )
 from countgen.coins import FAIL, CoinSource, bit_size, gen_uniform, outcome_law
 from countgen.describe import (
-    Bound,
     DnfFormula,
     dnf_description,
     estimate_census,
     exact_count,
-    sample_described,
+    sample_report,
 )
 from countgen.dfa import dfa_census, dfa_from_regex, dfa_rank, dfa_sample, dfa_unrank
 from countgen.nfa import Nfa, nfa_from_dfa, nfa_rank_slice, nfa_slice_census, path_count
@@ -305,14 +302,14 @@ class TestCriterion7:
         # does not change the conditional law, so enumerate at 1 and 2 trials
         for trials in (1, 2):
             law = outcome_law(
-                lambda src: sample_described(desc, 2, src, trials=trials)
+                lambda src: sample_report(desc, 2, src, trials=trials).value
             )
             good = 1 - law.get(FAIL, Fraction(0))
             assert law["10"] / good == Fraction(1, 2)
             assert law["11"] / good == Fraction(1, 2)
         # the full budget keeps the failure mass under 1/4
         fails = sum(
-            sample_described(desc, 2, CoinSource(seed)) is FAIL
+            sample_report(desc, 2, CoinSource(seed)).value is FAIL
             for seed in range(2000)
         )
         assert fails / 2000 <= 0.25

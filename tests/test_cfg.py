@@ -24,16 +24,32 @@ from countgen.cfg import (
     tree_census,
     tree_census_table,
     tree_yield,
-    validate_cfl_bound,
     _fresh_terminal_wrapper,
     _restrict,
 )
 from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, draw_uniform, outcome_law
-from countgen.describe import Bound, estimate_census, sample_described
+from countgen.describe import Bound, estimate_census, sample_report
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage, TapeExhausted
 from countgen.pda import build_slice_grammar
 from test_pda import ANBN as ANBN_PDA
 from test_pda import DYCK
+
+
+def check_no_useless(g: CnfGrammar) -> None:
+    """Every variable is both productive and reachable from the start."""
+    live = g.productive_variables() & g.reachable_variables()
+    dead = [a for a in g.variables if a not in live]
+    if dead:
+        raise ValueError(f"useless variables: {dead!r}")
+
+
+def validate_cfl_bound(g: CnfGrammar, bound: Bound, up_to: int) -> None:
+    """Check the tree-count bound on every derivable word of length <= up_to."""
+    for n in range(1, up_to + 1):
+        for w in dict.fromkeys(map(tree_yield, enumerate_trees(g, g.start, n))):
+            count = earley_count(g, w)
+            if count > bound(n):
+                raise AmbiguityExceeded(f"{w!r} has {count} trees, bound {bound(n)}")
 
 
 CATALAN = CnfGrammar(
@@ -1021,7 +1037,7 @@ class TestToCnf:
     def test_forced_shape(self):
         g = Grammar(("S",), ("a", "b"), "S", (("S", ("a", "b")),))
         cnf = to_cnf(g)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
         assert earley_count(cnf, "ab") == 1
         assert tree_census(cnf, "S", 2) == 1
 
@@ -1033,7 +1049,7 @@ class TestToCnf:
             (("S", ("a", "S", "b")), ("S", ("a", "b"))),
         )
         cnf = to_cnf(g)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
         for n in range(1, 9):
             members = {w for w in words_of("ab", n) if earley_count(cnf, w) > 0}
             expected = {"a" * k + "b" * k for k in range(1, 5) if 2 * k == n}
@@ -1047,7 +1063,7 @@ class TestToCnf:
     def test_epsilon_dropped_on_request(self):
         g = Grammar(("S",), ("a",), "S", (("S", ()), ("S", ("a", "S"))))
         cnf = to_cnf(g, drop_epsilon=True)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
         for n in range(1, 6):
             assert earley_count(cnf, "a" * n) == 1
 
@@ -1059,13 +1075,13 @@ class TestToCnf:
             (("S", ("A",)), ("A", ("a",)), ("A", ("a", "A"))),
         )
         cnf = to_cnf(g)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
         for n in range(1, 6):
             assert tree_census(cnf, "S", n) == 1
 
     def test_palindrome_pair_grammar(self):
         cnf = to_cnf(PALINDROME_PAIRS, drop_epsilon=True)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
 
         def is_even_palindrome(w):
             return len(w) % 2 == 0 and w == w[::-1]
@@ -1091,7 +1107,7 @@ class TestToCnf:
             (("S", ("a",)), ("S", ("B", "C")), ("B", ("B", "B")), ("C", ("a",))),
         )
         cnf = to_cnf(g)
-        cnf.check_no_useless()
+        check_no_useless(cnf)
         assert cnf.variables == ("S",)
 
     @pytest.mark.parametrize("name", RAW_GRAMMARS)
@@ -1116,13 +1132,13 @@ class TestToCnf:
     @pytest.mark.parametrize("machine", [DYCK, ANBN_PDA], ids=["dyck", "anbn"])
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_pda_slice_grammars_have_no_useless_variables(self, machine, n):
-        build_slice_grammar(machine, n).grammar.check_no_useless()
+        check_no_useless(build_slice_grammar(machine, n).grammar)
 
 
 class TestDescription:
     def test_unambiguous_word_sampler(self):
         desc = cfl_description(PAIR, Bound(const=1))
-        law = outcome_law(lambda src: sample_described(desc, 2, src, trials=2))
+        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=2).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["ab"] / ok == 1
 
@@ -1133,7 +1149,7 @@ class TestDescription:
         assert desc.ambiguity("aaa") == 2
         assert desc.ambiguity("aaaa") == 5
         with pytest.raises(AmbiguityExceeded, match="'aaaa' has multiplicity 5, bound 2"):
-            sample_described(desc, 4, CoinSource(0))
+            sample_report(desc, 4, CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
             estimate_census(desc, 4, Fraction(1, 2), CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
@@ -1163,7 +1179,7 @@ class TestDescription:
             for w in words_of("ab", 2)
             if earley_count(MIXED, w) > 0
         }
-        law = outcome_law(lambda src: sample_described(desc, 2, src, trials=1))
+        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=1).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         for w in members:
             assert law[w] / ok == Fraction(1, len(members))

@@ -853,6 +853,20 @@ class TestLocalRadiusGuard:
         assert (code, out, err) == (0, "1" + "0" * 23 + "\n", "")
 
 
+class TestRandomSearchGuard:
+    def test_draws_past_the_ceiling_exit_at_once(self, files, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["pb", "search", "--cnf", files["two.cnf"], "--epsilon", "1/100000"], capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: SizeGuard: epsilon 1/100000 and delta 1/4 take 6931471806 "
+            "random-search draws, above 65536\n"
+        )
+
+
 # four parallel a-edges declared ambiguity 2: "a" has 4 paths, q(4) = -2
 FOUR_PATHS_NFA = "states 2\nalphabet a\nstart 0\nfinals 1\nambiguity 2\n" + "trans 0 a 1\n" * 4
 

@@ -11,7 +11,7 @@ from countgen.describe import (
     amplify_urg,
     estimate_census,
     product,
-    sample_described,
+    sample_report,
     union,
 )
 from countgen.dfa import dfa_census, dfa_from_regex, dfa_language, dfa_sample, dfa_unrank
@@ -22,7 +22,7 @@ from countgen.nfa import (
     nfa_slice_census,
     nfa_unrank,
 )
-from countgen.traces import indep_alphabet, normal_form, trace_description
+from countgen.traces import indep_alphabet, trace_description
 from countgen.describe import Bound
 
 
@@ -125,7 +125,7 @@ class TestCombinatorsOverAutomata:
             for w in words_of("ab", n)
             if ends_a.member(w) or starts_a.member(w)
         }
-        law = outcome_law(lambda src: sample_described(desc, n, src, trials=1))
+        law = outcome_law(lambda src: sample_report(desc, n, src, trials=1).value)
         good = 1 - law.get(FAIL, Fraction(0))
         for w in union_members:
             assert law[w] / good == Fraction(1, len(union_members))
@@ -187,7 +187,7 @@ class TestTraceOverRegularPipeline:
         lang = dfa_from_regex("ab|ba|bb")
         alph = indep_alphabet("ab", [("a", "b")])
         desc = trace_description(lang, alph, Bound(const=2))
-        law = outcome_law(lambda src: sample_described(desc, 2, src, trials=1))
+        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=1).value)
         good = 1 - law.get(FAIL, Fraction(0))
         assert law["ab"] / good == Fraction(1, 2)
         assert law["bb"] / good == Fraction(1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import countgen.describe as describe_module
 from countgen.cfg import CnfGrammar, cfl_description
-from countgen.coins import FAIL, CoinSource, gen_uniform, outcome_law
+from countgen.coins import FAIL, CoinSource, bit_size, gen_uniform, lcm_upto, outcome_law
 from countgen.dfa import dfa_from_regex
 from countgen.describe import (
     Bound,
@@ -21,11 +21,8 @@ from countgen.describe import (
     dnf_description,
     estimate_census,
     exact_count,
-    finite_language,
     load_dnf,
     product,
-    product_fixed,
-    sample_described,
     sample_report,
     trial_budget,
     union,
@@ -38,6 +35,35 @@ from countgen.exceptions import (
     EmptySlice,
 )
 from countgen.traces import indep_alphabet, trace_description
+
+
+def finite_language(words) -> WordLanguage:
+    """WordLanguage view of an explicit finite set of words."""
+    by_size: dict = {}
+    for w in words:
+        by_size.setdefault(len(w), []).append(w)
+    for group in by_size.values():
+        group.sort()
+
+    def census(n):
+        return len(by_size.get(n, ()))
+
+    def member(w):
+        return w in by_size.get(len(w), ())
+
+    def sample(n, src):
+        slice_ = by_size.get(n, ())
+        if not slice_:
+            raise EmptySlice(f"no words of length {n}")
+        r = gen_uniform(src, len(slice_))
+        if r is FAIL:
+            return FAIL
+        return slice_[r - 1]
+
+    def unrank(n, i):
+        return by_size[n][i - 1]
+
+    return WordLanguage(sample, member, census, unrank)
 
 
 def two_copy_description(elements):
@@ -121,7 +147,7 @@ class TestTrialBudget:
 class TestSampleDescribed:
     def test_two_copy_uniform_by_enumeration(self):
         desc = two_copy_description(["x", "y"])
-        law = outcome_law(lambda src: sample_described(desc, 1, src))
+        law = outcome_law(lambda src: sample_report(desc, 1, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["x"] / ok == Fraction(1, 2)
         assert law["y"] / ok == Fraction(1, 2)
@@ -129,7 +155,7 @@ class TestSampleDescribed:
 
     def test_unambiguous_reduces_to_projection(self):
         desc = identity_description(["a", "b", "c"])
-        law = outcome_law(lambda src: sample_described(desc, 1, src))
+        law = outcome_law(lambda src: sample_report(desc, 1, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         for w in ("a", "b", "c"):
             assert law[w] / ok == Fraction(1, 3)
@@ -137,13 +163,11 @@ class TestSampleDescribed:
     def test_empty_slice(self):
         desc = identity_description(["ab"])
         with pytest.raises(EmptySlice):
-            sample_described(desc, 3, CoinSource(0))
+            sample_report(desc, 3, CoinSource(0))
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
         desc = two_copy_description(["x", "y"])
-        with pytest.raises(ValueError, match="trials"):
-            sample_described(desc, 1, CoinSource(0), trials=trials)
         with pytest.raises(ValueError, match="trials"):
             sample_report(desc, 1, CoinSource(0), trials=trials)
 
@@ -156,6 +180,206 @@ class TestSampleDescribed:
             1, Fraction(3, 8), Fraction(1, 2), Fraction(1, 4)
         )
         assert report.bits == src.bits_consumed
+
+
+def reference_sample_report(desc, n, src, trials=None):
+    """The engine loop before ``draw_uniform`` drew its acceptance coin:
+    ``bit_size(lcm)`` raw bits per coin, compared against lcm // d."""
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
+    if desc.census(n) == 0:
+        raise EmptySlice(f"carrier census is 0 at size {n}")
+    before = src.bits_consumed
+    d_max = desc.bound(n)
+    m = lcm_upto(d_max)
+    width = bit_size(m)
+    budget = trials if trials is not None else describe_module.trial_budget(
+        1, Fraction(3, 8), Fraction(1, d_max), Fraction(1, 4)
+    )
+    for trial in range(1, budget + 1):
+        t = desc.sampler(n, src)
+        if t is FAIL:
+            continue
+        s = desc.project(t)
+        d = describe_module._multiplicity(desc, s, d_max)
+        r = src.draw(width) + 1
+        if r <= m // d:
+            return s, trial, src.bits_consumed - before
+    return FAIL, budget, src.bits_consumed - before
+
+
+def report_tuple(desc, n, src, trials=None):
+    """``sample_report`` as the (value, trials, bits) the reference returns."""
+    return dataclasses.astuple(sample_report(desc, n, src, trials))
+
+
+def reference_union(a, b):
+    """``union(a, b)`` with the routing draw read as ``bit_size(total)``
+    raw bits per attempt, as before ``draw_uniform`` served it."""
+    def sampler(n, src):
+        total = a.census(n) + b.census(n)
+        if total == 0:
+            raise EmptySlice(f"both operands empty at size {n}")
+        width = bit_size(total)
+        left = a.census(n)
+        exact = a.unrank is not None and b.unrank is not None
+        budget = describe_module.trial_budget(1, Fraction(3, 8), 1, Fraction(1, 4))
+        for _ in range(budget):
+            r = src.draw(width) + 1
+            if exact:
+                if r <= left:
+                    return ("L", a.unrank(n, r))
+                if r <= total:
+                    return ("R", b.unrank(n, r - left))
+                continue
+            wa = a.sample(n, src) if left else FAIL
+            wb = b.sample(n, src) if total > left else FAIL
+            if r <= left:
+                if wa is not FAIL and (total == left or wb is not FAIL):
+                    return ("L", wa)
+            elif r <= total:
+                if wb is not FAIL and (left == 0 or wa is not FAIL):
+                    return ("R", wb)
+        return FAIL
+
+    return dataclasses.replace(union(a, b), sampler=sampler)
+
+
+def without_unrank(lang):
+    """The same language with no ``unrank``: the union presamples it."""
+    return WordLanguage(lang.sample, lang.member, lang.census)
+
+
+def flaky(lang):
+    """``lang`` without ``unrank``, its sampler failing on a leading 1 bit."""
+    def sample(n, src):
+        return FAIL if src.draw(1) else lang.sample(n, src)
+
+    return WordLanguage(sample, lang.member, lang.census)
+
+
+class CountingSource:
+    """A coin source that counts its ``draw`` calls."""
+
+    def __init__(self, src):
+        self.src = src
+        self.calls = 0
+
+    @property
+    def bits_consumed(self):
+        return self.src.bits_consumed
+
+    def draw(self, k):
+        self.calls += 1
+        return self.src.draw(k)
+
+
+def union_pairs():
+    """(left, right, n) over both union routes, with forced routing
+    (total census 1) and empty sides."""
+    xy, yz = finite_language(["xa", "ya"]), finite_language(["ya", "za", "zb"])
+    one, empty = finite_language(["q"]), finite_language([])
+    return {
+        "exact": (xy, yz, 2),
+        "exact-forced": (one, empty, 1),
+        "exact-left-empty": (empty, yz, 2),
+        "presample": (without_unrank(xy), without_unrank(yz), 2),
+        "presample-flaky": (flaky(xy), without_unrank(yz), 2),
+        "presample-forced": (without_unrank(empty), without_unrank(one), 1),
+        "presample-right-empty": (flaky(yz), without_unrank(empty), 2),
+    }
+
+
+UNION_ROUTES = list(union_pairs())
+
+
+def engine_descriptions():
+    """(description, n) for the engine: forced acceptance (d_max = 1),
+    lcm 2, 6 and 60, and unions on both routes."""
+    pairs = union_pairs()
+    return {
+        "forced-d1": (identity_description(["a", "b", "c"]), 1),
+        "two-copy": (two_copy_description(["x", "y", "z"]), 1),
+        "dnf": (dnf_description(DnfFormula(3, ((1,), (1, 2), (2, 3)))), 3),
+        "cfl": (cfl_description(CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]},
+                                           {"S": ["a"]}), Bound(const=5)), 4),
+        "union-exact": (union(*pairs["exact"][:2]), 2),
+        "union-presample": (union(*pairs["presample-flaky"][:2]), 2),
+        "union-forced": (union(*pairs["exact-forced"][:2]), 1),
+    }
+
+
+ENGINE_NAMES = list(engine_descriptions())
+
+
+class TestOneRejectionLoop:
+    """The engine's acceptance coin and the union's routing draw through
+    ``draw_uniform`` against the raw-bit loops they replaced."""
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("trials", [None, 1, 3])
+    def test_sample_report_matches_reference(self, name, trials):
+        desc, n = engine_descriptions()[name]
+        for seed in range(150):
+            src, plain = CoinSource(seed), CoinSource(seed)
+            assert report_tuple(desc, n, src, trials) == reference_sample_report(
+                desc, n, plain, trials
+            )
+            assert src.bits_consumed == plain.bits_consumed
+
+    @pytest.mark.parametrize("name", ["forced-d1", "two-copy", "union-exact", "union-forced"])
+    def test_sample_report_law_matches_reference(self, monkeypatch, name):
+        # two union attempts keep the tape tree small enough to explore
+        monkeypatch.setattr(describe_module, "trial_budget", lambda *args: 2)
+        desc, n = engine_descriptions()[name]
+
+        def law(sample):
+            return outcome_law(lambda src: sample(desc, n, src, 2) + (src.bits_consumed,))
+
+        assert law(report_tuple) == law(reference_sample_report)
+
+    def test_forced_acceptance_makes_no_draw(self):
+        # d_max = 1: lcm 1, so the coin is a forced choice; the carrier's
+        # own draws are the only ones, with the same bits as before; only an
+        # accepted carrier reaches the coin
+        desc, n = engine_descriptions()["forced-d1"]
+        retried = 0
+        for seed in range(100):
+            src, plain = CountingSource(CoinSource(seed)), CountingSource(CoinSource(seed))
+            value, trials, bits = report_tuple(desc, n, src)
+            assert (value, trials, bits) == reference_sample_report(desc, n, plain)
+            assert plain.calls - src.calls == (value is not FAIL)
+            retried += trials > 1
+        assert retried
+
+    @pytest.mark.parametrize("route", UNION_ROUTES)
+    def test_union_sampler_matches_reference(self, route):
+        a, b, n = union_pairs()[route]
+        desc, ref = union(a, b), reference_union(a, b)
+        for seed in range(300):
+            src, plain = CoinSource(seed), CoinSource(seed)
+            assert desc.sampler(n, src) == ref.sampler(n, plain)
+            assert src.bits_consumed == plain.bits_consumed
+
+    @pytest.mark.parametrize("route", UNION_ROUTES)
+    def test_union_sampler_law_matches_reference(self, monkeypatch, route):
+        monkeypatch.setattr(describe_module, "trial_budget", lambda *args: 2)
+        a, b, n = union_pairs()[route]
+        desc, ref = union(a, b), reference_union(a, b)
+
+        def law(sampler):
+            return outcome_law(lambda src: (sampler(n, src), src.bits_consumed))
+
+        got = law(desc.sampler)
+        assert got == law(ref.sampler)
+        assert any(out is not FAIL for out, _ in got)
+
+    @pytest.mark.parametrize("route", ["exact-forced", "presample-forced"])
+    def test_forced_routing_makes_no_draw(self, route):
+        a, b, n = union_pairs()[route]
+        src = CountingSource(CoinSource(0))
+        assert union(a, b).sampler(n, src) in (("L", "q"), ("R", "q"))
+        assert src.calls == 0
 
 
 class TestEstimateCensus:
@@ -388,17 +612,15 @@ class TestMultiplicityCheck:
         desc = dataclasses.replace(
             two_copy_description(["x", "yz"]), ambiguity=lambda s: 3, bound=Bound(1, 1, 1)
         )
-        assert sample_described(desc, 2, CoinSource(0)) in ("yz", FAIL)
+        assert sample_report(desc, 2, CoinSource(0)).value in ("yz", FAIL)
         with pytest.raises(AmbiguityExceeded, match="'x' has multiplicity 3, bound 2"):
-            sample_described(desc, 1, CoinSource(0))
+            sample_report(desc, 1, CoinSource(0))
 
     def test_combinators_return_raw_counts(self):
         left, right = finite_language(["a", "ab"]), finite_language(["b", "ab"])
         assert union(left, right).ambiguity("z") == 0
         assert union(left, right).ambiguity("ab") == 2
         assert product(left, right).ambiguity("zz") == 0
-        assert product_fixed(left, right).ambiguity("ba") == 0
-        assert product_fixed(left, right).ambiguity("abb") == 0
         assert dnf_description(RUNNING_DNF).ambiguity("01") == 0
 
 
@@ -412,7 +634,7 @@ class TestUnion:
         a = finite_language(["aa", "ab"])
         b = finite_language(["bb", "ba"])
         desc = union(a, b)
-        law = outcome_law(lambda src: sample_described(desc, 2, src))
+        law = outcome_law(lambda src: sample_report(desc, 2, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         for w in ("aa", "ab", "bb", "ba"):
             assert law[w] / ok == Fraction(1, 4)
@@ -423,7 +645,7 @@ class TestUnion:
         assert desc.ambiguity("x") == 2
         # the conditional law is invariant in the retry budget, so a
         # two-trial enumeration already shows exact uniformity
-        law = outcome_law(lambda src: sample_described(desc, 1, src, trials=2))
+        law = outcome_law(lambda src: sample_report(desc, 1, src, trials=2).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["x"] / ok == Fraction(1, 2)
         assert law["y"] / ok == Fraction(1, 2)
@@ -432,7 +654,7 @@ class TestUnion:
         a = finite_language([])
         b = finite_language(["z"])
         desc = union(a, b)
-        law = outcome_law(lambda src: sample_described(desc, 1, src))
+        law = outcome_law(lambda src: sample_report(desc, 1, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["z"] / ok == 1
 
@@ -465,7 +687,7 @@ class TestUnion:
         b = finite_language(["ba", "bb"])
         solid = WordLanguage(b.sample, b.member, b.census)  # no unrank
         desc = union(a, solid)
-        law = outcome_law(lambda src: sample_described(desc, 2, src, trials=1))
+        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=1).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         for w in ("aa", "ab", "ba", "bb"):
             assert law[w] / ok == Fraction(1, 4)
@@ -474,7 +696,7 @@ class TestUnion:
         a = finite_language(["aa", "ab"])
         b = finite_language(["ba", "bb"])
         desc = union(a, b)
-        law = outcome_law(lambda src: sample_described(desc, 2, src))
+        law = outcome_law(lambda src: sample_report(desc, 2, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         for w in ("aa", "ab", "ba", "bb"):
             assert law[w] / ok == Fraction(1, 4)
@@ -485,7 +707,7 @@ class TestProduct:
         desc = product(finite_language(["a"]), finite_language(["b"]))
         assert desc.census(2) == 1
         assert desc.ambiguity("ab") == 1
-        law = outcome_law(lambda src: sample_described(desc, 2, src))
+        law = outcome_law(lambda src: sample_report(desc, 2, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["ab"] / ok == 1
 
@@ -515,7 +737,7 @@ class TestProduct:
         # and both project to the single word of the slice
         desc = product(finite_language(["ab", "a"]), finite_language(["b", "bb"]))
         for trials in (1, 2):
-            law = outcome_law(lambda src: sample_described(desc, 3, src, trials=trials))
+            law = outcome_law(lambda src: sample_report(desc, 3, src, trials=trials).value)
             ok = 1 - law.get(FAIL, Fraction(0))
             assert set(law) - {FAIL} == {"abb"}
             assert law["abb"] / ok == 1
@@ -533,20 +755,10 @@ class TestProduct:
         assert desc.ambiguity("ab") == 2
         assert desc.ambiguity("aa") == 1
         verify_description(desc, 2, [("a", "b"), ("a", "a"), ("ab", "")])
-        law = outcome_law(lambda src: sample_described(desc, 2, src, trials=1))
+        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=1).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["ab"] / ok == Fraction(1, 2)
         assert law["aa"] / ok == Fraction(1, 2)
-
-    def test_fixed_split_mode(self):
-        a = finite_language(["a", "b"])
-        desc = product_fixed(a, a)
-        assert desc.census(2) == 4
-        assert desc.census(3) == 0
-        law = outcome_law(lambda src: sample_described(desc, 2, src))
-        ok = 1 - law.get(FAIL, Fraction(0))
-        for w in ("aa", "ab", "ba", "bb"):
-            assert law[w] / ok == Fraction(1, 4)
 
 
 class TestAmplify:
@@ -628,7 +840,7 @@ class TestDnf:
     def test_single_clause(self):
         desc = dnf_description(DnfFormula(2, ((1, 2),)))
         assert desc.census(2) == 1
-        law = outcome_law(lambda src: sample_described(desc, 2, src))
+        law = outcome_law(lambda src: sample_report(desc, 2, src).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["11"] / ok == 1
 
@@ -642,7 +854,7 @@ class TestDnf:
         carrier = [(0, "10"), (0, "11"), (1, "11")]
         verify_description(desc, 2, carrier)
         for trials in (1, 2):
-            law = outcome_law(lambda src: sample_described(desc, 2, src, trials=trials))
+            law = outcome_law(lambda src: sample_report(desc, 2, src, trials=trials).value)
             ok = 1 - law.get(FAIL, Fraction(0))
             assert law["10"] / ok == Fraction(1, 2)
             assert law["11"] / ok == Fraction(1, 2)
@@ -651,7 +863,7 @@ class TestDnf:
         formula = DnfFormula(2, ((1,), (1, 2)))
         desc = dnf_description(formula)
         fails = sum(
-            sample_described(desc, 2, CoinSource(seed)) is FAIL
+            sample_report(desc, 2, CoinSource(seed)).value is FAIL
             for seed in range(2000)
         )
         assert fails / 2000 <= 0.25
@@ -661,7 +873,7 @@ class TestDnf:
         desc = dnf_description(formula)
         assert desc.ambiguity("0") == 1
         assert desc.ambiguity("1") == 1
-        law = outcome_law(lambda src: sample_described(desc, 1, src, trials=2))
+        law = outcome_law(lambda src: sample_report(desc, 1, src, trials=2).value)
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law["0"] / ok == Fraction(1, 2)
         assert law["1"] / ok == Fraction(1, 2)

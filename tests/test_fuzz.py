@@ -4,7 +4,8 @@ import random
 from itertools import product as iproduct
 
 from countgen.cfg import CnfGrammar, Grammar, earley_count, to_cnf, tree_census
-from countgen.traces import class_size, indep_alphabet, normal_form, swap_closure
+from countgen.traces import indep_alphabet, normal_form, swap_closure
+from test_traces import class_size
 
 
 def words_of(alphabet, n):

@@ -21,7 +21,6 @@ from countgen.nfa import (
     nfa_slice_census,
     nfa_unrank,
     path_count,
-    validate_ambiguity,
 )
 
 
@@ -37,6 +36,15 @@ def members_up_to(a, n):
 def shorter_members(a, n):
     """Accepted words shorter than n: the rank offset of the length-n slice."""
     return sum(nfa_slice_census(a, m) for m in range(n))
+
+
+def validate_ambiguity(a: Nfa, n: int) -> None:
+    """Exhaustively check path counts up to length n against the bound."""
+    for length in range(n + 1):
+        for w in words_of(a.alphabet, length):
+            c = path_count(a, w)
+            if c > a.ambiguity:
+                raise AmbiguityExceeded(f"{w!r} has {c} accepting paths > {a.ambiguity}")
 
 
 def unrank_slice(rank_fn, alphabet, n: int, k: int) -> str:

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from countgen.cfg import Grammar, dump_grammar, earley_count, to_cnf, tree_census
+from countgen.cfg import Grammar, dump_grammar, earley_count, to_cnf
 from countgen.coins import FAIL, CoinSource
-from countgen.describe import Bound, estimate_census, sample_described
+from countgen.describe import Bound, estimate_census, sample_report
 from countgen.exceptions import SizeGuard
 from countgen.pda import (
     Pda,
@@ -297,10 +297,10 @@ class TestSliceGrammar:
 class TestSampling:
     def test_unambiguous_unique_word(self):
         desc = pda_slice_description(ANBN, 4, Bound(const=1))
-        w = sample_described(desc, 4, CoinSource(1))
+        w = sample_report(desc, 4, CoinSource(1)).value
         assert w in ("aabb", FAIL)
         got = {
-            sample_described(pda_slice_description(ANBN, 4, Bound(const=1)), 4, CoinSource(s))
+            sample_report(pda_slice_description(ANBN, 4, Bound(const=1)), 4, CoinSource(s)).value
             for s in range(12)
         }
         assert "aabb" in got
@@ -309,7 +309,7 @@ class TestSampling:
         desc = pda_slice_description(TWO_WAY_A, 1, Bound(const=2))
         values = set()
         for seed in range(12):
-            w = sample_described(desc, 1, CoinSource(seed))
+            w = sample_report(desc, 1, CoinSource(seed)).value
             if w is not FAIL:
                 values.add(w)
         assert values == {"a"}
@@ -330,7 +330,7 @@ class TestSampling:
     def test_sampled_words_are_members(self):
         desc = pda_slice_description(DYCK, 4, Bound(coeff=1, power=1, const=1))
         for seed in range(30):
-            w = sample_described(desc, 4, CoinSource(seed))
+            w = sample_report(desc, 4, CoinSource(seed)).value
             if w is not FAIL:
                 assert dyck_member(w)
 

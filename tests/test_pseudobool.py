@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countgen import pseudobool
-from countgen.coins import CoinSource
+from countgen.coins import CoinSource, TapeSource
 from countgen.exceptions import FormatError, SizeGuard
 from countgen.pseudobool import (
     Circuit,
@@ -161,8 +161,20 @@ def reference_derandomize(p: PbProblem) -> tuple:
     for _ in range(p.n):
         with_zero = cond_expectation(p, prefix + [0])
         with_one = cond_expectation(p, prefix + [1])
-        prefix.append(1 if p.better(with_one, with_zero) else 0)
+        prefix.append(1 if with_one > with_zero else 0)
     return tuple(prefix)
+
+
+GOALS = ["max", "min"]
+
+
+def oriented(c: Circuit, goal: str) -> Circuit:
+    """``c`` for "max" and its negation for "min": a problem maximizes its
+    objective, so it minimizes ``c`` under "min"."""
+    if goal == "max":
+        return c
+    k = len(c.nodes)
+    return Circuit(c.n_vars, c.nodes + (("const", -1), ("mul", (c.out, k))), k + 1)
 
 
 def average_over_suffixes(p: PbProblem, prefix):
@@ -205,11 +217,6 @@ class TestEvalCircuit:
     def test_row_product_all_ones(self):
         c = perm_circuit(((1, 1), (1, 1)))
         assert eval_circuit(c, [1, 1]) == 4
-
-    def test_size_and_depth(self):
-        c = perm_circuit(((1, 1), (1, 1)))
-        assert c.size >= 5
-        assert c.depth == 2
 
 
 class TestIntegerEvaluation:
@@ -340,8 +347,6 @@ class TestPermanent:
             assert permanent(a, "fraction") == expected
 
     def test_fraction_floor_is_integer(self):
-        import math
-
         a = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
         n = len(a)
         s = n * n
@@ -414,11 +419,10 @@ class TestDerandomize:
         assert cut_value(K3_EDGES, out) == 2
 
     def test_ties_prefer_zero(self):
-        b = CircuitBuilder(2)
-        c = b.build(b.add(b.var(0), b.var(1)))
-        # under goal=min the best bit is 0 and ties must also pick 0
-        p = PbProblem(2, c, goal="min")
-        assert derandomize(p) == (0, 0)
+        # one edge's cut: both values of x1 expect 1/2, so x1 ties and takes
+        # 0; then x2 = 1 cuts the edge
+        p = PbProblem(2, max_cut_circuit(2, [(0, 1)]))
+        assert derandomize(p) == (0, 1)
 
     def test_internality_on_random_instances(self):
         rng = random.Random(11)
@@ -443,40 +447,40 @@ class TestDerandomizeAgainstReference:
 
     def problems(self):
         rng = random.Random(17)
-        for goal in ("max", "min"):
+        for goal in GOALS:
             for _ in range(12):
                 n = rng.randint(1, 10)
                 clauses = [
                     tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
                     for _ in range(rng.randint(1, 3 * n))
                 ]
-                yield PbProblem(n, max_sat_circuit(n, clauses), goal)
+                yield PbProblem(n, oriented(max_sat_circuit(n, clauses), goal))
                 edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2 * n))]
-                yield PbProblem(n, max_cut_circuit(n, edges), goal)
+                yield PbProblem(n, oriented(max_cut_circuit(n, edges), goal))
             for _ in range(60):
                 n = rng.randint(0, 6)
-                yield PbProblem(n, random_multilinear_circuit(rng, n), goal)
+                yield PbProblem(n, oriented(random_multilinear_circuit(rng, n), goal))
 
     def test_builders_and_random_circuits(self):
         for p in self.problems():
             assert derandomize(p) == reference_derandomize(p)
 
-    @pytest.mark.parametrize("goal", ["max", "min"])
+    @pytest.mark.parametrize("goal", GOALS)
     def test_constant_objective_gives_all_zeros(self, goal):
         for c in (0, 1, -1):
             b = CircuitBuilder(5)
-            p = PbProblem(5, b.build(b.const(c)), goal)
+            p = PbProblem(5, oriented(b.build(b.const(c)), goal))
             assert derandomize(p) == reference_derandomize(p) == (0,) * 5
 
-    @pytest.mark.parametrize("goal", ["max", "min"])
+    @pytest.mark.parametrize("goal", GOALS)
     def test_tie_heavy_objectives(self, goal):
         # an even cycle's cut, symmetric clause pairs, and unused variables
         # tie at many prefixes; ties prefer 0 on both paths
         cycle = [(k, (k + 1) % 6) for k in range(6)]
         pairs = [(1, 2), (-1, -2), (3, -3), (-4, 5), (4, -5, -5)]
         for p in (
-            PbProblem(6, max_cut_circuit(6, cycle), goal),
-            PbProblem(7, max_sat_circuit(7, pairs), goal),
+            PbProblem(6, oriented(max_cut_circuit(6, cycle), goal)),
+            PbProblem(7, oriented(max_sat_circuit(7, pairs), goal)),
         ):
             assert derandomize(p) == reference_derandomize(p)
 
@@ -563,6 +567,23 @@ class TestSearches:
             for seed in range(50)
         )
         assert hits >= 48
+
+    @pytest.mark.parametrize(
+        "epsilon, draws",
+        [(Fraction(1, 308), "65755"), (Fraction(1, 100000), "6931471806"), (Fraction(1, 10**200), r"\d{400}")],
+    )
+    def test_random_search_refuses_draws_past_the_ceiling(self, epsilon, draws):
+        # an empty tape raises on any draw, so the refusal comes before one
+        p = PbProblem(2, max_sat_circuit(2, [(1, 2)]))
+        with pytest.raises(SizeGuard, match=f"take {draws} random-search draws, above 65536$"):
+            random_search(p, epsilon, Fraction(1, 4), TapeSource(()))
+
+    def test_random_search_with_delta_below_float_range(self):
+        # float(delta) is 0 here; the draw count is ceil(400 ln 10 / 2) = 461
+        p = PbProblem(2, max_sat_circuit(2, [(1, 2)]))
+        src = CoinSource(3)
+        random_search(p, Fraction(1), Fraction(1, 10**400), src)
+        assert src.bits_consumed == 461 * p.n
 
     def test_random_search_never_below_any_draw(self):
         p = PbProblem(4, max_cut_circuit(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countgen.coins import FAIL, CoinSource, outcome_law
-from countgen.describe import Bound, estimate_census, sample_described
+from countgen.describe import Bound, estimate_census, sample_report
 from countgen.dfa import Dfa, dfa_census, dfa_from_regex, dfa_sample, load_dfa
 from countgen.exceptions import AmbiguityExceeded, FormatError
 from countgen.specfile import read_directives
 from countgen.traces import (
-    class_size,
     count_representatives,
     indep_alphabet,
     load_trace,
@@ -23,6 +22,13 @@ from countgen.traces import (
     swap_closure,
     trace_description,
 )
+
+
+def class_size(word: str, alph) -> int:
+    """Number of words in the commutation class of ``word``: its
+    representatives in the language of every word."""
+    every_word = Dfa(alph.symbols, ((0,) * len(alph.symbols),), 0, frozenset({0}))
+    return count_representatives(every_word, word, alph)
 
 
 AB_FREE = indep_alphabet("ab", [("a", "b")])
@@ -290,7 +296,7 @@ class TestTraceDescription:
     def test_empty_independence_reduces_to_strings(self):
         lang = dfa_from_regex("(a|b)*")
         desc = trace_description(lang, RIGID, Bound(const=1))
-        got = {sample_described(desc, 2, CoinSource(s)) for s in range(40)}
+        got = {sample_report(desc, 2, CoinSource(s)).value for s in range(40)}
         got.discard(FAIL)
         assert got == {"aa", "ab", "ba", "bb"}
 
@@ -299,7 +305,7 @@ class TestTraceDescription:
         desc = trace_description(lang, AB_FREE, Bound(const=2))
         assert desc.ambiguity("ab") == 2
         for seed in range(10):
-            w = sample_described(desc, 2, CoinSource(seed))
+            w = sample_report(desc, 2, CoinSource(seed)).value
             if w is not FAIL:
                 assert w == "ab"
 
@@ -348,7 +354,7 @@ class TestTraceDescription:
         # the description returns the raw count; the engine refuses it
         assert desc.ambiguity("ab") == 2
         with pytest.raises(AmbiguityExceeded, match="'ab' has multiplicity 2, bound 1"):
-            sample_described(desc, 2, CoinSource(0))
+            sample_report(desc, 2, CoinSource(0))
         with pytest.raises(AmbiguityExceeded):
             estimate_census(desc, 2, Fraction(1, 2), CoinSource(0))
 
