@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -35,6 +35,9 @@ _SEARCH_CEILING = 1 << 16
 # Largest degree bound eval_circuit accepts on a circuit whose output may
 # hold a squared variable; a multilinear one has degree at most its support.
 _DEGREE_CEILING = 4096
+# Widest add whose children Circuit.plan first counts with dict.fromkeys;
+# past it, or when a child repeats, it counts them with Counter.
+_SMALL_ADD = 64
 
 
 class _Plan(NamedTuple):
@@ -77,60 +80,80 @@ class Circuit:
         if not 0 <= self.out < len(self.nodes):
             raise ValueError("output node out of range")
 
-    @cached_property
+    @property
     def plan(self) -> _Plan:
-        """Two passes, built on first use: one back from the output marks
-        the nodes it reaches, one in node order plans them.
+        """What evaluating and checking the circuit needs (see ``_plan``),
+        built at the first read and kept."""
+        # Kept by object.__setattr__, not functools.cached_property, as
+        # Dfa.state_classes is: see the note there on attribute reads.
+        try:
+            return self._plan
+        except AttributeError:
+            object.__setattr__(self, "_plan", _plan(self))
+            return self._plan
 
-        Each node gets a total degree bound (``in`` 1, ``const`` 0, ``add``
-        the max of its children, ``mul`` their sum) and, as bitmasks, its
-        support and the variables it may hold squared: a ``mul`` whose
-        factors' supports overlap squares their common variables.  A node
-        with no squared variable has degree at most its support size.
-        Any node up to the output that it does not reach is a ``dead``
-        placeholder with no degree, weight or scale, and the nodes after
-        the output are left out.
-        """
-        live = [False] * (self.out + 1)
-        live[self.out] = True
-        added = {}  # live add node -> how often it names each child
-        for i in range(self.out, -1, -1):
-            kind, arg = self.nodes[i]
-            if live[i] and kind in ("add", "mul"):
-                if kind == "add":
-                    arg = added[i] = Counter(arg)
-                for j in arg:
-                    live[j] = True
-        steps, weights, degree, support, squared = [], {}, [], [], []
-        for i, (kind, arg) in enumerate(self.nodes[: self.out + 1]):
-            if not live[i]:
-                kind, arg, d, s, q = "dead", None, None, None, None
-            elif kind == "in":
-                d, s, q = 1, 1 << arg, 0
-            elif kind == "const":
-                d, s, q = 0, 0, 0
-            elif kind == "add":
-                counts = added[i]
-                d = max(degree[j] for j in counts)
-                s = q = 0
-                for j in counts:
-                    s |= support[j]
-                    q |= squared[j]
-                arg = tuple(
-                    (j, weights.setdefault((d - degree[j], count), len(weights)))
-                    for j, count in counts.items()
-                )
-            else:
-                d = s = q = 0
-                for j in arg:
-                    d += degree[j]
-                    q |= squared[j] | (s & support[j])
-                    s |= support[j]
-            steps.append((kind, arg))
-            degree.append(d)
-            support.append(s)
-            squared.append(q)
-        return _Plan(tuple(steps), tuple(weights), degree[self.out], squared[self.out])
+
+def _plan(c: Circuit) -> _Plan:
+    """Two passes: one back from the output marks the nodes it reaches,
+    one in node order plans them.
+
+    Each node gets a total degree bound (``in`` 1, ``const`` 0, ``add`` the
+    max of its children, ``mul`` their sum) and, as bitmasks, its support
+    and the variables it may hold squared: a ``mul`` whose factors'
+    supports overlap squares their common variables.  A node with no
+    squared variable has degree at most its support size.  Any node up to
+    the output that it does not reach is a ``dead`` placeholder with no
+    degree, weight or scale, and the nodes after the output are left out.
+    """
+    nodes = c.nodes
+    live = [False] * (c.out + 1)
+    live[c.out] = True
+    added = {}  # live add node -> how often it names each child
+    for i in range(c.out, -1, -1):
+        if live[i]:
+            kind, arg = nodes[i]
+            if kind == "add":
+                # dict.fromkeys is the cheaper count of a small add whose
+                # children are distinct; Counter counts a wide one faster
+                counts = dict.fromkeys(arg, 1) if len(arg) <= _SMALL_ADD else {}
+                if len(counts) < len(arg):
+                    counts = Counter(arg)
+                arg = added[i] = counts
+            elif kind != "mul":
+                continue
+            for j in arg:
+                live[j] = True
+    steps, weights, degree, support, squared = [], {}, [], [], []
+    for i, (kind, arg) in enumerate(nodes[: c.out + 1]):
+        if not live[i]:
+            kind, arg, d, s, q = "dead", None, None, None, None
+        elif kind == "in":
+            d, s, q = 1, 1 << arg, 0
+        elif kind == "const":
+            d, s, q = 0, 0, 0
+        elif kind == "add":
+            counts = added[i]
+            d = s = q = 0
+            for j in counts:
+                if degree[j] > d:
+                    d = degree[j]
+                s |= support[j]
+                q |= squared[j]
+            arg = tuple(
+                [(j, weights.setdefault((d - degree[j], count), len(weights)))
+                 for j, count in counts.items()]
+            )
+        else:
+            d = s = q = 0
+            for j in arg:
+                d += degree[j]
+                q |= squared[j] | (s & support[j])
+                s |= support[j]
+        steps.append((kind, arg))
+        degree.append(d)
+        support.append(s)
+        squared.append(q)
+    return _Plan(tuple(steps), tuple(weights), degree[c.out], squared[c.out])
 
 
 class CircuitBuilder:
@@ -180,32 +203,103 @@ def eval_circuit(c: Circuit, point) -> Fraction:
     """
     if len(point) != c.n_vars:
         raise ValueError(f"need {c.n_vars} coordinates")
-    plan = c.plan
-    if plan.squared and plan.degree > _DEGREE_CEILING:
-        raise SizeGuard(
-            f"degree bound {plan.degree} of a circuit that squares a variable "
-            f"is above {_DEGREE_CEILING}"
-        )
     point = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]
     common = math.lcm(*(x.denominator for x in point))
     numerators = [x.numerator * (common // x.denominator) for x in point]
-    scale = [count * common**gap for gap, count in plan.weights]
-    values = []
-    for kind, arg in plan.steps:
-        if kind == "mul":
-            value = 1
-            for j in arg:
-                value *= values[j]
-        elif kind == "add":
-            value = 0
-            for j, w in arg:
-                value += values[j] * scale[w]
-        elif kind == "in":
-            value = numerators[arg]
-        else:  # a constant, or None for a dead node
-            value = arg
-        values.append(value)
-    return Fraction(values[c.out], common**plan.degree)
+    state = _Evaluation(c, numerators, common)
+    return Fraction(state.output(), common**state.plan.degree)
+
+
+class _Evaluation:
+    """The numerator of every node the output reaches, at one point over a
+    fixed common denominator D, each over D to the power of the node's
+    degree bound, as ``eval_circuit`` computes them; kept, so that changing
+    a few coordinates recomputes only the nodes they reach.
+
+    ``update`` walks the changed nodes in node order (a heap over node ids),
+    so every child is final before its parents read it: an ``add`` moves by
+    ``scale[w] * (new - old)`` of each changed child, and a ``mul`` is
+    recomputed from its children.  The parent lists are built at the first
+    update, so a one-shot evaluation never pays for them; they hold one
+    entry per edge, O(nodes + edges) in all.
+    """
+
+    def __init__(self, c: Circuit, numerators, common: int):
+        if len(numerators) != c.n_vars:
+            raise ValueError(f"need {c.n_vars} coordinates")
+        plan = self.plan = c.plan
+        if plan.squared and plan.degree > _DEGREE_CEILING:
+            raise SizeGuard(
+                f"degree bound {plan.degree} of a circuit that squares a variable "
+                f"is above {_DEGREE_CEILING}"
+            )
+        self.n_vars, self.out = c.n_vars, c.out
+        scale = self.scale = [count * common**gap for gap, count in plan.weights]
+        values = self.values = []
+        for kind, arg in plan.steps:
+            if kind == "mul":
+                value = 1
+                for j in arg:
+                    value *= values[j]
+            elif kind == "add":
+                value = 0
+                for j, w in arg:
+                    value += values[j] * scale[w]
+            elif kind == "in":
+                value = numerators[arg]
+            else:  # a constant, or None for a dead node
+                value = arg
+            values.append(value)
+        self.parents = self.inputs = None
+
+    def output(self) -> int:
+        """The output's numerator, over D to the power of ``plan.degree``."""
+        return self.values[self.out]
+
+    def update(self, coordinates) -> None:
+        """Set coordinate k's numerator over D to x for each ``(k, x)``."""
+        if self.parents is None:
+            self._link()
+        values, steps, parents, scale = self.values, self.plan.steps, self.parents, self.scale
+        queue, moved = [], {}  # nodes to recompute; how far each input or add moves
+        for k, x in coordinates:
+            for i in self.inputs[k]:
+                if i not in moved:
+                    heappush(queue, i)
+                moved[i] = x - values[i]  # the last setting of k wins
+        while queue:
+            i = heappop(queue)
+            old = values[i]
+            if steps[i][0] == "mul":
+                new = 1
+                for j in steps[i][1]:
+                    new *= values[j]
+            else:
+                new = old + moved[i]
+            if new != old:
+                values[i] = new
+                for p, w in parents[i]:
+                    if p not in moved:
+                        heappush(queue, p)
+                        moved[p] = 0
+                    if w is not None:
+                        moved[p] += scale[w] * (new - old)
+
+    def _link(self) -> None:
+        """Each live node's parents as ``(parent, w)``, w the weight index
+        of an ``add`` parent and None for a ``mul``, which is listed once
+        per time it names the node; each variable's live input nodes."""
+        parents = self.parents = [[] for _ in self.values]
+        inputs = self.inputs = [[] for _ in range(self.n_vars)]
+        for i, (kind, arg) in enumerate(self.plan.steps):
+            if kind == "add":
+                for j, w in arg:
+                    parents[j].append((i, w))
+            elif kind == "mul":
+                for j in arg:
+                    parents[j].append((i, None))
+            elif kind == "in":
+                inputs[arg].append(i)
 
 
 def msf_coefficient(c: Circuit, monomial) -> int:
@@ -264,8 +358,9 @@ def msf_coefficient(c: Circuit, monomial) -> int:
 
 
 def _header(text: str, what: str, names: str) -> tuple:
-    """A headed file's first row, which must hold ``names``, and its other rows."""
-    header, *rows = integer_lines(text, what)
+    """A headed file's first row, which must hold ``names``, and its other
+    rows as ``(line number, row)`` pairs."""
+    (_, header), *rows = integer_lines(text, what)
     if len(header) != len(names.split()):
         raise FormatError(f"first line {' '.join(map(str, header))!r} must be {names!r}")
     return header, rows
@@ -274,11 +369,12 @@ def _header(text: str, what: str, names: str) -> tuple:
 def load_matrix(text: str):
     """Parse: first line n, then n rows of 0/1 entries."""
     (n,), rows = _header(text, "matrix", "n")
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or any(len(r) != n for _, r in rows):
         raise FormatError(f"expected {n} rows of {n} entries")
-    if any(e not in (0, 1) for r in rows for e in r):
-        raise FormatError("entries must be 0 or 1")
-    return tuple(map(tuple, rows))
+    for number, row in rows:
+        if any(e not in (0, 1) for e in row):
+            raise FormatError(f"line {number}: entries must be 0 or 1")
+    return tuple(tuple(r) for _, r in rows)
 
 
 def perm_circuit(a) -> Circuit:
@@ -410,18 +506,27 @@ def derandomize(p: PbProblem) -> tuple:
     A multilinear objective is affine in each variable, so the expectation
     given a prefix is the mean of its two extensions: E[prefix] =
     (E[prefix+0] + E[prefix+1]) / 2, exactly.  Each step therefore
-    evaluates only E[prefix+0], takes E[prefix+1] = 2 E[prefix] - E[prefix+0],
-    and carries the chosen branch's value on: n + 1 circuit evaluations in
-    all, with the same Fractions, so the same choices, as evaluating both.
+    computes only E[prefix+0], takes E[prefix+1] = 2 E[prefix] - E[prefix+0],
+    and carries the chosen branch's value on, with the same values, so the
+    same choices, as evaluating both.  The circuit is evaluated once, at
+    the all-1/2 point over denominator 2.  Step k then updates in place
+    only the nodes x_k reaches: once to set x_k to 0, and once more to set
+    it to 1 when 1 wins.  No step evaluates the whole circuit again.
     """
+    state = _Evaluation(p.objective, [1] * p.n, 2)
+    current = state.output()
     prefix = []
-    current = cond_expectation(p, prefix)
-    for _ in range(p.n):
-        with_zero = cond_expectation(p, prefix + [0])
+    for k in range(p.n):
+        state.update([(k, 0)])
+        with_zero = state.output()
         with_one = 2 * current - with_zero
-        bit = int(with_one > with_zero)
-        prefix.append(bit)
-        current = with_one if bit else with_zero
+        if with_one > with_zero:
+            state.update([(k, 2)])
+            prefix.append(1)
+            current = with_one
+        else:
+            prefix.append(0)
+            current = with_zero
     return tuple(prefix)
 
 
@@ -462,6 +567,10 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
     neighborhood and the objective never decreases along the way.  A
     radius whose sweep scans more than ``_SEARCH_CEILING`` flip sets is
     refused with SizeGuard.
+
+    The circuit is evaluated once, at ``start``; each flip set is then
+    applied as an update of only the nodes its variables reach, read at
+    the output, and undone the same way unless the output improved.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -471,25 +580,26 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
             f"radius {radius} on {p.n} variables scans {sets} flip sets a sweep, "
             f"above {_SEARCH_CEILING}"
         )
-    current = tuple(start)
-    current_value = p.value(current)
+    current = list(start)
+    state = _Evaluation(p.objective, current, 1)
+    current_value = state.output()
     improved = True
     while improved:
         improved = False
         for size in range(1, radius + 1):
             for flips in combinations(range(p.n), size):
-                candidate = list(current)
-                for k in flips:
-                    candidate[k] ^= 1
-                candidate = tuple(candidate)
-                value = p.value(candidate)
+                state.update([(k, current[k] ^ 1) for k in flips])
+                value = state.output()
                 if value > current_value:
-                    current, current_value = candidate, value
+                    for k in flips:
+                        current[k] ^= 1
+                    current_value = value
                     improved = True
                     break
+                state.update([(k, current[k]) for k in flips])
             if improved:
                 break
-    return current
+    return tuple(current)
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +670,30 @@ def cut_value(edges, assignment) -> int:
 
 
 def load_clauses(text: str):
-    """Parse the clause format: first line ``n m``, then one clause per line."""
+    """Parse the clause format: first line ``n m``, then one clause per line
+    of nonzero literals, each at most n in absolute value."""
     (n, m), rows = _header(text, "clause", "n m")
     if len(rows) != m:
         raise FormatError(f"expected {m} clauses, found {len(rows)}")
-    return n, list(map(tuple, rows))
+    for number, row in rows:
+        for lit in row:
+            if not 0 < abs(lit) <= n:
+                raise FormatError(f"line {number}: literal {lit} out of range")
+    return n, [tuple(r) for _, r in rows]
 
 
 def load_graph(text: str):
     """Parse the edge format: first line ``n m``, then ``u v`` per line (1-based)."""
     (n, m), rows = _header(text, "graph", "n m")
-    for row in rows:
+    for _, row in rows:
         if len(row) != 2:
             raise FormatError(f"edge line {' '.join(map(str, row))!r} must be 'u v'")
     if len(rows) != m:
         raise FormatError(f"expected {m} edges, found {len(rows)}")
-    if any(not 1 <= x <= n for row in rows for x in row):
-        raise FormatError(f"edge endpoints must lie in 1..{n}")
-    return n, [(u - 1, v - 1) for u, v in rows]
+    for number, row in rows:
+        if any(not 1 <= x <= n for x in row):
+            raise FormatError(f"line {number}: edge endpoints must lie in 1..{n}")
+    return n, [(u - 1, v - 1) for _, (u, v) in rows]
 
 
 def load_circuit(text: str) -> Circuit:

@@ -53,8 +53,9 @@ def single(lines: dict, key: str) -> tuple:
 
 
 def integer_lines(text: str, what: str) -> list:
-    """The integer rows of a headed file, its first row the header."""
-    rows = [[integer(number, tok) for tok in tokens] for number, tokens in spec_lines(text)]
+    """The ``(line number, integer row)`` pairs of a headed file, its first
+    row the header."""
+    rows = [(number, [integer(number, tok) for tok in tokens]) for number, tokens in spec_lines(text)]
     if not rows:
         raise FormatError(f"empty {what} file")
     return rows

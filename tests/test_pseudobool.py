@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from countgen import pseudobool
 from countgen.coins import CoinSource, TapeSource
+from countgen.describe import load_dnf
 from countgen.exceptions import FormatError, SizeGuard
 from countgen.pseudobool import (
     Circuit,
@@ -165,6 +166,29 @@ def reference_derandomize(p: PbProblem) -> tuple:
     return tuple(prefix)
 
 
+def reference_local_search(p: PbProblem, radius: int, start) -> tuple:
+    """The slow path: every flip set's assignment evaluated in full."""
+    current = tuple(start)
+    current_value = p.value(current)
+    improved = True
+    while improved:
+        improved = False
+        for size in range(1, radius + 1):
+            for flips in combinations(range(p.n), size):
+                candidate = list(current)
+                for k in flips:
+                    candidate[k] ^= 1
+                candidate = tuple(candidate)
+                value = p.value(candidate)
+                if value > current_value:
+                    current, current_value = candidate, value
+                    improved = True
+                    break
+            if improved:
+                break
+    return current
+
+
 GOALS = ["max", "min"]
 
 
@@ -268,9 +292,79 @@ class TestIntegerEvaluation:
         c = b.build(b.add(b.mul(minus, minus), minus, b.const(1)))
         assert eval_circuit(c, []) == reference_eval_circuit(c, []) == 1
 
+    def test_plan_is_built_once_and_kept(self):
+        c = max_sat_circuit(3, [(1, -2), (2, 3)])
+        plan = c.plan
+        assert c.plan is plan
+        # the kept plan is no field: equality and hashing read the nodes only
+        fresh = Circuit(c.n_vars, c.nodes, c.out)
+        assert c == fresh and hash(c) == hash(fresh)
+        assert fresh.plan == plan and fresh.plan is not plan
+
     def test_wrong_coordinate_count(self):
         with pytest.raises(ValueError, match="need 2 coordinates"):
             eval_circuit(perm_circuit(((1, 1), (1, 1))), [1])
+
+
+class TestIncrementalEvaluation:
+    """``_Evaluation.update`` against a full reference evaluation after
+    every step of seeded random update sequences."""
+
+    @staticmethod
+    def walk(rng, c: Circuit, common: int, steps: int = 12):
+        numerators = [rng.randint(-3 * common, 3 * common) for _ in range(c.n_vars)]
+        state = pseudobool._Evaluation(c, numerators, common)
+        for step in range(steps + 1):
+            point = [Fraction(x, common) for x in numerators]
+            assert Fraction(state.output(), common**c.plan.degree) == reference_eval_circuit(c, point)
+            if c.n_vars:
+                # one to three coordinates, some set to the value they hold
+                changes = [(rng.randrange(c.n_vars), rng.randint(-3 * common, 3 * common))
+                           for _ in range(rng.randint(1, 3))]
+                if step % 3 == 0:
+                    changes.append((changes[0][0], numerators[changes[0][0]]))
+                state.update(changes)
+                for k, x in changes:
+                    numerators[k] = x
+
+    def circuits(self, rng):
+        for _ in range(150):
+            c = random_circuit(rng)
+            if not (c.plan.squared and c.plan.degree > pseudobool._DEGREE_CEILING):
+                yield c
+        for _ in range(150):
+            yield circuit_with_dead_nodes(rng)
+        for _ in range(40):
+            yield random_multilinear_circuit(rng, rng.randint(0, 8))
+
+    @pytest.mark.parametrize("common", [1, 2, 6])
+    def test_random_update_sequences_match_reference(self, common):
+        # -1/0/1 constants, repeated add and mul children, dead nodes and
+        # nodes after the output
+        rng = random.Random(common)
+        for c in self.circuits(rng):
+            self.walk(rng, c, common)
+
+    def test_builders_match_reference(self):
+        rng = random.Random(5)
+        for n in (1, 6, 12):
+            clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                       for _ in range(3 * n)]
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+            for c in (max_sat_circuit(n, clauses), max_cut_circuit(n, edges)):
+                for common in (1, 2):
+                    self.walk(rng, c, common, steps=30)
+
+    def test_a_variable_read_by_two_input_nodes(self):
+        # both input nodes of x1 move together
+        c = load_circuit("0 in 1\n1 in 2\n2 in 1\n3 mul 0 1\n4 add 3 2 2\nout 4\n")
+        self.walk(random.Random(3), c, 2, steps=20)
+
+    def test_wrong_coordinate_count(self):
+        b = CircuitBuilder(2)
+        c = b.build(b.var(0))
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            pseudobool._Evaluation(c, [1], 1)
 
 
 class TestMsfCoefficient:
@@ -490,7 +584,9 @@ class TestDerandomizeAgainstReference:
         assert derandomize(p) == reference_derandomize(p) == ()
 
     @pytest.mark.parametrize("n", [0, 1, 7, 40])
-    def test_one_evaluation_per_variable_and_one_more(self, monkeypatch, n):
+    def test_no_circuit_evaluation(self, monkeypatch, n):
+        # derandomize updates one evaluation in place; only the reference
+        # evaluates the circuit, 2n times
         rng = random.Random(n)
         clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
                    for _ in range(3 * n)]
@@ -499,8 +595,10 @@ class TestDerandomizeAgainstReference:
         monkeypatch.setattr(
             pseudobool, "eval_circuit", lambda c, point: calls.append(1) or eval_circuit(c, point)
         )
-        assert derandomize(p) == reference_derandomize(p)
-        assert len(calls) == n + 1 + 2 * n  # derandomize, then the reference
+        out = derandomize(p)
+        assert calls == []
+        assert out == reference_derandomize(p)
+        assert len(calls) == 2 * n
 
 
 class TestDegreeCeiling:
@@ -618,6 +716,20 @@ class TestSearches:
         # 24 + 276 + 2024 + 10626 + 42504 + 134596 sets at radius 6
         with pytest.raises(SizeGuard, match="^radius 6 on 24 variables scans 190050 "):
             local_search(p, 6, (0,) * 24)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_local_search_matches_full_evaluation(self, radius):
+        rng = random.Random(radius)
+        for _ in range(25):
+            n = rng.randint(1, 9)
+            clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+                       for _ in range(rng.randint(0, 4 * n))]
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+            for c in (max_sat_circuit(n, clauses), max_cut_circuit(n, edges),
+                      oriented(random_multilinear_circuit(rng, n), rng.choice(GOALS))):
+                p = PbProblem(n, c)
+                start = tuple(rng.randint(0, 1) for _ in range(n))
+                assert local_search(p, radius, start) == reference_local_search(p, radius, start)
 
     def test_local_search_admits_radius_3_on_40_variables(self):
         # 40 + 780 + 9880 = 10,700 flip sets a sweep
@@ -765,6 +877,20 @@ class TestLoaders:
     def test_graph_edge_line_of_three_refused(self):
         with pytest.raises(FormatError, match="edge line '1 2 3' must be 'u v'"):
             load_graph("3 1\n1 2 3\n")
+
+    @pytest.mark.parametrize("text, line, literal", [
+        ("3 1\n1 4\n", 2, 4), ("3 2\n1 2\n# gap\n0 1\n", 4, 0), ("3 1\n-4 1\n", 2, -4),
+    ])
+    def test_clause_literal_outside_range(self, text, line, literal):
+        message = f"^line {line}: literal {literal} out of range$"
+        with pytest.raises(FormatError, match=message):
+            load_clauses(text)
+        with pytest.raises(FormatError, match=message):
+            load_dnf(text)
+
+    def test_matrix_entry_names_its_line(self):
+        with pytest.raises(FormatError, match="^line 3: entries must be 0 or 1$"):
+            load_matrix("2\n1 1\n1 2\n")
 
     @pytest.mark.parametrize("header", ["3", "3 1 7"])
     def test_graph_and_clause_headers_need_n_m(self, header):

@@ -157,7 +157,9 @@ class TestReader:
         assert list(spec_lines("a 1\r\n\r\nb\r\n")) == [(1, ["a", "1"]), (3, ["b"])]
 
     def test_integer_lines(self):
-        assert integer_lines("# n\n2\n1 0 # row\n0 1\n", "matrix") == [[2], [1, 0], [0, 1]]
+        assert integer_lines("# n\n2\n1 0 # row\n0 1\n", "matrix") == [
+            (2, [2]), (3, [1, 0]), (4, [0, 1])
+        ]
         with pytest.raises(FormatError, match="^empty matrix file$"):
             integer_lines("# nothing\n\n", "matrix")
 
@@ -233,6 +235,11 @@ class TestPdaLines:
          "line 2: add takes one or more earlier node ids"),
         (["pb", "derand", "--circuit"], "out.circ", "0 in 1\nout 1\n",
          "line 2: output node 1 is not a node"),
+        (["pb", "derand", "--cnf"], "five.cnf", "2 1\n1 5\n", "line 2: literal 5 out of range"),
+        (["pb", "derand", "--cnf"], "zero.cnf", "2 1\n0 1\n", "line 2: literal 0 out of range"),
+        (["pb", "derand", "--graph"], "far.graph", "2 2\n1 2\n# far\n2 3\n",
+         "line 4: edge endpoints must lie in 1..2"),
+        (["pb", "perm", "-m"], "two.mat", "2\n1 2\n1 1\n", "line 2: entries must be 0 or 1"),
         (["cfg", "count", "-n", "1", "-g"], "start.cfg", edit(GRAMMAR, 3, "start T"),
          "line 3: start symbol 'T' is not a variable"),
         (["cfg", "count", "-n", "1", "-g"], "twice.cfg", edit(GRAMMAR, 1, "var S S"),
@@ -249,7 +256,8 @@ class TestPdaLines:
     ids=["pda-short-move", "pda-empty-init", "pda-dash-input", "cfg-overlap", "matrix-x",
          "circuit-const", "dfa-form-feed", "cfg-unknown-variable", "cfg-unknown-symbol",
          "pda-unknown-final", "circuit-in-zero", "circuit-const-two", "circuit-add-ahead",
-         "circuit-out-range", "cfg-unknown-start", "cfg-repeated-variable", "pda-unknown-init",
+         "circuit-out-range", "cnf-literal-range", "cnf-literal-zero", "graph-vertex-range",
+         "matrix-entry-two", "cfg-unknown-start", "cfg-repeated-variable", "pda-unknown-init",
          "pda-unknown-state", "pda-unknown-input", "pda-unknown-stack"],
 )
 def test_cli_names_the_line(tmp_path, capsys, argv, name, text, message):
