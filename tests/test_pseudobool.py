@@ -583,22 +583,23 @@ class TestDerandomizeAgainstReference:
         p = PbProblem(0, b.build(b.const(1)))
         assert derandomize(p) == reference_derandomize(p) == ()
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 40])
-    def test_no_circuit_evaluation(self, monkeypatch, n):
+    def test_no_circuit_evaluation(self, monkeypatch):
         # derandomize updates one evaluation in place; only the reference
         # evaluates the circuit, 2n times
-        rng = random.Random(n)
-        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
-                   for _ in range(3 * n)]
-        p = PbProblem(n, max_sat_circuit(n, clauses))
         calls = []
         monkeypatch.setattr(
             pseudobool, "eval_circuit", lambda c, point: calls.append(1) or eval_circuit(c, point)
         )
-        out = derandomize(p)
-        assert calls == []
-        assert out == reference_derandomize(p)
-        assert len(calls) == 2 * n
+        for n in (0, 1, 7, 40):
+            rng = random.Random(n)
+            clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                       for _ in range(3 * n)]
+            p = PbProblem(n, max_sat_circuit(n, clauses))
+            calls.clear()
+            out = derandomize(p)
+            assert calls == []
+            assert out == reference_derandomize(p)
+            assert len(calls) == 2 * n
 
 
 class TestDegreeCeiling:
