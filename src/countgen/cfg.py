@@ -1,15 +1,17 @@
 """Context-free machinery: CNF grammars, tree census, tree sampling,
 Earley tree counting, and the word sampler built from them.
 
-Derivation trees of a fixed yield length are counted exactly by the
-binary-production convolution; the same (growable) table drives a uniform tree
-sampler.  The table keeps, per variable, each binary production beside
-the rows of its two children, so the sampler sums a split point's weight
-straight from those rows, and it finds the split by a two-ended
-(boustrophedonic) prefix-sum scan: split points are taken alternately
-from both ends, so split k of a length-l node costs min(k, l - k) bucket
-sums.  A weighted Earley recognizer counts the derivation trees of a
-given word, which is the multiplicity needed to flatten trees into
+A CNF grammar numbers its variables by their position in the variable
+order, and the hot paths name variables by that index: ``to_cnf`` and PDA
+slice grammars mint tuple variables, which a dict would hash again at
+every use.  Derivation trees of a fixed yield length are counted exactly
+by the binary-production convolution; the same (growable) table drives a
+uniform tree sampler.  The table keeps, per variable, each binary
+production beside the rows of its two children, and builds, at the first
+draw at a (variable, length) pair, a split plan: the running sums of the
+nonzero split weights.  A node's draw then finds its split with one
+bisection.  A weighted Earley recognizer counts the derivation trees of
+a given word, which is the multiplicity needed to flatten trees into
 uniformly random words: it keeps, per span, only the completed variables
 and the productions waiting for their second child, and looks each
 column's prediction up in a per-grammar memo.
@@ -17,9 +19,9 @@ column's prediction up in a per-grammar memo.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import Bound, Description
@@ -54,6 +56,9 @@ class CnfGrammar:
     Binary productions of each variable are ordered by the variable order
     of their right-hand sides, unary productions by the terminal order;
     samples are reproducible because this order is part of the grammar.
+    ``var_index`` maps each variable to its index in ``variables``, and
+    ``pairs[i]`` holds the binary productions of variable i as index
+    pairs, in the order of ``binary``.
     """
 
     def __init__(self, variables, terminals, start, binary, unary):
@@ -69,50 +74,66 @@ class CnfGrammar:
         self.var_index = var_index
         self.binary = {}
         self.unary = {}
+        self.pairs = []
         for a in self.variables:
-            pairs = list(binary.get(a, ()))
-            letters = list(unary.get(a, ()))
-            for b, c in pairs:
-                if b not in var_index or c not in var_index:
-                    raise ValueError(f"production {a!r} -> {b!r} {c!r} uses unknown variables")
+            pairs = tuple(binary.get(a, ()))
+            letters = tuple(unary.get(a, ()))
+            try:
+                keyed = sorted([((var_index[b], var_index[c]), (b, c)) for b, c in pairs])
+            except KeyError:
+                b, c = next(bc for bc in pairs if not set(bc) <= var_index.keys())
+                raise ValueError(f"production {a!r} -> {b!r} {c!r} uses unknown variables") from None
             for t in letters:
                 if t not in term_index:
                     raise ValueError(f"production {a!r} -> {t!r} uses an unknown terminal")
-            if len(set(pairs)) != len(pairs) or len(set(letters)) != len(letters):
+            index_pairs = tuple([bc for bc, _ in keyed])
+            if len(set(index_pairs)) != len(index_pairs) or len(set(letters)) != len(letters):
                 raise ValueError(f"duplicate productions for {a!r}")
-            pairs.sort(key=lambda bc: (var_index[bc[0]], var_index[bc[1]]))
-            letters.sort(key=lambda t: term_index[t])
-            self.binary[a] = tuple(pairs)
-            self.unary[a] = tuple(letters)
+            self.binary[a] = tuple([bc for _, bc in keyed])
+            self.pairs.append(index_pairs)
+            self.unary[a] = tuple(sorted(letters, key=term_index.__getitem__))
 
-    @cached_property
+    @property
     def earley_tables(self) -> tuple:
-        """Earley prediction for this grammar, built on first use.
+        """Earley prediction for this grammar, by variable index, built at
+        the first read and kept.
 
-        ``corner`` maps each variable A to the variables reached from A
-        through leftmost children (A included).  ``plans`` is a memo that
-        grows on use, from the frozen set of variables a column predicts
-        to that column's plan: letter t -> the predicted variables A with
-        A -> t, and variable B -> the pairs (A, C) of the predicted
-        productions A -> B C.
+        ``corner[i]`` holds the indices of the variables reached from
+        variable i through leftmost children (i included).  ``plans`` is a
+        memo that grows on use, from the frozen set of variable indices a
+        column predicts to that column's plan: letter t -> the predicted
+        variables A with A -> t, and variable B -> the pairs (A, C) of the
+        predicted productions A -> B C.
         """
-        corner = {}
-        for a in self.variables:
-            reach = {a}
-            frontier = [a]
-            while frontier:
-                for b, _ in self.binary[frontier.pop()]:
-                    if b not in reach:
-                        reach.add(b)
-                        frontier.append(b)
-            corner[a] = frozenset(reach)
-        return corner, {}
+        # Kept on a private attribute, not by functools.cached_property,
+        # as Dfa.state_classes is: writing the instance __dict__ directly,
+        # as cached_property does, makes every later attribute read on the
+        # grammar about three times as slow.
+        try:
+            return self._earley_tables
+        except AttributeError:
+            corner = []
+            for i in range(len(self.variables)):
+                reach = {i}
+                frontier = [i]
+                while frontier:
+                    for b, _ in self.pairs[frontier.pop()]:
+                        if b not in reach:
+                            reach.add(b)
+                            frontier.append(b)
+                corner.append(frozenset(reach))
+            self._earley_tables = (tuple(corner), {})
+            return self._earley_tables
 
-    @cached_property
+    @property
     def tree_table(self) -> TreeTable:
-        """The grammar's one tree-census table, built empty on first use;
-        each reader grows it to the yield length it reads."""
-        return tree_census_table(self, 0)
+        """The grammar's one tree-census table, built empty at the first
+        read and kept; each reader grows it to the yield length it reads."""
+        try:
+            return self._tree_table
+        except AttributeError:
+            self._tree_table = tree_census_table(self, 0)
+            return self._tree_table
 
     def productive_variables(self):
         productive = {a for a in self.variables if self.unary[a]}
@@ -145,35 +166,79 @@ class CnfGrammar:
 class TreeTable(dict):
     """table[a][l] = number of derivation trees from a with yield length l.
 
-    ``splits[a]`` holds ``(table[b], table[c], b, c)`` for each production
-    a -> b c, in the grammar's order.  The rows are the table's own lists,
-    which grow in place, so the tuples are built once per table.
-    ``leaves`` maps each variable with exactly one terminal production
-    a -> t to its one tree of yield length 1, the leaf ``(a, t)``.
+    Besides the rows by name, the table keeps lists indexed by variable
+    index i, the position of a in ``grammar.variables``:
+
+    - ``rows[i]`` is the row ``table[a]`` itself;
+    - ``splits[i]`` holds ``(rows[b], rows[c], b, c)`` for each production
+      a -> b c, in the grammar's order, with b and c variable indices;
+    - ``letters[i]`` is ``grammar.unary[a]``;
+    - ``leaves[i]`` is the one tree of yield length 1 from a, the leaf
+      ``(a, t)``, when a has exactly one terminal production a -> t, and
+      None otherwise;
+    - ``plans[i]`` maps a yield length l to the split plan of a at l
+      (``split_plan``), built at the first draw there.
+
+    The rows grow in place, so all but the plans are built once per
+    table, and a plan, which reads only rows below l, never goes stale.
     """
 
     def __init__(self, g: CnfGrammar):
-        super().__init__((a, [0]) for a in g.variables)
+        rows = [[0] for _ in g.variables]
+        super().__init__(zip(g.variables, rows))
         self.grammar = g
-        self.splits = {
-            a: tuple((self[b], self[c], b, c) for b, c in g.binary[a]) for a in g.variables
-        }
-        self.leaves = {a: (a, g.unary[a][0]) for a in g.variables if len(g.unary[a]) == 1}
+        self.rows = rows
+        self.splits = [tuple((rows[b], rows[c], b, c) for b, c in pairs) for pairs in g.pairs]
+        self.letters = [g.unary[a] for a in g.variables]
+        self.leaves = [
+            (a, letters[0]) if len(letters) == 1 else None
+            for a, letters in zip(g.variables, self.letters)
+        ]
+        self.plans = [{} for _ in rows]
 
     def grow(self, n: int) -> "TreeTable":
         """Append yield lengths until every row covers 0..n."""
         if n < 0:
             raise ValueError("yield length must be nonnegative")
-        g = self.grammar
-        for length in range(len(self[g.start]), n + 1):
-            for a in g.variables:
-                total = len(g.unary[a]) if length == 1 else 0
-                for row_b, row_c, _, _ in self.splits[a]:
+        for length in range(len(self.rows[0]), n + 1):
+            for row, pairs, letters in zip(self.rows, self.splits, self.letters):
+                total = len(letters) if length == 1 else 0
+                for row_b, row_c, _, _ in pairs:
                     total += sum(
                         row_b[i] * row_c[length - i] for i in range(1, length)
                     )
-                self[a].append(total)
+                row.append(total)
         return self
+
+    def split_plan(self, i: int, length: int) -> tuple:
+        """Build, keep and return the split plan of variable i at yield
+        length ``length``: ``(weights, picks)``.
+
+        The buckets are the productions a -> b c at each split k, in (k,
+        production) order, weighing row_b[k] * row_c[length - k]; only the
+        nonzero ones are kept.  ``weights`` holds their running sums, so
+        rank r falls in the bucket at ``bisect_left(weights, r)``, and
+        ``picks`` holds that bucket's ``(k, b, c, left, right)``, where
+        ``left`` is b's leaf if k = 1 and ``right`` is c's leaf if
+        k = length - 1 (each None otherwise, or when the child variable
+        has no single leaf).
+        """
+        leaves = self.leaves
+        weights, picks = [], []
+        acc = 0
+        for k in range(1, length):
+            for row_b, row_c, b, c in self.splits[i]:
+                weight = row_b[k] * row_c[length - k]
+                if weight:
+                    acc += weight
+                    weights.append(acc)
+                    picks.append((
+                        k, b, c,
+                        leaves[b] if k == 1 else None,
+                        leaves[c] if k == length - 1 else None,
+                    ))
+        plan = self.plans[i][length] = weights, picks
+        return plan
 
 
 def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
@@ -194,71 +259,47 @@ def random_tree(g: CnfGrammar, n: int, src):
     The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
     is global, not per recursion level); the failure probability is at
     most (2n - 1) / 2**kappa, below 1/4.  The grammar's ``tree_table`` is
-    grown to n in place.  A child of yield length 1 whose variable has one
-    terminal is taken from ``TreeTable.leaves``: its draw would be a
-    forced choice, which reads no bits.
+    grown to n in place.  A node draws a rank r below its tree count and
+    takes the split holding r from its split plan (``TreeTable.plans``)
+    with one bisection.  A child of yield length 1 whose variable has one
+    terminal is the leaf the plan holds: its draw would be a forced
+    choice, which reads no bits.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
     table = g.tree_table.grow(n)
-    if table[g.start][n] == 0:
+    rows = table.rows
+    start = g.var_index[g.start]
+    if rows[start][n] == 0:
         raise EmptySlice(f"no derivation trees of yield length {n}")
-    splits = table.splits
-    leaves = table.leaves
+    names = g.variables
+    plans = table.plans
     kappa = 3 + bit_size(n)
 
-    def generate(a, length):
-        total = table[a][length]
-        r = draw_uniform(src, total, kappa)
+    # Each call leaves its closure cells to the cycle collector, since
+    # generate refers to itself: keep their number small.
+    def generate(i, length):
+        r = draw_uniform(src, rows[i][length], kappa)
         if r is FAIL:
             return FAIL
         if length == 1:
-            return (a, g.unary[a][r - 1])
-        # The split k holding r is the first whose prefix sum of bucket
-        # weights reaches r.  Buckets are taken alternately from k = 1 and
-        # from k = length - 1: ``low`` is the weight left of ``lo`` and
-        # ``high`` the total minus the weight right of ``hi``.
-        pairs = splits[a]
-        lo, hi = 1, length - 1
-        low, high = 0, total
-        while True:
-            weight = 0
-            for row_b, row_c, _, _ in pairs:
-                weight += row_b[lo] * row_c[length - lo]
-            if r <= low + weight:
-                k, acc = lo, low
-                break
-            low += weight
-            lo += 1
-            weight = 0
-            for row_b, row_c, _, _ in pairs:
-                weight += row_b[hi] * row_c[length - hi]
-            high -= weight
-            if r > high:
-                k, acc = hi, high
-                break
-            hi -= 1
-        for row_b, row_c, b, c in pairs:
-            acc += row_b[k] * row_c[length - k]
-            if acc >= r:
-                break
-        else:
-            raise AssertionError("rank exceeded bucket weight")
-        if k == 1 and b in leaves:
-            left = leaves[b]
-        else:
+            return (names[i], table.letters[i][r - 1])
+        plan = plans[i].get(length)
+        if plan is None:
+            plan = table.split_plan(i, length)
+        weights, picks = plan
+        k, b, c, left, right = picks[bisect_left(weights, r)]
+        if left is None:
             left = generate(b, k)
             if left is FAIL:
                 return FAIL
-        if k == length - 1 and c in leaves:
-            right = leaves[c]
-        else:
+        if right is None:
             right = generate(c, length - k)
             if right is FAIL:
                 return FAIL
-        return (a, left, right)
+        return (names[i], left, right)
 
-    return generate(g.start, n)
+    return generate(start, n)
 
 
 def tree_yield(tree) -> str:
@@ -310,9 +351,9 @@ def _earley_plan(g: CnfGrammar, predicted: frozenset) -> tuple:
     if plan is None:
         scans, waits = {}, {}
         for a in frozenset().union(*(corner[b] for b in predicted)):
-            for t in g.unary[a]:
+            for t in g.unary[g.variables[a]]:
                 scans.setdefault(t, []).append(a)
-            for b, c in g.binary[a]:
+            for b, c in g.pairs[a]:
                 waits.setdefault(b, []).append((a, c))
         plan = plans[predicted] = (scans, waits)
     return plan
@@ -321,20 +362,22 @@ def _earley_plan(g: CnfGrammar, predicted: frozenset) -> tuple:
 def earley_count(g: CnfGrammar, word: str) -> int:
     """Number of derivation trees of ``word`` (0 for non-members).
 
-    Earley's recognizer with weights that keeps no dotted states.  A
-    completed B over (i, j) with w trees multiplies into every entry
-    (k, A, pw) filed under (B, i), adding pw * w trees to A over (k, j),
-    and, for each production A -> B C predicted at i, files (i, A, w)
-    under (C, j).  In CNF a completion over (i, j) only adds to starts
-    k < i, so a pass over column j with descending i reads each weight
-    after its last update.  Column j predicts the left-corner closure of
-    the variables filed under it, and its plan comes from the grammar's
-    memo (``CnfGrammar.earley_tables``).
+    Earley's recognizer with weights that keeps no dotted states, and
+    names every variable by its index in ``g.variables``.  A completed B
+    over (i, j) with w trees multiplies into every entry (k, A, pw) filed
+    under (B, i), adding pw * w trees to A over (k, j), and, for each
+    production A -> B C predicted at i, files (i, A, w) under (C, j).  In
+    CNF a completion over (i, j) only adds to starts k < i, so a pass
+    over column j with descending i reads each weight after its last
+    update.  Column j predicts the left-corner closure of the variables
+    filed under it, and its plan comes from the grammar's memo
+    (``CnfGrammar.earley_tables``).
     """
     n = len(word)
     if n < 1:
         raise ValueError("word must be non-empty")
-    plans = [_earley_plan(g, frozenset((g.start,)))]
+    start = g.var_index[g.start]
+    plans = [_earley_plan(g, frozenset((start,)))]
     filed = [{}]  # filed[i][C]: the entries (k, A, w) filed under (C, i)
     for j in range(1, n + 1):
         complete = [None] * j  # complete[i]: {B: trees of B over (i, j)}
@@ -361,7 +404,7 @@ def earley_count(g: CnfGrammar, word: str) -> int:
                     else:
                         entries.append((i, a, w))
         if not column:
-            return complete[0].get(g.start, 0) if j == n and complete[0] else 0
+            return complete[0].get(start, 0) if j == n and complete[0] else 0
         plans.append(_earley_plan(g, frozenset(column)))
         filed.append(column)
 

@@ -369,9 +369,11 @@ def _header(text: str, what: str, names: str) -> tuple:
 def load_matrix(text: str):
     """Parse: first line n, then n rows of 0/1 entries."""
     (n,), rows = _header(text, "matrix", "n")
-    if len(rows) != n or any(len(r) != n for _, r in rows):
+    if len(rows) != n:
         raise FormatError(f"expected {n} rows of {n} entries")
     for number, row in rows:
+        if len(row) != n:
+            raise FormatError(f"line {number}: expected {n} entries, found {len(row)}")
         if any(e not in (0, 1) for e in row):
             raise FormatError(f"line {number}: entries must be 0 or 1")
     return tuple(tuple(r) for _, r in rows)
@@ -685,9 +687,9 @@ def load_clauses(text: str):
 def load_graph(text: str):
     """Parse the edge format: first line ``n m``, then ``u v`` per line (1-based)."""
     (n, m), rows = _header(text, "graph", "n m")
-    for _, row in rows:
+    for number, row in rows:
         if len(row) != 2:
-            raise FormatError(f"edge line {' '.join(map(str, row))!r} must be 'u v'")
+            raise FormatError(f"line {number}: edge {' '.join(map(str, row))!r} must be 'u v'")
     if len(rows) != m:
         raise FormatError(f"expected {m} edges, found {len(rows)}")
     for number, row in rows:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product as iproduct
@@ -190,6 +191,15 @@ class TestTreeCensus:
         assert built == grammars
         assert [g.tree_table.grammar for g in grammars] == grammars
 
+    def test_second_read_returns_the_kept_table(self):
+        g = fresh_copy(PAIR)
+        assert not {"_tree_table", "_earley_tables"} & vars(g).keys()
+        table, tables = g.tree_table, g.earley_tables
+        assert g.tree_table is table and g.earley_tables is tables
+        assert vars(g)["_tree_table"] is table and vars(g)["_earley_tables"] is tables
+        # kept on private attributes, not under the property names
+        assert not {"tree_table", "earley_tables"} & vars(g).keys()
+
 
 class TestRandomTree:
     def test_two_trees_uniform_by_enumeration(self):
@@ -264,9 +274,9 @@ class TestRandomTree:
         assert chisquare(list(counts.values())).pvalue > 0.01
 
 
-# The split searches random_tree used before its scan ran inline on the
-# table's production rows: a single-ended scan, and a two-ended one that
-# sums each bucket with a generator.
+# The split searches random_tree used before its split plans: a
+# single-ended scan, and the two-ended (boustrophedonic) one, which takes
+# split points alternately from both ends.
 
 
 def _locate_linear(g, table, a, length, r):
@@ -427,15 +437,59 @@ class TestSplitSearch:
         text = "".join(dump_grammar(random_cnf(seed)) for seed in range(12))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == RANDOM_CNF_DIGEST
 
+    @pytest.mark.parametrize("g", GRAMMARS)
+    def test_plan_lookup_equals_references(self, g):
+        for n in range(2, 8):
+            table = tree_census_table(g, n)
+            for i, a in enumerate(g.variables):
+                weights, picks = table.split_plan(i, n)
+                assert weights == sorted(set(weights)) and weights[:1] != [0]
+                assert weights[-1:] == ([table[a][n]] if table[a][n] else [])
+                for r in range(1, table[a][n] + 1):
+                    k, b, c, _, _ = picks[bisect_left(weights, r)]
+                    found = g.variables[b], g.variables[c], k
+                    assert found == _locate_linear(g, table, a, n, r)
+                    assert found == _locate_boustrophedon(g, table, a, n, r)
+
     def test_split_rows_are_the_table_rows(self):
         table = tree_census_table(MIXED, 3)
         assert isinstance(table, TreeTable) and table.grammar is MIXED
-        for a in MIXED.variables:
-            assert [(b, c) for _, _, b, c in table.splits[a]] == list(MIXED.binary[a])
-            for row_b, row_c, b, c in table.splits[a]:
-                assert row_b is table[b] and row_c is table[c]
+        for i, a in enumerate(MIXED.variables):
+            assert MIXED.var_index[a] == i and table.rows[i] is table[a]
+            assert table.letters[i] == MIXED.unary[a]
+            assert [(b, c) for _, _, b, c in table.splits[i]] == list(MIXED.pairs[i])
+            assert [(MIXED.variables[b], MIXED.variables[c]) for b, c in MIXED.pairs[i]] == \
+                list(MIXED.binary[a])
+            for row_b, row_c, b, c in table.splits[i]:
+                assert row_b is table.rows[b] and row_c is table.rows[c]
         table.grow(9)
-        assert all(len(row_b) == 10 for a in MIXED.variables for row_b, *_ in table.splits[a])
+        assert all(len(row) == 10 for row in table.rows)
+        assert all(len(row_b) == 10 for pairs in table.splits for row_b, *_ in pairs)
+
+    @pytest.mark.parametrize("name", ["test-0", "test-3", "dyck-8", "random-3", "random-4"])
+    def test_plans_hold_the_visited_nodes_only(self, name):
+        make, lengths = SAMPLER_GRAMMARS[name]
+        g = fresh_copy(make())
+        visited = set()
+
+        def recording(g, table, a, length, r):
+            visited.add((a, length))
+            return _locate_linear(g, table, a, length, r)
+
+        drawn = 0
+        for n in lengths[:12]:
+            if tree_census(g, g.start, n) == 0:
+                continue
+            for seed in range(4):
+                tree = random_tree(g, n, CoinSource(seed))
+                assert reference_random_tree(g, n, CoinSource(seed), recording) == tree
+                drawn += 1
+            plans = g.tree_table.plans
+            assert {(g.variables[i], l) for i, at in enumerate(plans) for l in at} == visited
+        assert drawn and visited
+        # a plan keeps the nonzero buckets only
+        for weights, picks in (plan for at in g.tree_table.plans for plan in at.values()):
+            assert len(weights) == len(picks) and weights == sorted(set(weights)) > [0]
 
 
 class TestLeafChildren:
@@ -444,9 +498,9 @@ class TestLeafChildren:
         for make, _ in SAMPLER_GRAMMARS.values():
             g = make()
             table = tree_census_table(g, 1)
-            assert table.leaves == {a: (a, g.unary[a][0]) for a in g.variables
-                                    if len(g.unary[a]) == 1}
-            assert all(table[a][1] == 1 for a in table.leaves)
+            assert table.leaves == [(a, g.unary[a][0]) if len(g.unary[a]) == 1 else None
+                                    for a in g.variables]
+            assert all(table.rows[i][1] == 1 for i, leaf in enumerate(table.leaves) if leaf)
             two_terminals += any(len(g.unary[a]) == 2 for a in g.reachable_variables())
         # leaf draws remain in the sampler tests
         assert two_terminals >= 5
@@ -802,15 +856,16 @@ class TestIndexedChart:
 
     def test_tables_belong_to_the_grammar(self):
         g = CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]}, {"S": ["a"]})
-        assert "earley_tables" not in vars(g)
+        assert "_earley_tables" not in vars(g)
         earley_count(g, "aaa")
-        tables = g.earley_tables
+        tables = vars(g)["_earley_tables"]
         earley_count(g, "aaaa")
         assert g.earley_tables is tables
         corner, plans = tables
-        assert corner == {"S": frozenset({"S"})}
-        # every column of a^n predicts {S}: scan a with S, wait on S for S -> S S
-        assert plans == {frozenset({"S"}): ({"a": ["S"]}, {"S": [("S", "S")]})}
+        assert corner == (frozenset({0}),)
+        # every column of a^n predicts {S} (index 0): scan a with S, wait on
+        # S for S -> S S
+        assert plans == {frozenset({0}): ({"a": [0]}, {0: [(0, 0)]})}
 
 
 def with_left_recursion(g):
@@ -896,14 +951,18 @@ class TestEarleyCount:
         assert [earley_count(g, w) for w in words] == counts
         assert g.earley_tables[1] is plans and plans == grown
         assert fresh_copy(g).earley_tables[1] == {}
+        names = g.variables
+        assert corner == tuple(
+            frozenset(g.var_index[b] for b in chart_tables(g)[0][a]) for a in names
+        )
         for predicted, (scans, waits) in plans.items():
             closure = frozenset().union(*(corner[b] for b in predicted))
             assert Counter((t, a) for t, vs in scans.items() for a in vs) == Counter(
-                (t, a) for a in closure for t in g.unary[a]
+                (t, a) for a in closure for t in g.unary[names[a]]
             )
-            assert Counter((b, a, c) for b, pairs in waits.items() for a, c in pairs) == Counter(
-                (b, a, c) for a in closure for b, c in g.binary[a]
-            )
+            assert Counter(
+                (names[b], names[a], names[c]) for b, pairs in waits.items() for a, c in pairs
+            ) == Counter((b, names[a], c) for a in closure for b, c in g.binary[names[a]])
 
 
 def reference_to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:

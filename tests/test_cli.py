@@ -484,10 +484,12 @@ class TestRangeValidation:
         [
             (["pb", "perm", "-m"], "2\n1 1\n1 1\n0 0\n", "expected 2 rows of 2 entries"),
             (["pb", "perm", "-m"], "2 9\n1 1\n1 1\n", "first line '2 9' must be 'n'"),
-            (["pb", "derand", "--graph"], "3 1\n1 2 3\n", "edge line '1 2 3' must be 'u v'"),
+            (["pb", "perm", "-m"], "2\n1 1\n1\n", "line 3: expected 2 entries, found 1"),
+            (["pb", "derand", "--graph"], "3 1\n1 2 3\n", "line 2: edge '1 2 3' must be 'u v'"),
             (["pb", "derand", "--graph"], "3 1 7\n1 2\n", "first line '3 1 7' must be 'n m'"),
         ],
-        ids=["matrix-extra-row", "matrix-size-line", "graph-edge-line", "graph-header"],
+        ids=["matrix-extra-row", "matrix-size-line", "matrix-short-row", "graph-edge-line",
+             "graph-header"],
     )
     def test_trailing_input_refused(self, tmp_path, capsys, argv, text, message):
         spec = tmp_path / "bad.spec"

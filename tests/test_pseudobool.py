@@ -871,12 +871,20 @@ class TestLoaders:
         with pytest.raises(FormatError, match="expected 2 rows of 2 entries"):
             load_matrix("2\n1 1\n1 1\n0 0\n")
 
+    @pytest.mark.parametrize("text, line, found", [
+        ("2\n1 1\n1\n", 3, 1), ("2\n1 1 0\n1 1\n", 2, 3), ("3\n1 1 1\n# gap\n1 1\n1 1 1\n", 4, 2),
+    ])
+    def test_matrix_row_of_wrong_length_names_its_line(self, text, line, found):
+        n = text.split()[0]
+        with pytest.raises(FormatError, match=f"^line {line}: expected {n} entries, found {found}$"):
+            load_matrix(text)
+
     def test_matrix_size_line_extra_token_refused(self):
         with pytest.raises(FormatError, match="first line '2 9' must be 'n'"):
             load_matrix("2 9\n1 1\n1 1\n")
 
     def test_graph_edge_line_of_three_refused(self):
-        with pytest.raises(FormatError, match="edge line '1 2 3' must be 'u v'"):
+        with pytest.raises(FormatError, match="^line 2: edge '1 2 3' must be 'u v'$"):
             load_graph("3 1\n1 2 3\n")
 
     @pytest.mark.parametrize("text, line, literal", [
