@@ -10,11 +10,12 @@ uniform tree sampler.  The table keeps, per variable, each binary
 production beside the rows of its two children, and builds, at the first
 draw at a (variable, length) pair, a split plan: the running sums of the
 nonzero split weights.  A node's draw then finds its split with one
-bisection.  A weighted Earley recognizer counts the derivation trees of
-a given word, which is the multiplicity needed to flatten trees into
-uniformly random words: it keeps, per span, only the completed variables
-and the productions waiting for their second child, and looks each
-column's prediction up in a per-grammar memo.
+bisection, and the table keeps one prepared draw per yield length, so a
+repeated draw repeats no set-up.  A weighted Earley recognizer counts
+the derivation trees of a given word, which is the multiplicity needed
+to flatten trees into uniformly random words: it keeps, per span, only
+the completed variables and the productions waiting for their second
+child, and looks each column's prediction up in a per-grammar memo.
 """
 
 from __future__ import annotations
@@ -176,11 +177,19 @@ class TreeTable(dict):
     - ``leaves[i]`` is the one tree of yield length 1 from a, the leaf
       ``(a, t)``, when a has exactly one terminal production a -> t, and
       None otherwise;
+    - ``support[i]`` lists, in ascending order, the yield lengths l >= 1
+      at which ``rows[i][l]`` is nonzero, so ``grow`` multiplies only
+      the nonzero entries of a left child's row;
     - ``plans[i]`` maps a yield length l to the split plan of a at l
       (``split_plan``), built at the first draw there.
 
-    The rows grow in place, so all but the plans are built once per
-    table, and a plan, which reads only rows below l, never goes stale.
+    ``samplers`` maps a yield length n to the prepared draw of a tree
+    from the start variable at n (``sampler``), built at the first draw
+    there and called as ``draw(src)``.
+
+    The rows grow in place, so all but the plans and the prepared draws
+    are built once per table, and a plan or a draw, which reads only rows
+    up to its length, never goes stale.
     """
 
     def __init__(self, g: CnfGrammar):
@@ -194,20 +203,28 @@ class TreeTable(dict):
             (a, letters[0]) if len(letters) == 1 else None
             for a, letters in zip(g.variables, self.letters)
         ]
+        self.support = [[] for _ in rows]
         self.plans = [{} for _ in rows]
+        self.samplers = {}
 
     def grow(self, n: int) -> "TreeTable":
         """Append yield lengths until every row covers 0..n."""
         if n < 0:
             raise ValueError("yield length must be nonnegative")
+        support = self.support
         for length in range(len(self.rows[0]), n + 1):
+            # support lists reach length - 1 here: split k runs over the
+            # nonzero lengths of the left child, all below length
             for row, pairs, letters in zip(self.rows, self.splits, self.letters):
                 total = len(letters) if length == 1 else 0
-                for row_b, row_c, _, _ in pairs:
-                    total += sum(
-                        row_b[i] * row_c[length - i] for i in range(1, length)
-                    )
+                for row_b, row_c, b, _ in pairs:
+                    nonzero = support[b]
+                    if nonzero:
+                        total += sum([row_b[k] * row_c[length - k] for k in nonzero])
                 row.append(total)
+            for row, nonzero in zip(self.rows, support):
+                if row[length]:
+                    nonzero.append(length)
         return self
 
     def split_plan(self, i: int, length: int) -> tuple:
@@ -240,6 +257,59 @@ class TreeTable(dict):
         plan = self.plans[i][length] = weights, picks
         return plan
 
+    def sampler(self, n: int):
+        """Build, keep and return the draw of a uniform tree from the start
+        variable at yield length n >= 1: ``draw(src)`` returns the tree or
+        FAIL.  Grows the table to n, and raises EmptySlice, keeping
+        nothing, when the start variable has no tree there.
+
+        A node draws a rank r below its tree count, within kappa = 3 +
+        bit_size(n) attempts, and takes the split holding r from its split
+        plan with one bisection.  A child of yield length 1 whose variable
+        has one terminal is the leaf the plan holds: its draw would be a
+        forced choice, which reads no bits.
+        """
+        rows = self.grow(n).rows
+        g = self.grammar
+        start = g.var_index[g.start]
+        if rows[start][n] == 0:
+            raise EmptySlice(f"no derivation trees of yield length {n}")
+        names, letters, plans = g.variables, self.letters, self.plans
+        split_plan = self.split_plan
+        kappa = 3 + bit_size(n)
+
+        def draw(src):
+            # Each draw leaves its closure to the cycle collector, since
+            # generate refers to itself.  Removing that cycle is left until
+            # the benchmark collects after each set-up (ROADMAP item 1):
+            # without it, no collection runs in the cfl workload's timed
+            # phase, and its peak RSS then grows with the requests served.
+            def generate(i, length):
+                r = draw_uniform(src, rows[i][length], kappa)
+                if r is FAIL:
+                    return FAIL
+                if length == 1:
+                    return (names[i], letters[i][r - 1])
+                plan = plans[i].get(length)
+                if plan is None:
+                    plan = split_plan(i, length)
+                weights, picks = plan
+                k, b, c, left, right = picks[bisect_left(weights, r)]
+                if left is None:
+                    left = generate(b, k)
+                    if left is FAIL:
+                        return FAIL
+                if right is None:
+                    right = generate(c, length - k)
+                    if right is FAIL:
+                        return FAIL
+                return (names[i], left, right)
+
+            return generate(start, n)
+
+        self.samplers[n] = draw
+        return draw
+
 
 def tree_census_table(g: CnfGrammar, n: int) -> TreeTable:
     """A fresh table whose rows cover yield lengths 0..n."""
@@ -258,48 +328,19 @@ def random_tree(g: CnfGrammar, n: int, src):
 
     The per-node rejection uses kappa = 3 + ceil(log n) attempts (kappa
     is global, not per recursion level); the failure probability is at
-    most (2n - 1) / 2**kappa, below 1/4.  The grammar's ``tree_table`` is
-    grown to n in place.  A node draws a rank r below its tree count and
-    takes the split holding r from its split plan (``TreeTable.plans``)
-    with one bisection.  A child of yield length 1 whose variable has one
-    terminal is the leaf the plan holds: its draw would be a forced
-    choice, which reads no bits.
+    most (2n - 1) / 2**kappa, below 1/4.  The draw is the one the
+    grammar's ``tree_table`` keeps for yield length n
+    (``TreeTable.sampler``), built at the first draw at n, which grows
+    the table to n; an empty slice raises EmptySlice on every call, since
+    no draw is kept for it.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    table = g.tree_table.grow(n)
-    rows = table.rows
-    start = g.var_index[g.start]
-    if rows[start][n] == 0:
-        raise EmptySlice(f"no derivation trees of yield length {n}")
-    names = g.variables
-    plans = table.plans
-    kappa = 3 + bit_size(n)
-
-    # Each call leaves its closure cells to the cycle collector, since
-    # generate refers to itself: keep their number small.
-    def generate(i, length):
-        r = draw_uniform(src, rows[i][length], kappa)
-        if r is FAIL:
-            return FAIL
-        if length == 1:
-            return (names[i], table.letters[i][r - 1])
-        plan = plans[i].get(length)
-        if plan is None:
-            plan = table.split_plan(i, length)
-        weights, picks = plan
-        k, b, c, left, right = picks[bisect_left(weights, r)]
-        if left is None:
-            left = generate(b, k)
-            if left is FAIL:
-                return FAIL
-        if right is None:
-            right = generate(c, length - k)
-            if right is FAIL:
-                return FAIL
-        return (names[i], left, right)
-
-    return generate(start, n)
+    table = g.tree_table
+    draw = table.samplers.get(n)
+    if draw is None:
+        draw = table.sampler(n)
+    return draw(src)
 
 
 def tree_yield(tree) -> str:

@@ -7,7 +7,9 @@ is prefix-closed, so one table per automaton grows to any length read.
 Equivalent states accept the same words, so they have equal counts at
 every length (Myhill-Nerode): the table grows one row per class of
 equivalent states, and the states of a class share that row, which no
-reader may mutate.
+reader may mutate.  The table also keeps one prepared sampler per slice
+length and confidence, so repeated draws from one table repeat no
+set-up.
 
 Word order is length-first, then lexicographic in the declared alphabet
 order; ranks are 1-based and a word counts itself when it is a member.
@@ -137,6 +139,11 @@ class CensusTable:
     The states of one ``Dfa.state_classes`` class share one row object,
     grown once from a representative's transitions, so a reader must not
     mutate a row: the change would show in every state of its class.
+    ``moves`` holds each state's successor rows, built once per table;
+    the letter search of sampling and unranking reads them.
+    ``samplers`` maps ``(n, confidence)`` to the prepared draw of a word
+    of length n (``sampler``), built at the first draw there and called
+    as ``draw(src)``.
     """
 
     def __init__(self, a: Dfa):
@@ -152,6 +159,23 @@ class CensusTable:
         self._plan = [
             (rows[c], tuple(rows[classes[p]] for p in a.trans[q])) for c, q in enumerate(leaders)
         ]
+        self.samplers = {}
+
+    @property
+    def moves(self) -> list:
+        """``moves[q]``: per letter in alphabet order, ``(letter, p,
+        counts[p])`` for the target p of q on that letter.  Built at the
+        first read, since a table that only ranks never reads it, and kept.
+        """
+        try:
+            return self._moves
+        except AttributeError:
+            a, counts = self.dfa, self.counts
+            self._moves = [
+                tuple((letter, p, counts[p]) for letter, p in zip(a.alphabet, targets))
+                for targets in a.trans
+            ]
+            return self._moves
 
     def count(self, q: int, length: int) -> int:
         row = self.counts[q]
@@ -169,6 +193,38 @@ class CensusTable:
                 row.append(sum(map(below, successors)))
         return self
 
+    def sampler(self, n: int, confidence: int):
+        """Build, keep and return the draw of a uniform accepted word of
+        length n >= 1: ``draw(src)`` returns the word or FAIL.  Grows the
+        table to n, and raises EmptySlice, keeping nothing, when the start
+        state accepts no word of length n.
+
+        At each remaining length, a rank is drawn by rejection against the
+        census of the current state, within kappa = confidence +
+        bit_size(n) attempts, and the letter search picks the letter whose
+        cone holds it.
+        """
+        a = self.dfa
+        if self.count(a.start, n) == 0:
+            raise EmptySlice(f"no accepted words of length {n}")
+        counts, moves, start = self.counts, self.moves, a.start
+        lengths = range(n, 0, -1)
+        kappa = confidence + bit_size(n)
+
+        def draw(src):
+            q = start
+            word = []
+            for length in lengths:
+                r = draw_uniform(src, counts[q][length], kappa)
+                if r is FAIL:
+                    return FAIL
+                letter, q, _ = _next_letter(moves[q], length, r)
+                word.append(letter)
+            return "".join(word)
+
+        self.samplers[n, confidence] = draw
+        return draw
+
 
 def dfa_census(a: Dfa, n: int) -> CensusTable:
     """Exact per-state census of accepted words for every length <= n."""
@@ -183,7 +239,10 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     prefix sums pick the next letter.  The failure probability is at most
     n / 2**kappa <= 2**-confidence, so a negative confidence is refused.
     A ``table`` passed in must be the census of ``a`` itself; one of
-    another automaton is refused.
+    another automaton is refused.  Without one, a fresh census is built.
+    The draw is the one the table keeps for ``(n, confidence)``
+    (``CensusTable.sampler``), built at the first draw there; an empty
+    slice raises EmptySlice on every call, since no draw is kept for it.
     """
     if n < 1:
         raise ValueError("slice length must be >= 1")
@@ -193,19 +252,10 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
         table = dfa_census(a, n)
     elif table.dfa is not a:
         raise ValueError("census table belongs to another automaton")
-    if table.count(a.start, n) == 0:
-        raise EmptySlice(f"no accepted words of length {n}")
-    kappa = confidence + bit_size(n)
-    counts = table.counts  # every row now covers 0..n
-    q = a.start
-    word = []
-    for length in range(n, 0, -1):
-        r = draw_uniform(src, counts[q][length], kappa)
-        if r is FAIL:
-            return FAIL
-        s, q, _ = _next_letter(counts, a.trans[q], length, r)
-        word.append(a.alphabet[s])
-    return "".join(word)
+    draw = table.samplers.get((n, confidence))
+    if draw is None:
+        draw = table.sampler(n, confidence)
+    return draw(src)
 
 
 def dfa_rank(a: Dfa, word: str) -> int:
@@ -264,26 +314,27 @@ def slice_of_rank(census, k: int, n_states: int) -> tuple:
     return n, k
 
 
-def _next_letter(counts: list, moves: tuple, length: int, r: int) -> tuple:
-    """``(s, p, r')``: the letter s whose cone holds rank r among the words
-    of ``length`` from a state with transitions ``moves``, its target p,
-    and the rank r' inside that cone.  ``counts`` rows cover length - 1.
+def _next_letter(moves: tuple, length: int, r: int) -> tuple:
+    """``(letter, p, r')``: the letter whose cone holds rank r among the
+    words of ``length`` from a state with successor rows ``moves``
+    (``CensusTable.moves``), its target p, and the rank r' inside that
+    cone.  The target rows cover length - 1.
     """
-    for s, p in enumerate(moves):
-        below = counts[p][length - 1]
+    for letter, p, row in moves:
+        below = row[length - 1]
         if r <= below:
-            return s, p, r
+            return letter, p, r
         r -= below
     raise AssertionError("rank exceeded slice census")
 
 
 def _unrank_slice(table: CensusTable, n: int, r: int) -> str:
-    a, counts = table.dfa, table.grow(n).counts
-    q = a.start
+    moves = table.grow(n).moves
+    q = table.dfa.start
     word = []
     for length in range(n, 0, -1):
-        s, q, r = _next_letter(counts, a.trans[q], length, r)
-        word.append(a.alphabet[s])
+        letter, q, r = _next_letter(moves[q], length, r)
+        word.append(letter)
     return "".join(word)
 
 

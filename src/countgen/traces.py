@@ -11,7 +11,6 @@ down-set structure of the occurrence order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .describe import Bound, Description
 from .dfa import Dfa, automaton_dfa, dfa_language, read_automaton
@@ -25,7 +24,15 @@ _REPRESENTATIVE_GUARD = 200_000
 
 @dataclass(frozen=True)
 class IndepAlphabet:
-    """Ordered symbols plus a symmetric, irreflexive independence relation."""
+    """Ordered symbols plus a symmetric, irreflexive independence relation.
+
+    Built with three lookups that the trace routines read on every call:
+
+    - ``index``: letter -> its index in ``symbols``;
+    - ``dependent``: per letter index, the indices of the other letters it
+      does not commute with;
+    - ``char_order``: letter indices in character order.
+    """
 
     symbols: tuple
     pairs: frozenset  # of frozensets {a, b}
@@ -39,28 +46,21 @@ class IndepAlphabet:
                 raise ValueError("independence pairs must join two distinct letters")
             if not pair <= known:
                 raise ValueError(f"pair {set(pair)!r} uses unknown letters")
+        # Set by object.__setattr__, not kept by functools.cached_property,
+        # whose write to the instance __dict__ makes every later attribute
+        # read on the alphabet slower (see Dfa.state_classes).
+        symbols = self.symbols
+        object.__setattr__(self, "index", {a: i for i, a in enumerate(symbols)})
+        object.__setattr__(self, "dependent", tuple(
+            tuple(j for j, b in enumerate(symbols) if b != a and not self.independent(a, b))
+            for a in symbols
+        ))
+        object.__setattr__(
+            self, "char_order", tuple(sorted(range(len(symbols)), key=symbols.__getitem__))
+        )
 
     def independent(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.pairs
-
-    @cached_property
-    def index(self) -> dict:
-        """Letter -> its index in ``symbols``."""
-        return {a: i for i, a in enumerate(self.symbols)}
-
-    @cached_property
-    def dependent(self) -> tuple:
-        """Per letter index, the indices of the other letters it does not
-        commute with."""
-        return tuple(
-            tuple(j for j, b in enumerate(self.symbols) if b != a and not self.independent(a, b))
-            for a in self.symbols
-        )
-
-    @cached_property
-    def char_order(self) -> tuple:
-        """Letter indices in character order."""
-        return tuple(sorted(range(len(self.symbols)), key=self.symbols.__getitem__))
 
 
 def indep_alphabet(symbols, pairs) -> IndepAlphabet:

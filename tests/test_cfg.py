@@ -559,6 +559,101 @@ class TestLeafChildren:
         assert any(out == "exhausted" and used > 0 for out, used in outcomes)
 
 
+def reference_tree_rows(g, n):
+    """Tree census rows by the full convolution over every split."""
+    rows = {a: [0] * (n + 1) for a in g.variables}
+    for length in range(1, n + 1):
+        for a in g.variables:
+            rows[a][length] = (len(g.unary[a]) if length == 1 else 0) + sum(
+                rows[b][k] * rows[c][length - k]
+                for b, c in g.binary[a] for k in range(1, length)
+            )
+    return rows
+
+
+class TestSupport:
+    @pytest.mark.parametrize("name", SAMPLER_GRAMMARS)
+    def test_rows_equal_full_convolution(self, name):
+        make, lengths = SAMPLER_GRAMMARS[name]
+        g = make()
+        n = max(lengths)
+        table = tree_census_table(g, 0)
+        for m in (n // 3, n, n // 2):  # grown in steps and read out of order
+            table.grow(m)
+        assert dict(table) == reference_tree_rows(g, n)
+        for row, support in zip(table.rows, table.support):
+            assert support == [l for l in range(1, n + 1) if row[l]]
+
+    def test_slice_grammar_variables_have_one_length(self):
+        # the case the support lists are for: no product of two nonzero
+        # entries is left out, and most entries are zero
+        g = dyck_slice(12)
+        table = tree_census_table(g, 12)
+        assert all(len(support) <= 1 for support in table.support)
+        assert sum(map(len, table.support)) == sum(1 for row in table.rows for x in row if x)
+
+
+class TestKeptSampler:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kept_draws_equal_reference(self, seed):
+        # two lengths on one table, then a census read past both, so the
+        # rows grow under the kept draws before they draw again
+        g = random_cnf(seed)
+        live = [n for n in SAMPLED_LENGTHS if tree_census(g, g.start, n)][:2]
+        table = g.tree_table
+        for _ in range(2):
+            for n in live:
+                reference = tree_census_table(g, n)
+                for coin in range(4):
+                    ref, src = CoinSource(coin), CoinSource(coin)
+                    expected = reference_random_tree(g, n, ref, table=reference)
+                    assert random_tree(g, n, src) == expected, (n, coin)
+                    assert src.bits_consumed == ref.bits_consumed
+            assert set(table.samplers) == set(live)
+            kept = dict(table.samplers)
+            tree_census(g, g.start, max(live, default=0) + 9)
+        assert table.samplers == kept  # the same draws, not rebuilt
+
+    def test_random_grammars_give_two_lengths(self):
+        # most seeds above compare draws at two lengths on one table
+        two = [g for g in map(random_cnf, range(40))
+               if sum(1 for n in SAMPLED_LENGTHS if tree_census(g, g.start, n)) >= 2]
+        assert len(two) >= 25
+
+    def test_kept_draw_grows_nothing_it_does_not_read(self):
+        g = fresh_copy(CATALAN)
+        table = g.tree_table
+        random_tree(g, 5, CoinSource(0))
+        draw = table.samplers[5]
+        assert len(table.rows[0]) == 6
+        random_tree(g, 3, CoinSource(1))
+        assert len(table.rows[0]) == 6 and table.samplers[5] is draw
+        assert set(table.samplers) == {3, 5}
+
+    def test_empty_slice_raises_on_every_call(self):
+        g = fresh_copy(ANBN)
+        for _ in range(3):
+            src = CoinSource(0)
+            with pytest.raises(EmptySlice):
+                random_tree(g, 3, src)
+            assert src.bits_consumed == 0
+        assert g.tree_table.samplers == {}
+        assert random_tree(g, 4, CoinSource(0)) is not FAIL
+        assert set(g.tree_table.samplers) == {4}
+
+    @pytest.mark.parametrize("n", [0, -1, -7])
+    def test_short_length_refused_before_the_table_is_read(self, n):
+        g = fresh_copy(CATALAN)
+        src = CoinSource(0)
+        with pytest.raises(ValueError, match="^yield length must be >= 1$"):
+            random_tree(g, n, src)
+        assert src.bits_consumed == 0 and "_tree_table" not in vars(g)
+        table = g.tree_table.grow(2)
+        with pytest.raises(ValueError, match="^yield length must be >= 1$"):
+            random_tree(g, n, src)
+        assert len(table.rows[0]) == 3 and table.samplers == {}
+
+
 class TestYield:
     def test_leaf(self):
         assert tree_yield(("S", "a")) == "a"

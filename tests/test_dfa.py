@@ -517,6 +517,70 @@ class TestSampleFastPath:
                 lambda src: run(src, reference_dfa_sample))
 
 
+class TestKeptSampler:
+    @pytest.mark.parametrize("a", FIXTURES_AND_RANDOM, ids=FIXTURE_IDS)
+    def test_kept_draws_equal_reference(self, a):
+        # two lengths on one table, then a census read past both, so the
+        # rows grow under the kept draws before they draw again
+        live = [n for n in (1, 2, 3, 5, 8, 13) if dfa_census(a, n).count(a.start, n)][-2:]
+        table = CensusTable(a)
+        for _ in range(2):
+            for n in live:
+                for seed in range(4):
+                    ref, src = CoinSource(seed), CoinSource(seed)
+                    expected = reference_dfa_sample(a, n, ref, 1)
+                    assert dfa_sample(a, n, src, 1, table) == expected, (n, seed)
+                    assert src.bits_consumed == ref.bits_consumed
+            assert set(table.samplers) == {(n, 1) for n in live}
+            kept = dict(table.samplers)
+            table.count(a.start, max(live, default=0) + 9)
+        assert table.samplers == kept  # the same draws, not rebuilt
+
+    def test_one_draw_per_length_and_confidence(self):
+        table = CensusTable(EVEN_A)
+        for confidence in (0, 3, 3, 0):
+            for n in (4, 6):
+                dfa_sample(EVEN_A, n, CoinSource(n), confidence, table)
+        assert set(table.samplers) == {(4, 0), (6, 0), (4, 3), (6, 3)}
+
+    def test_moves_hold_the_target_rows(self):
+        a = REGEX_DFAS[0]
+        table = dfa_census(a, 3)
+        for q, moves in enumerate(table.moves):
+            assert [(letter, p) for letter, p, _ in moves] == list(zip(a.alphabet, a.trans[q]))
+            assert all(row is table.counts[p] for _, p, row in moves)
+        assert table.moves is table.moves
+
+    def test_empty_slice_raises_on_every_call(self):
+        table = CensusTable(AB_STAR)
+        for _ in range(3):
+            for t in (None, table):
+                src = CoinSource(0)
+                with pytest.raises(EmptySlice):
+                    dfa_sample(AB_STAR, 3, src, table=t)
+                assert src.bits_consumed == 0
+        assert table.samplers == {}
+        assert dfa_sample(AB_STAR, 4, CoinSource(0), table=table) == "abab"
+        assert set(table.samplers) == {(4, 3)}
+
+    @pytest.mark.parametrize("n, confidence", [(0, 3), (-2, 3), (4, -1), (0, -1)])
+    def test_bad_arguments_refused_before_the_table_is_read(self, n, confidence):
+        table = CensusTable(EVEN_A)
+        src = CoinSource(0)
+        with pytest.raises(ValueError, match="^(slice length|confidence) must be >= [01]$"):
+            dfa_sample(EVEN_A, n, src, confidence, table)
+        assert src.bits_consumed == 0
+        assert len(table.counts[EVEN_A.start]) == 1 and table.samplers == {}
+
+    def test_census_out_of_step_under_a_kept_draw_is_refused(self):
+        table = dfa_census(ALL_WORDS, 2)
+        assert dfa_sample(ALL_WORDS, 2, CoinSource(0), table=table) is not FAIL
+        table.counts[ALL_WORDS.start][2] += 1  # a rank no letter's cone holds
+        with pytest.raises(AssertionError, match="rank exceeded slice census"):
+            for seed in range(40):
+                dfa_sample(ALL_WORDS, 2, CoinSource(seed), table=table)
+
+
 class TestRank:
     def test_empty_word_in_full_language(self):
         assert dfa_rank(ALL_WORDS, "") == 1

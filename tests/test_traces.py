@@ -124,6 +124,27 @@ def every_relation(symbols):
         yield indep_alphabet(symbols, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+class TestAlphabetLookups:
+    @pytest.mark.parametrize("symbols", ["a", "ba", "cab"])
+    def test_lookups_equal_their_definitions(self, symbols):
+        for alph in every_relation(symbols):
+            assert alph.index == {a: i for i, a in enumerate(symbols)}
+            assert alph.dependent == tuple(
+                tuple(j for j, b in enumerate(symbols) if b != a and not alph.independent(a, b))
+                for a in symbols
+            )
+            assert [symbols[i] for i in alph.char_order] == sorted(symbols)
+
+    def test_lookups_are_set_at_construction(self):
+        alph = indep_alphabet("cab", [("a", "b")])
+        assert {"index", "dependent", "char_order"} <= vars(alph).keys()
+        assert alph.dependent is alph.dependent
+        # equality and hashing still read the two fields only
+        twin = indep_alphabet("cab", [("b", "a")])
+        assert twin == alph and hash(twin) == hash(alph)
+        assert repr(alph).startswith("IndepAlphabet(symbols=('c', 'a', 'b'), pairs=")
+
+
 class TestNormalForm:
     def test_swap_pair(self):
         assert normal_form("ba", AB_FREE) == "ab"
