@@ -24,6 +24,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
+from ._kept import kept
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import Bound, Description
 from .exceptions import (
@@ -94,10 +95,9 @@ class CnfGrammar:
             self.pairs.append(index_pairs)
             self.unary[a] = tuple(sorted(letters, key=term_index.__getitem__))
 
-    @property
+    @kept
     def earley_tables(self) -> tuple:
-        """Earley prediction for this grammar, by variable index, built at
-        the first read and kept.
+        """Earley prediction for this grammar, by variable index.
 
         ``corner[i]`` holds the indices of the variables reached from
         variable i through leftmost children (i included).  ``plans`` is a
@@ -106,35 +106,23 @@ class CnfGrammar:
         variables A with A -> t, and variable B -> the pairs (A, C) of the
         predicted productions A -> B C.
         """
-        # Kept on a private attribute, not by functools.cached_property,
-        # as Dfa.state_classes is: writing the instance __dict__ directly,
-        # as cached_property does, makes every later attribute read on the
-        # grammar about three times as slow.
-        try:
-            return self._earley_tables
-        except AttributeError:
-            corner = []
-            for i in range(len(self.variables)):
-                reach = {i}
-                frontier = [i]
-                while frontier:
-                    for b, _ in self.pairs[frontier.pop()]:
-                        if b not in reach:
-                            reach.add(b)
-                            frontier.append(b)
-                corner.append(frozenset(reach))
-            self._earley_tables = (tuple(corner), {})
-            return self._earley_tables
+        corner = []
+        for i in range(len(self.variables)):
+            reach = {i}
+            frontier = [i]
+            while frontier:
+                for b, _ in self.pairs[frontier.pop()]:
+                    if b not in reach:
+                        reach.add(b)
+                        frontier.append(b)
+            corner.append(frozenset(reach))
+        return tuple(corner), {}
 
-    @property
+    @kept
     def tree_table(self) -> TreeTable:
-        """The grammar's one tree-census table, built empty at the first
-        read and kept; each reader grows it to the yield length it reads."""
-        try:
-            return self._tree_table
-        except AttributeError:
-            self._tree_table = tree_census_table(self, 0)
-            return self._tree_table
+        """The grammar's one tree-census table, built empty; each reader
+        grows it to the yield length it reads."""
+        return tree_census_table(self, 0)
 
     def productive_variables(self):
         productive = {a for a in self.variables if self.unary[a]}
@@ -184,8 +172,8 @@ class TreeTable(dict):
       (``split_plan``), built at the first draw there.
 
     ``samplers`` maps a yield length n to the prepared draw of a tree
-    from the start variable at n (``sampler``), built at the first draw
-    there and called as ``draw(src)``.
+    from the start variable at n, which ``sampler`` builds at the first
+    draw there and returns from then on.
 
     The rows grow in place, so all but the plans and the prepared draws
     are built once per table, and a plan or a draw, which reads only rows
@@ -258,10 +246,10 @@ class TreeTable(dict):
         return plan
 
     def sampler(self, n: int):
-        """Build, keep and return the draw of a uniform tree from the start
-        variable at yield length n >= 1: ``draw(src)`` returns the tree or
-        FAIL.  Grows the table to n, and raises EmptySlice, keeping
-        nothing, when the start variable has no tree there.
+        """The draw of a uniform tree from the start variable at yield
+        length n >= 1, built at the first call for n and kept: ``draw(src)``
+        returns the tree or FAIL.  Building grows the table to n; EmptySlice,
+        keeping nothing, when the start variable has no tree there.
 
         A node draws a rank r below its tree count, within kappa = 3 +
         bit_size(n) attempts, and takes the split holding r from its split
@@ -269,6 +257,9 @@ class TreeTable(dict):
         has one terminal is the leaf the plan holds: its draw would be a
         forced choice, which reads no bits.
         """
+        draw = self.samplers.get(n)
+        if draw is not None:
+            return draw
         rows = self.grow(n).rows
         g = self.grammar
         start = g.var_index[g.start]
@@ -330,17 +321,12 @@ def random_tree(g: CnfGrammar, n: int, src):
     is global, not per recursion level); the failure probability is at
     most (2n - 1) / 2**kappa, below 1/4.  The draw is the one the
     grammar's ``tree_table`` keeps for yield length n
-    (``TreeTable.sampler``), built at the first draw at n, which grows
-    the table to n; an empty slice raises EmptySlice on every call, since
-    no draw is kept for it.
+    (``TreeTable.sampler``); an empty slice raises EmptySlice on every
+    call, since no draw is kept for it.
     """
     if n < 1:
         raise ValueError("yield length must be >= 1")
-    table = g.tree_table
-    draw = table.samplers.get(n)
-    if draw is None:
-        draw = table.sampler(n)
-    return draw(src)
+    return g.tree_table.sampler(n)(src)
 
 
 def tree_yield(tree) -> str:

@@ -29,6 +29,8 @@ from .pseudobool import load_clauses
 # Exact verification of a budget is skipped past this size; the float
 # estimate is then accurate far beyond any boundary tie we could hit.
 _EXACT_BUDGET_LIMIT = 4096
+# Most carrier draws one estimate may plan.
+_TRIAL_CEILING = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +159,8 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     3/4 conditioned on not failing, and the failure probability is below
     1/4.  Each distinct carrier element drawn costs one ``project`` call
     and each distinct projected element one ``ambiguity`` call, checked
-    against the bound like a sampler's.
+    against the bound like a sampler's.  A trial budget above
+    ``_TRIAL_CEILING`` draws is refused before the first draw.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -169,6 +172,9 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     budget = trial_budget(
         Fraction(8, 3), Fraction(3, 4), (epsilon / d_max) ** 2, Fraction(1, 4)
     )
+    if budget > _TRIAL_CEILING:
+        raise CeilingExceeded(f"estimate at epsilon {epsilon} and bound {d_max} plans "
+                              f"{budget} carrier draws, above {_TRIAL_CEILING}")
     # for this call only: projected element -> ambiguity, and carrier
     # element -> the ambiguity of its projection
     multiplicity = {}
@@ -197,8 +203,9 @@ def exact_count(desc: Description, n: int, src, ceiling: int = 512):
     """Exact structure census at size n, correct with probability > 3/4.
 
     Runs the estimator at tolerance 1/(3 * carrier census) and rounds.
-    Refused when the carrier census exceeds ``ceiling``, since the trial
-    budget grows with its square.
+    Refused when the carrier census exceeds ``ceiling``, or when the
+    estimator's trial budget, which grows with the square of the census
+    and of the bound, is past its own ceiling.
     """
     total = desc.census(n)
     if total == 0:
@@ -355,22 +362,23 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
     their failure rates do not depend on the slice size (in particular
     when they never fail).
     """
-    def census(n):
-        return sum(a.census(k) * b.census(n - k) for k in range(n + 1))
+    def buckets(n):
+        return [a.census(k) * b.census(n - k) for k in range(n + 1)]
+
+    exact = a.unrank is not None and b.unrank is not None
 
     def sampler(n, src):
-        total = census(n)
+        split = buckets(n)
+        total = sum(split)
         if total == 0:
             raise EmptySlice(f"product slice empty at size {n}")
-        exact = a.unrank is not None and b.unrank is not None
         budget = trial_budget(1, Fraction(27, 64), 1, Fraction(1, 4))
         for _ in range(budget):
             r = gen_uniform(src, total)
             if r is FAIL:
                 continue
             acc = 0
-            for k in range(n + 1):
-                bucket = a.census(k) * b.census(n - k)
+            for k, bucket in enumerate(split):
                 if acc + bucket >= r:
                     break
                 acc += bucket
@@ -400,7 +408,7 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
         project=lambda pair: pair[0] + pair[1],
         ambiguity=ambiguity,
         bound=Bound(coeff=1, power=1, const=1),
-        census=census,
+        census=lambda n: sum(buckets(n)),
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from ._kept import kept
 from .coins import FAIL, bit_size, draw_uniform
 from .describe import WordLanguage
 from .exceptions import EmptySlice, FormatError, RankOutOfRange, SizeGuard
@@ -57,22 +58,13 @@ class Dfa:
         except ValueError:
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
 
-    @property
+    @kept
     def state_classes(self) -> tuple:
         """``classes[q]``: the class of state q, where two states share a
         class exactly when they accept the same words.  Classes are numbered
-        in the order of their least states.  Computed at the first read,
-        not at construction, and kept.
+        in the order of their least states.
         """
-        # Kept by object.__setattr__, not functools.cached_property: reading
-        # the instance __dict__, as cached_property does, makes CPython drop
-        # its fast attribute path, and every later read of a.trans on that
-        # automaton then costs about three times as much.
-        try:
-            return self._state_classes
-        except AttributeError:
-            object.__setattr__(self, "_state_classes", _state_classes(self))
-            return self._state_classes
+        return _state_classes(self)
 
     def accepts(self, word: str) -> bool:
         q = self.start
@@ -142,8 +134,8 @@ class CensusTable:
     ``moves`` holds each state's successor rows, built once per table;
     the letter search of sampling and unranking reads them.
     ``samplers`` maps ``(n, confidence)`` to the prepared draw of a word
-    of length n (``sampler``), built at the first draw there and called
-    as ``draw(src)``.
+    of length n, which ``sampler`` builds at the first draw there and
+    returns from then on.
     """
 
     def __init__(self, a: Dfa):
@@ -161,21 +153,17 @@ class CensusTable:
         ]
         self.samplers = {}
 
-    @property
+    @kept
     def moves(self) -> list:
         """``moves[q]``: per letter in alphabet order, ``(letter, p,
-        counts[p])`` for the target p of q on that letter.  Built at the
-        first read, since a table that only ranks never reads it, and kept.
+        counts[p])`` for the target p of q on that letter.  Kept, not built
+        with the table, since a table that only ranks never reads it.
         """
-        try:
-            return self._moves
-        except AttributeError:
-            a, counts = self.dfa, self.counts
-            self._moves = [
-                tuple((letter, p, counts[p]) for letter, p in zip(a.alphabet, targets))
-                for targets in a.trans
-            ]
-            return self._moves
+        a, counts = self.dfa, self.counts
+        return [
+            tuple((letter, p, counts[p]) for letter, p in zip(a.alphabet, targets))
+            for targets in a.trans
+        ]
 
     def count(self, q: int, length: int) -> int:
         row = self.counts[q]
@@ -194,16 +182,19 @@ class CensusTable:
         return self
 
     def sampler(self, n: int, confidence: int):
-        """Build, keep and return the draw of a uniform accepted word of
-        length n >= 1: ``draw(src)`` returns the word or FAIL.  Grows the
-        table to n, and raises EmptySlice, keeping nothing, when the start
-        state accepts no word of length n.
+        """The draw of a uniform accepted word of length n >= 1, built at
+        the first call for ``(n, confidence)`` and kept: ``draw(src)``
+        returns the word or FAIL.  Building grows the table to n; EmptySlice,
+        keeping nothing, when the start state accepts no word of length n.
 
         At each remaining length, a rank is drawn by rejection against the
         census of the current state, within kappa = confidence +
         bit_size(n) attempts, and the letter search picks the letter whose
         cone holds it.
         """
+        draw = self.samplers.get((n, confidence))
+        if draw is not None:
+            return draw
         a = self.dfa
         if self.count(a.start, n) == 0:
             raise EmptySlice(f"no accepted words of length {n}")
@@ -241,8 +232,8 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
     A ``table`` passed in must be the census of ``a`` itself; one of
     another automaton is refused.  Without one, a fresh census is built.
     The draw is the one the table keeps for ``(n, confidence)``
-    (``CensusTable.sampler``), built at the first draw there; an empty
-    slice raises EmptySlice on every call, since no draw is kept for it.
+    (``CensusTable.sampler``); an empty slice raises EmptySlice on every
+    call, since no draw is kept for it.
     """
     if n < 1:
         raise ValueError("slice length must be >= 1")
@@ -252,10 +243,7 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
         table = dfa_census(a, n)
     elif table.dfa is not a:
         raise ValueError("census table belongs to another automaton")
-    draw = table.samplers.get((n, confidence))
-    if draw is None:
-        draw = table.sampler(n, confidence)
-    return draw(src)
+    return table.sampler(n, confidence)(src)
 
 
 def dfa_rank(a: Dfa, word: str) -> int:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import islice
 from math import lcm
 
+from ._kept import kept
 from .coins import FAIL, gen_uniform
 from .dfa import read_automaton, slice_of_rank
 from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
@@ -56,7 +57,7 @@ class Nfa:
     def dim(self) -> int:
         return len(self.start)
 
-    @cached_property
+    @kept
     def letter_rows(self) -> tuple:
         """Per symbol, its matrix as sparse rows of (column, value)."""
         return tuple(

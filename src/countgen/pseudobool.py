@@ -23,6 +23,7 @@ from heapq import heappop, heappush
 from itertools import combinations, permutations
 from typing import NamedTuple
 
+from ._kept import kept
 from .exceptions import FormatError, SizeGuard
 from .specfile import integer, integer_lines, read_directives, single
 
@@ -80,17 +81,10 @@ class Circuit:
         if not 0 <= self.out < len(self.nodes):
             raise ValueError("output node out of range")
 
-    @property
+    @kept
     def plan(self) -> _Plan:
-        """What evaluating and checking the circuit needs (see ``_plan``),
-        built at the first read and kept."""
-        # Kept by object.__setattr__, not functools.cached_property, as
-        # Dfa.state_classes is: see the note there on attribute reads.
-        try:
-            return self._plan
-        except AttributeError:
-            object.__setattr__(self, "_plan", _plan(self))
-            return self._plan
+        """What evaluating and checking the circuit needs (see ``_plan``)."""
+        return _plan(self)
 
 
 def _plan(c: Circuit) -> _Plan:

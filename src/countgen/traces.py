@@ -46,9 +46,8 @@ class IndepAlphabet:
                 raise ValueError("independence pairs must join two distinct letters")
             if not pair <= known:
                 raise ValueError(f"pair {set(pair)!r} uses unknown letters")
-        # Set by object.__setattr__, not kept by functools.cached_property,
-        # whose write to the instance __dict__ makes every later attribute
-        # read on the alphabet slower (see Dfa.state_classes).
+        # Set here, not kept (see countgen._kept): normal_form reads them
+        # on every call, and a plain attribute reads faster than a kept one.
         symbols = self.symbols
         object.__setattr__(self, "index", {a: i for i, a in enumerate(symbols)})
         object.__setattr__(self, "dependent", tuple(

@@ -193,12 +193,11 @@ class TestTreeCensus:
 
     def test_second_read_returns_the_kept_table(self):
         g = fresh_copy(PAIR)
-        assert not {"_tree_table", "_earley_tables"} & vars(g).keys()
+        assert not {"tree_table", "earley_tables"} & vars(g).keys()
         table, tables = g.tree_table, g.earley_tables
         assert g.tree_table is table and g.earley_tables is tables
-        assert vars(g)["_tree_table"] is table and vars(g)["_earley_tables"] is tables
-        # kept on private attributes, not under the property names
-        assert not {"tree_table", "earley_tables"} & vars(g).keys()
+        # kept under the public names
+        assert vars(g)["tree_table"] is table and vars(g)["earley_tables"] is tables
 
 
 class TestRandomTree:
@@ -647,7 +646,7 @@ class TestKeptSampler:
         src = CoinSource(0)
         with pytest.raises(ValueError, match="^yield length must be >= 1$"):
             random_tree(g, n, src)
-        assert src.bits_consumed == 0 and "_tree_table" not in vars(g)
+        assert src.bits_consumed == 0 and "tree_table" not in vars(g)
         table = g.tree_table.grow(2)
         with pytest.raises(ValueError, match="^yield length must be >= 1$"):
             random_tree(g, n, src)
@@ -951,9 +950,9 @@ class TestIndexedChart:
 
     def test_tables_belong_to_the_grammar(self):
         g = CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]}, {"S": ["a"]})
-        assert "_earley_tables" not in vars(g)
+        assert "earley_tables" not in vars(g)
         earley_count(g, "aaa")
-        tables = vars(g)["_earley_tables"]
+        tables = vars(g)["earley_tables"]
         earley_count(g, "aaaa")
         assert g.earley_tables is tables
         corner, plans = tables

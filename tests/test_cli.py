@@ -869,6 +869,20 @@ class TestRandomSearchGuard:
         )
 
 
+class TestExactBudgetGuard:
+    def test_draws_past_the_ceiling_exit_at_once(self, files, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["cfg", "exact", "-g", files["catalan.cfg"], "-n", "5", "--ambiguity", "14"], capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: CeilingExceeded: estimate at epsilon 1/42 and bound 14 plans 1091224 "
+            "carrier draws, above 1048576\n"
+        )
+
+
 # four parallel a-edges declared ambiguity 2: "a" has 4 paths, q(4) = -2
 FOUR_PATHS_NFA = "states 2\nalphabet a\nstart 0\nfinals 1\nambiguity 2\n" + "trans 0 a 1\n" * 4
 

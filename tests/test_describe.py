@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import countgen.describe as describe_module
 from countgen.cfg import CnfGrammar, cfl_description
-from countgen.coins import FAIL, CoinSource, bit_size, gen_uniform, lcm_upto, outcome_law
+from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, gen_uniform, lcm_upto, outcome_law
 from countgen.dfa import dfa_from_regex
 from countgen.describe import (
     Bound,
@@ -576,6 +576,28 @@ class TestExactCount:
         desc = identity_description([f"{i:04d}" for i in range(600)])
         with pytest.raises(CeilingExceeded):
             exact_count(desc, 4, CoinSource(0), ceiling=512)
+
+    def test_budget_past_the_trial_ceiling_refused_before_a_draw(self):
+        # census 300 is under the census ceiling, but epsilon 1/900 plans
+        # about 2.6M carrier draws
+        desc = identity_description([f"{i:03d}" for i in range(300)])
+        src = TapeSource(())
+        with pytest.raises(CeilingExceeded, match=r"^estimate at epsilon 1/900 and "
+                           r"bound 1 plans \d+ carrier draws, above 1048576$"):
+            exact_count(desc, 3, src)
+        assert src.bits_consumed == 0
+
+    def test_trial_ceiling_bounds_the_planned_budget(self, monkeypatch):
+        desc = identity_description(["a", "b", "c"])
+        epsilon = Fraction(1, 2)
+        budget = trial_budget(Fraction(8, 3), Fraction(3, 4), epsilon**2, Fraction(1, 4))
+        monkeypatch.setattr(describe_module, "_TRIAL_CEILING", budget)
+        assert estimate_census(desc, 1, epsilon, CoinSource(0)) == 3
+        monkeypatch.setattr(describe_module, "_TRIAL_CEILING", budget - 1)
+        src = TapeSource(())
+        with pytest.raises(CeilingExceeded, match=f"plans {budget} carrier draws, above {budget - 1}$"):
+            estimate_census(desc, 1, epsilon, src)
+        assert src.bits_consumed == 0
 
     def test_two_copy_count(self):
         desc = two_copy_description(["p", "q"])
