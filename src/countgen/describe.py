@@ -205,7 +205,9 @@ def exact_count(desc: Description, n: int, src, ceiling: int = 512):
     Runs the estimator at tolerance 1/(3 * carrier census) and rounds.
     Refused when the carrier census exceeds ``ceiling``, or when the
     estimator's trial budget, which grows with the square of the census
-    and of the bound, is past its own ceiling.
+    and of the bound, is past its own ceiling.  At bound 1 census 192
+    plans 1,047,139 draws and census 193 plans 1,058,075, above 2**20,
+    so ``ceiling`` decides only when it is below 193.
     """
     total = desc.census(n)
     if total == 0:

@@ -1,15 +1,20 @@
 """Deterministic finite automata: slice census, sampling, rank and unrank.
 
 Words of a fixed length accepted by a DFA are counted exactly by dynamic
-programming over states; the same table drives a per-letter rejection
-sampler, lexicographic ranking by prefix sums, and unranking.  The table
-is prefix-closed, so one table per automaton grows to any length read.
-Equivalent states accept the same words, so they have equal counts at
-every length (Myhill-Nerode): the table grows one row per class of
-equivalent states, and the states of a class share that row, which no
-reader may mutate.  The table also keeps one prepared sampler per slice
-length and confidence, so repeated draws from one table repeat no
-set-up.
+programming over states, in one prefix-closed table per automaton that
+grows to any length read.  Equivalent states accept the same words, so
+they have equal counts at every length (Myhill-Nerode): the table grows
+one row per class of equivalent states, shared by the states of the
+class, and no reader may mutate it.  It keeps one prepared sampler per
+slice length and confidence.
+
+Rank, unrank and sampling are one walk down prefix cones (``rank``,
+``unrank``, ``unrank_slice``; ``descend`` is the letter search) over any
+table with a ``start`` state, ``census(n)``, the members of length n, and
+``cones(state)``: per letter in alphabet order, ``(letter, next state,
+counts)``, ``counts[j]`` the members of that cone with j letters left.
+A ``CensusTable``'s cones are its kept ``moves`` rows; the NFA module's
+``SliceTable`` is the other table.
 
 Word order is length-first, then lexicographic in the declared alphabet
 order; ranks are 1-based and a word counts itself when it is a member.
@@ -132,14 +137,14 @@ class CensusTable:
     grown once from a representative's transitions, so a reader must not
     mutate a row: the change would show in every state of its class.
     ``moves`` holds each state's successor rows, built once per table;
-    the letter search of sampling and unranking reads them.
+    they are the cones (``cones``) the walk of this module reads.
     ``samplers`` maps ``(n, confidence)`` to the prepared draw of a word
     of length n, which ``sampler`` builds at the first draw there and
     returns from then on.
     """
 
     def __init__(self, a: Dfa):
-        self.dfa = a
+        self.dfa, self.start = a, a.start
         classes = a.state_classes
         rows, leaders = [], []
         for q, c in enumerate(classes):
@@ -157,7 +162,7 @@ class CensusTable:
     def moves(self) -> list:
         """``moves[q]``: per letter in alphabet order, ``(letter, p,
         counts[p])`` for the target p of q on that letter.  Kept, not built
-        with the table, since a table that only ranks never reads it.
+        with the table, since a table that only counts never reads it.
         """
         a, counts = self.dfa, self.counts
         return [
@@ -170,6 +175,12 @@ class CensusTable:
         if not 0 <= length < len(row):
             self.grow(length)
         return row[length]
+
+    def census(self, n: int) -> int:
+        return self.count(self.start, n)
+
+    def cones(self, q: int) -> tuple:
+        return self.moves[q]
 
     def grow(self, n: int) -> "CensusTable":
         """Extend every row to cover lengths 0..n."""
@@ -189,16 +200,15 @@ class CensusTable:
 
         At each remaining length, a rank is drawn by rejection against the
         census of the current state, within kappa = confidence +
-        bit_size(n) attempts, and the letter search picks the letter whose
-        cone holds it.
+        bit_size(n) attempts, and ``descend`` picks the letter whose cone
+        holds it.
         """
         draw = self.samplers.get((n, confidence))
         if draw is not None:
             return draw
-        a = self.dfa
-        if self.count(a.start, n) == 0:
+        if self.census(n) == 0:
             raise EmptySlice(f"no accepted words of length {n}")
-        counts, moves, start = self.counts, self.moves, a.start
+        counts, moves, start = self.counts, self.moves, self.start
         lengths = range(n, 0, -1)
         kappa = confidence + bit_size(n)
 
@@ -209,7 +219,7 @@ class CensusTable:
                 r = draw_uniform(src, counts[q][length], kappa)
                 if r is FAIL:
                     return FAIL
-                letter, q, _ = _next_letter(moves[q], length, r)
+                letter, q, _ = descend(moves[q], length - 1, r)
                 word.append(letter)
             return "".join(word)
 
@@ -247,39 +257,48 @@ def dfa_sample(a: Dfa, n: int, src, confidence: int = 3, table: CensusTable | No
 
 
 def dfa_rank(a: Dfa, word: str) -> int:
-    """Number of accepted words at or before ``word`` in length-first order.
-
-    Counts every accepted word that is shorter, plus the same-length
-    accepted words that are lexicographically at most ``word`` (so a
-    member counts itself).
-    """
-    n = len(word)
-    table = dfa_census(a, n)
-    rank = sum(table.count(a.start, length) for length in range(n))
-    q = a.start
-    for i, sym in enumerate(word):
-        s = a.symbol_index(sym)
-        for smaller in range(s):
-            rank += table.count(a.trans[q][smaller], n - i - 1)
-        q = a.trans[q][s]
-    if q in a.finals:
-        rank += 1
-    return rank
+    """Number of accepted words at or before ``word`` in length-first order
+    (a member counts itself)."""
+    return rank(dfa_census(a, len(word)), word)
 
 
 def dfa_unrank(a: Dfa, k: int) -> str:
     """The unique accepted word of rank k (1-based); inverse of dfa_rank."""
-    table = CensusTable(a)
-    n, r = slice_of_rank(lambda length: table.count(a.start, length), k, a.n_states)
-    return _unrank_slice(table, n, r)
+    return unrank(CensusTable(a), k, a.n_states)
 
 
-def slice_of_rank(census, k: int, n_states: int) -> tuple:
-    """``(n, r)``: the length n of the member of rank k (1-based) of an
-    automaton's language, and its rank r among the members of length n.
-    ``census(n)`` counts the members of length n.  Raises SizeGuard
-    rather than read the census past length ``_LANGUAGE_MAX_LEN``.
-    """
+def descend(cones, j: int, r: int) -> tuple:
+    """``(letter, state, r')``: the letter of the cone in ``cones`` that
+    holds rank r with j letters left, the state it moves to, and the rank
+    r' inside that cone."""
+    for letter, state, counts in cones:
+        below = counts[j]
+        if r <= below:
+            return letter, state, r
+        r -= below
+    raise AssertionError("rank exceeded slice census")
+
+
+def rank(table, word: str) -> int:
+    """Number of members of ``table``'s language at or before ``word``:
+    every shorter member, the cones of the smaller letters along the
+    word's path, and the word itself when it is a member."""
+    n = len(word)
+    below, state, own = sum(map(table.census, range(n))), table.start, None
+    for j, sym in zip(range(n - 1, -1, -1), word):
+        for letter, state, own in table.cones(state):
+            if letter == sym:
+                break
+            below += own[j]
+        else:
+            raise ValueError(f"symbol {sym!r} not in alphabet")
+    return below + (own[0] if word else table.census(0))
+
+
+def unrank(table, k: int, n_states: int) -> str:
+    """The member of rank k (1-based) of the language of ``table``, of an
+    automaton of ``n_states`` states; inverse of ``rank``.  Raises SizeGuard
+    rather than read the census past length ``_LANGUAGE_MAX_LEN``."""
     if k < 1:
         raise RankOutOfRange("ranks are 1-based")
     # With N states, an infinite language has a member in every window of N
@@ -290,7 +309,7 @@ def slice_of_rank(census, k: int, n_states: int) -> tuple:
     # which could be pumped.  So once N lengths in a row are empty, every
     # member has been passed.
     n = empty = size = 0
-    while k > (count := census(n)):
+    while k > (count := table.census(n)):
         k -= count
         size += count
         empty = 0 if count else empty + 1
@@ -299,29 +318,17 @@ def slice_of_rank(census, k: int, n_states: int) -> tuple:
         n += 1
         if n > _LANGUAGE_MAX_LEN:
             raise SizeGuard(f"rank {size + k} not reached by length {_LANGUAGE_MAX_LEN}")
-    return n, k
+    return unrank_slice(table, n, k)
 
 
-def _next_letter(moves: tuple, length: int, r: int) -> tuple:
-    """``(letter, p, r')``: the letter whose cone holds rank r among the
-    words of ``length`` from a state with successor rows ``moves``
-    (``CensusTable.moves``), its target p, and the rank r' inside that
-    cone.  The target rows cover length - 1.
-    """
-    for letter, p, row in moves:
-        below = row[length - 1]
-        if r <= below:
-            return letter, p, r
-        r -= below
-    raise AssertionError("rank exceeded slice census")
-
-
-def _unrank_slice(table: CensusTable, n: int, r: int) -> str:
-    moves = table.grow(n).moves
-    q = table.dfa.start
-    word = []
-    for length in range(n, 0, -1):
-        letter, q, r = _next_letter(moves[q], length, r)
+def unrank_slice(table, n: int, r: int) -> str:
+    """The member of rank r (1-based) among the members of length n."""
+    census = table.census(n)
+    if not 1 <= r <= census:
+        raise RankOutOfRange(f"rank {r} outside the {census} members of length {n}")
+    state, word = table.start, []
+    for j in range(n - 1, -1, -1):
+        letter, state, r = descend(table.cones(state), j, r)
         word.append(letter)
     return "".join(word)
 
@@ -338,15 +345,12 @@ def dfa_language(a: Dfa) -> WordLanguage:
     def census(n: int) -> int:
         if n > _LANGUAGE_MAX_LEN:
             raise ValueError(f"census length {n} above limit {_LANGUAGE_MAX_LEN}")
-        return table.count(a.start, n)
+        return table.census(n)
 
     def sample(n: int, src):
         return dfa_sample(a, n, src, table=table)
 
-    def unrank(n: int, i: int) -> str:
-        return _unrank_slice(table, n, i)
-
-    return WordLanguage(sample, a.accepts, census, unrank)
+    return WordLanguage(sample, a.accepts, census, lambda n, i: unrank_slice(table, n, i))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ ambiguity bound.  Powers of path counts summed over whole prefix cones
 collapse to products of Kronecker powers of the transition matrices,
 which is what makes the rank of a slice computable in polynomial time.
 Each call builds one ``SliceTable`` of sparse lifts and growable suffix
-columns; unranking and sampling walk prefix cones greedily over it.
+columns, a table for the DFA module's prefix-cone walk: its states are
+lifted rows, and each cone counts words (``_Cone``), not scaled paths.
 
 Word order is the DFA module's: length-first, then lexicographic in the
 declared alphabet order; ranks are 1-based and a member counts itself.
@@ -20,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from math import lcm
 
 from ._kept import kept
 from .coins import FAIL, gen_uniform
-from .dfa import read_automaton, slice_of_rank
+from .dfa import rank, read_automaton, unrank, unrank_slice
 from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
 
 
@@ -206,28 +206,24 @@ class SliceTable:
             self.suffix.append(_matrix_times_col(self.alphabet_sum, self.suffix[-1]))
         return self
 
+    def cones(self, row):
+        """Per letter in alphabet order, ``(letter, child, _Cone)`` for the
+        row one letter on from ``row``, each built as the walk reaches it."""
+        for letter, lift in zip(self.nfa.alphabet, self.lifts):
+            child = _row_times_matrix(row, lift)
+            yield letter, child, _Cone(self, child)
 
-def _cones(table: SliceTable, row, j: int):
-    """(scaled count, row) of each one-letter extension of a prefix, in order."""
-    for lift in table.lifts:
-        child = _row_times_matrix(row, lift)
-        yield _dot(child, table.suffix[j]), child
 
+class _Cone:
+    """``cone[j]``: the members with j letters after the prefix at ``row``."""
 
-def _unrank(table: SliceTable, n: int, r: int) -> str:
-    """The r-th accepted word, 1 <= r <= census, by greedy prefix cones."""
-    a, row, r, word = table.nfa, table.start, r * table.scale, ""
-    for i in range(n):
-        for s, (count, child) in enumerate(_cones(table, row, n - 1 - i)):
-            if r <= count:
-                break
-            r -= count
-        else:
-            raise AssertionError("rank exceeded slice census")
-        word += a.alphabet[s]
-        row = child
-    _bounded_path_count(a, word)
-    return word
+    __slots__ = ("table", "row")
+
+    def __init__(self, table: SliceTable, row):
+        self.table, self.row = table, row
+
+    def __getitem__(self, j: int) -> int:
+        return self.table.words(_dot(self.row, self.table.suffix[j]))
 
 
 def nfa_rank_slice(a: Nfa, n: int, beta: str) -> int:
@@ -238,20 +234,13 @@ def nfa_rank_slice(a: Nfa, n: int, beta: str) -> int:
     path counts over each cone are single Kronecker-power products, so no
     word is enumerated.
     """
-    table = SliceTable(a).grow(n)
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     if len(beta) != n:
         raise ValueError("beta must have length n")
-    return _rank(table, beta)
-
-
-def _rank(table: SliceTable, beta: str) -> int:
-    a, n = table.nfa, len(beta)
-    below, row, member = 0, table.start, _bounded_path_count(a, beta) > 0
-    for i, sym in enumerate(beta):
-        cones = list(islice(_cones(table, row, n - 1 - i), a.alphabet.index(sym) + 1))
-        below += sum(count for count, _ in cones[:-1])
-        row = cones[-1][1]
-    return table.words(below) + member
+    table = SliceTable(a)
+    _bounded_path_count(a, beta)
+    return rank(table, beta) - sum(map(table.census, range(n)))
 
 
 def nfa_slice_census(a: Nfa, n: int) -> int:
@@ -262,15 +251,16 @@ def nfa_slice_census(a: Nfa, n: int) -> int:
 def nfa_rank(a: Nfa, beta: str) -> int:
     """Number of accepted words at or before ``beta``: every shorter one
     plus the slice rank."""
-    table = SliceTable(a).grow(len(beta))
-    return sum(table.census(m) for m in range(len(beta))) + _rank(table, beta)
+    table = SliceTable(a)
+    _bounded_path_count(a, beta)
+    return rank(table, beta)
 
 
 def nfa_unrank(a: Nfa, k: int) -> str:
     """The accepted word of rank k (1-based); inverse of nfa_rank."""
-    table = SliceTable(a)
-    n, r = slice_of_rank(table.census, k, a.dim)
-    return _unrank(table, n, r)
+    word = unrank(SliceTable(a), k, a.dim)
+    _bounded_path_count(a, word)
+    return word
 
 
 def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):
@@ -280,13 +270,14 @@ def nfa_sample_slice(a: Nfa, n: int, src, delta=Fraction(1, 4)):
     table; uniform unless the draw fails, with probability below ``delta``.
     """
     table = SliceTable(a)
-    census = table.census(n)
-    if census == 0:
+    if (census := table.census(n)) == 0:
         raise EmptySlice("slice census is 0")
     k = gen_uniform(src, census, delta)
     if k is FAIL:
         return FAIL
-    return _unrank(table, n, k)
+    word = unrank_slice(table, n, k)
+    _bounded_path_count(a, word)
+    return word
 
 
 def nfa_from_dfa(dfa) -> Nfa:

@@ -905,3 +905,36 @@ class TestNegativeNfaCount:
         code, out, err = run_cli(["nfa", "rank", "-a", str(automaton), "-w", "a"], capsys)
         assert (code, out) == (1, "")
         assert err == "error: AmbiguityExceeded: 'a' has 4 accepting paths > 2\n"
+
+
+# four parallel a-edges and one edge on each of b, c and d, declared
+# ambiguity 2: the cone of "a" counts -2 and the length-1 census -2 + 3 = 1
+HIDDEN_NEGATIVE_NFA = (
+    "states 2\nalphabet a b c d\nstart 0\nfinals 1\nambiguity 2\n"
+    + "trans 0 a 1\n" * 4 + "trans 0 b 1\ntrans 0 c 1\ntrans 0 d 1\n"
+)
+
+
+class TestNegativeCone:
+    """The walk counts every cone it reads in words, so the cone of "a"
+    is refused even where the census that holds it is positive."""
+
+    @pytest.mark.parametrize(
+        "op", [["unrank", "-k", "1"], ["rank", "-w", "d"], ["sample", "-n", "1", "--seed", "0"]]
+    )
+    def test_walk_refuses_the_negative_cone(self, tmp_path, capsys, op):
+        automaton = tmp_path / "hidden.nfa"
+        automaton.write_text(HIDDEN_NEGATIVE_NFA)
+        code, out, err = run_cli(["nfa", op[0], "-a", str(automaton)] + op[1:], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: AmbiguityExceeded: negative word count -2: "
+            "a word has more than 2 accepting paths\n"
+        )
+
+    def test_census_alone_does_not_see_it(self, tmp_path, capsys):
+        # counting reads no cone, so the -2 stays hidden in the sum; checking
+        # the declared ambiguity exactly is an open ROADMAP item
+        automaton = tmp_path / "hidden.nfa"
+        automaton.write_text(HIDDEN_NEGATIVE_NFA)
+        assert run_cli(["nfa", "count", "-a", str(automaton), "-n", "1"], capsys) == (0, "1\n", "")

@@ -354,6 +354,22 @@ class TestSharedRowsAtScale:
             assert dfa_unrank(self.ABB, k) == reference_unrank(self.ABB, rows, k)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_rank_and_unrank_equal_reference_on_random_automata(seed):
+    """The walk over shared class rows on automata with copied and
+    unreachable states, against the per-state reference rows."""
+    a = random_dfa_with_copies(seed)
+    rows = reference_census_table(a, 8)
+    rng = random.Random(seed)
+    for n in range(8):
+        for _ in range(6):
+            word = "".join(rng.choice(a.alphabet) for _ in range(n))
+            assert dfa_rank(a, word) == reference_rank(a, rows, word)
+        shorter = sum(rows[a.start][:n])
+        for k in range(shorter + 1, shorter + rows[a.start][n] + 1, max(1, rows[a.start][n] // 8)):
+            assert dfa_unrank(a, k) == reference_unrank(a, rows, k)
+
+
 class TestSample:
     def test_singleton_slice(self):
         assert dfa_sample(AB_STAR, 2, CoinSource(0)) == "ab"
@@ -612,6 +628,13 @@ class TestRank:
 
 
 class TestUnrank:
+    def test_language_view_refuses_a_rank_outside_the_slice(self):
+        view = dfa_language(ALL_WORDS)
+        assert [view.unrank(2, r) for r in range(1, 5)] == ["aa", "ab", "ba", "bb"]
+        for r in (0, 5):
+            with pytest.raises(RankOutOfRange, match=f"^rank {r} outside the 4 members of length 2$"):
+                view.unrank(2, r)
+
     def test_lex_least(self):
         assert dfa_unrank(CD_STAR, 1) == "c"
 

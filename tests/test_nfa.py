@@ -1,12 +1,14 @@
 """Path counting, the interpolation polynomial, and Kronecker slice ranks."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iproduct
 
 import pytest
 
-from countgen.coins import FAIL, CoinSource, outcome_law
-from countgen.dfa import dfa_from_regex
+from countgen.coins import FAIL, CoinSource, gen_uniform, outcome_law
+from countgen.dfa import Dfa, dfa_from_regex
 from countgen import nfa
 from countgen.exceptions import AmbiguityExceeded, EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from countgen.nfa import (
@@ -514,6 +516,14 @@ class TestNegativeLength:
             with pytest.raises(ValueError, match="length must be nonnegative"):
                 call()
 
+    @pytest.mark.parametrize("n, beta", [(-1, ""), (10**9, "ab"), (10**5, "ab")])
+    def test_rank_slice_checks_before_building_a_table(self, monkeypatch, n, beta):
+        # growing suffix columns to 10**9 would never return
+        built = counted_tables(monkeypatch)
+        with pytest.raises(ValueError, match="^(length must be nonnegative|beta must have length n)$"):
+            nfa_rank_slice(UNION_OVERLAP, n, beta)
+        assert built == []
+
 
 class TestLoader:
     NFA_TEXT = """
@@ -543,3 +553,111 @@ trans 0 a 1
     def test_load_rejects_state_out_of_range(self, old, new):
         with pytest.raises(FormatError, match="outside 0..1"):
             load_nfa(self.NFA_TEXT.replace(old, new, 1))
+
+
+def reference_cones(table, row, j):
+    """(scaled count, row) of each one-letter extension of a prefix, in order."""
+    for lift in table.lifts:
+        child = nfa._row_times_matrix(row, lift)
+        yield nfa._dot(child, table.suffix[j]), child
+
+
+def reference_rank_slice(table, beta):
+    """The slice rank of beta by scaled path sums over the cones below it,
+    divided by the scale once at the end."""
+    a, n = table.nfa, len(beta)
+    table.grow(n)
+    below, row, member = 0, table.start, path_count(a, beta) > 0
+    for i, sym in enumerate(beta):
+        cones = list(islice(reference_cones(table, row, n - 1 - i), a.alphabet.index(sym) + 1))
+        below += sum(count for count, _ in cones[:-1])
+        row = cones[-1][1]
+    return table.words(below) + member
+
+
+def reference_unrank_slice(table, n, r):
+    """The r-th member of length n, walking scaled ranks (r * scale)."""
+    a = table.grow(n).nfa
+    row, r, word = table.start, r * table.scale, ""
+    for i in range(n):
+        for s, (count, child) in enumerate(reference_cones(table, row, n - 1 - i)):
+            if r <= count:
+                break
+            r -= count
+        else:
+            raise AssertionError("rank exceeded slice census")
+        word += a.alphabet[s]
+        row = child
+    return word
+
+
+def reference_sample_slice(a, n, src, delta=Fraction(1, 4)):
+    table = SliceTable(a)
+    k = gen_uniform(src, table.census(n), delta)
+    return FAIL if k is FAIL else reference_unrank_slice(table, n, k)
+
+
+def random_bounded_nfa(seed):
+    """Disjoint sum of 1 to 3 seeded random DFAs, one of them weighted 2
+    at its start when the bound allows: no word has more accepting paths
+    than the declared ambiguity, which is 1 to 3, so the scale is above 1
+    from ambiguity 2 on."""
+    rng = random.Random(seed)
+    alphabet = "abc"[: rng.randint(1, 3)]
+    parts, weights = [], []
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 3)
+        trans = tuple(tuple(rng.randrange(size) for _ in alphabet) for _ in range(size))
+        finals = frozenset(q for q in range(size) if rng.random() < 0.5)
+        parts.append(nfa_from_dfa(Dfa(tuple(alphabet), trans, rng.randrange(size), finals)))
+        weights.append(1)
+    if len(parts) < 3 and rng.random() < 0.5:
+        weights[0] = 2
+    dim = sum(p.dim for p in parts)
+    matrices, start, accept, offset = [[[0] * dim for _ in range(dim)] for _ in alphabet], [], [], 0
+    for part, weight in zip(parts, weights):
+        for m, pm in zip(matrices, part.matrices):
+            for i, row in enumerate(pm):
+                m[offset + i][offset : offset + part.dim] = row
+        start += [weight * x for x in part.start]
+        accept += part.accept
+        offset += part.dim
+    matrices = tuple(tuple(map(tuple, m)) for m in matrices)
+    return Nfa(tuple(alphabet), matrices, tuple(start), tuple(accept), sum(weights))
+
+
+class TestWalkEqualsScaledReference:
+    """Rank, unrank and sampling over cones counted in words equal the walk
+    over scaled path sums, on automata whose declared bound holds."""
+
+    SEEDS = range(40)
+
+    def test_bounds_cover_every_scale(self):
+        bounds = {random_bounded_nfa(seed).ambiguity for seed in self.SEEDS}
+        assert bounds == {1, 2, 3}
+        assert {SliceTable(random_bounded_nfa(seed)).scale for seed in self.SEEDS} >= {1, 2, 6}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rank_and_unrank(self, seed):
+        a = random_bounded_nfa(seed)
+        validate_ambiguity(a, 4)
+        table = SliceTable(a)
+        for n in range(5):
+            shorter = shorter_members(a, n)
+            for beta in islice(words_of(a.alphabet, n), 0, None, n + 1):
+                expected = reference_rank_slice(table, beta)
+                assert nfa_rank_slice(a, n, beta) == expected
+                assert nfa_rank(a, beta) == shorter + expected
+            for r in range(1, nfa_slice_census(a, n) + 1):
+                assert nfa_unrank(a, shorter + r) == reference_unrank_slice(table, n, r)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sample_words_and_bits(self, seed):
+        a = random_bounded_nfa(seed)
+        for n in range(1, 7):
+            if nfa_slice_census(a, n) == 0:
+                continue
+            for draw in range(5):
+                src, ref = CoinSource(100 * seed + draw), CoinSource(100 * seed + draw)
+                assert nfa_sample_slice(a, n, src) == reference_sample_slice(a, n, ref)
+                assert src.bits_consumed == ref.bits_consumed
