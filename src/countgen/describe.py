@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from .coins import FAIL, draw_uniform, gen_uniform, lcm_upto
 from .exceptions import (
@@ -26,26 +26,26 @@ from .exceptions import (
 )
 from .pseudobool import load_clauses
 
-# Exact verification of a budget is skipped past this size; the float
-# estimate is then accurate far beyond any boundary tie we could hit.
+# Budgets up to this size are verified exactly; a larger one is the
+# float guess, unverified (ROADMAP item 9).
 _EXACT_BUDGET_LIMIT = 4096
 # Most carrier draws one estimate may plan.
 _TRIAL_CEILING = 1 << 20
+# Largest multiplicity bound the engine accepts: the acceptance coin is
+# drawn over lcm{1..bound(n)}, which at 2**13 already has 11,797 bits.
+_BOUND_CEILING = 1 << 13
 
 
 @lru_cache(maxsize=None)
 def trial_budget(alpha, beta, epsilon, delta) -> int:
     """Smallest t >= 1 with alpha * (1 - beta*epsilon)**t < delta.
 
-    Sizes the engine's and the combinators' retry loops and the repeats of
-    ``amplify_ras``: alpha is the slack factor in front of the per-trial
-    bound, beta*epsilon the per-trial success mass, delta the failure
+    Sizes the engine's retry loops and the repeats of ``amplify_ras``:
+    alpha is the slack factor in front of the per-trial bound,
+    beta*epsilon the per-trial success mass, delta the failure
     probability the loop must get under.
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    alpha, beta, epsilon, delta = map(Fraction, (alpha, beta, epsilon, delta))
     if alpha <= 0 or beta <= 0 or delta <= 0:
         raise ValueError("alpha, beta, delta must be positive")
     if not 0 < epsilon < 1 / beta:
@@ -53,7 +53,13 @@ def trial_budget(alpha, beta, epsilon, delta) -> int:
     base = 1 - beta * epsilon
     if alpha * base < delta:
         return 1
-    guess = math.log(float(alpha / delta)) / -math.log(float(base))
+    ratio = alpha / delta
+    try:
+        guess = math.log(float(ratio)) / -math.log(float(base))
+    except (ArithmeticError, ValueError):  # a float overflowed or hit 0 or 1
+        log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+        log_base = math.log(base.denominator) - math.log(base.numerator)
+        guess = Fraction(log_ratio) / max(1 - base, Fraction(log_base))  # -log(base) >= 1 - base
     t = max(1, math.ceil(guess))
     if t <= _EXACT_BUDGET_LIMIT:
         while alpha * base**t >= delta:
@@ -71,7 +77,17 @@ class Bound:
     power: int = 0
     const: int = 1
 
+    def __post_init__(self):
+        if self.coeff < 0 or self.power < 0:
+            raise ValueError("multiplicity bound coeff and power must be >= 0")
+
     def __call__(self, n: int) -> int:
+        # n**power >= 2**((bit_length(n) - 1) * power): two bits past the
+        # ceiling and |const| put the value over the ceiling, uncomputed
+        if self.coeff and (n.bit_length() - 1) * self.power > max(
+                abs(self.const), _BOUND_CEILING).bit_length() + 1:
+            raise CeilingExceeded(f"multiplicity bound {self.coeff}*n**{self.power}"
+                                  f"{self.const:+d} at size {n} above {_BOUND_CEILING}")
         value = self.coeff * n**self.power + self.const
         if value < 1:
             raise ValueError("multiplicity bound must be >= 1")
@@ -108,6 +124,14 @@ class SampleReport:
     bits: int
 
 
+def _bound_at(desc: Description, n: int) -> int:
+    """``desc.bound(n)``, refused above ``_BOUND_CEILING``."""
+    d_max = desc.bound(n)
+    if d_max > _BOUND_CEILING:
+        raise CeilingExceeded(f"multiplicity bound {d_max} at size {n} above {_BOUND_CEILING}")
+    return d_max
+
+
 def _multiplicity(desc: Description, s, d_max: int) -> int:
     """``desc.ambiguity(s)``, refused unless 1 <= count <= d_max."""
     d = desc.ambiguity(s)
@@ -125,7 +149,8 @@ def sample_report(desc: Description, n: int, src, trials=None) -> SampleReport:
     A carrier draw t is kept with probability proportional to
     1/ambiguity(project(t)), which exactly flattens the multiplicity: the
     acceptance coin is one ``draw_uniform`` over lcm{1..bound(n)}, kept
-    at or below that lcm divided by the multiplicity.  ``trials``
+    at or below that lcm divided by the multiplicity; a bound(n) above
+    ``_BOUND_CEILING`` (2**13) is refused before any draw.  ``trials``
     overrides the computed retry budget; the conditional output law does
     not depend on it.  A FAIL reports the whole budget as its trials.
     """
@@ -134,7 +159,7 @@ def sample_report(desc: Description, n: int, src, trials=None) -> SampleReport:
     if desc.census(n) == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")
     before = src.bits_consumed
-    d_max = desc.bound(n)
+    d_max = _bound_at(desc, n)
     m = lcm_upto(d_max)
     budget = trials if trials is not None else trial_budget(
         1, Fraction(3, 8), Fraction(1, d_max), Fraction(1, 4)
@@ -159,8 +184,9 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     3/4 conditioned on not failing, and the failure probability is below
     1/4.  Each distinct carrier element drawn costs one ``project`` call
     and each distinct projected element one ``ambiguity`` call, checked
-    against the bound like a sampler's.  A trial budget above
-    ``_TRIAL_CEILING`` draws is refused before the first draw.
+    against the bound like a sampler's.  A bound above ``_BOUND_CEILING``
+    or a trial budget above ``_TRIAL_CEILING`` draws is refused before
+    the first draw.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -168,7 +194,7 @@ def estimate_census(desc: Description, n: int, epsilon, src):
     total = desc.census(n)
     if total == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")
-    d_max = desc.bound(n)
+    d_max = _bound_at(desc, n)
     budget = trial_budget(
         Fraction(8, 3), Fraction(3, 4), (epsilon / d_max) ** 2, Fraction(1, 4)
     )
@@ -286,59 +312,38 @@ def amplify_ras(estimator: Callable, advantage, delta_target) -> Callable:
 
 @dataclass(frozen=True)
 class WordLanguage:
-    """A word language exposing a slice sampler, membership and census.
+    """A word language: slice sampler, membership, census and unranking.
 
-    ``unrank``, when provided, maps (n, i) to the i-th word of the size-n
-    slice (1-based, lexicographic); the combinators then route through a
-    single uniform integer draw, which keeps their output laws exact even
-    when the operand samplers fail at different rates.
+    ``unrank(n, i)`` is the i-th word of the size-n slice (1-based,
+    lexicographic); the combinators draw one uniform rank and unrank it.
     """
 
     sample: Callable  # (n, src) -> word | FAIL
     member: Callable  # word -> bool
     census: Callable  # n -> int, n >= 0
-    unrank: Optional[Callable] = None  # (n, i) -> word
+    unrank: Callable  # (n, i) -> word
 
 
 def union(a: WordLanguage, b: WordLanguage) -> Description:
     """Description of the union of two word languages.
 
     The carrier is the tagged disjoint union; a word is covered once per
-    operand containing it, so multiplicities are 1 or 2.  A routing
-    ``draw_uniform`` over the total census picks the side by threshold.
-    When an operand lacks ``unrank``, both operands are presampled every
-    attempt so that a side failing more often cannot skew the law.
+    operand containing it, so multiplicities are 1 or 2.  The sampler
+    draws one rank up to the total census (FAIL below 1/8) and unranks
+    it on the left up to the left census, on the right past it.
     """
     def census(n):
         return a.census(n) + b.census(n)
-
-    exact = a.unrank is not None and b.unrank is not None
 
     def sampler(n, src):
         total = census(n)
         if total == 0:
             raise EmptySlice(f"both operands empty at size {n}")
         left = a.census(n)
-        budget = trial_budget(1, Fraction(3, 8), 1, Fraction(1, 4))
-        if exact:
-            r = draw_uniform(src, total, budget)
-            if r is FAIL:
-                return FAIL
-            return ("L", a.unrank(n, r)) if r <= left else ("R", b.unrank(n, r - left))
-        for _ in range(budget):
-            r = draw_uniform(src, total, 1)
-            # draw both sides before routing: the joint failure event is
-            # independent of the side, so the conditional law stays uniform
-            wa = a.sample(n, src) if left else FAIL
-            wb = b.sample(n, src) if total > left else FAIL
-            if r is FAIL:
-                continue
-            if r <= left:
-                if wa is not FAIL and (total == left or wb is not FAIL):
-                    return ("L", wa)
-            elif wb is not FAIL and (left == 0 or wa is not FAIL):
-                return ("R", wb)
-        return FAIL
+        r = gen_uniform(src, total, Fraction(1, 8))
+        if r is FAIL:
+            return FAIL
+        return ("L", a.unrank(n, r)) if r <= left else ("R", b.unrank(n, r - left))
 
     def ambiguity(w):
         return int(a.member(w)) + int(b.member(w))
@@ -357,53 +362,30 @@ def product(a: WordLanguage, b: WordLanguage) -> Description:
 
     The carrier holds every pair (s, t) with |s| + |t| = n; a word is
     covered once per factorization, so multiplicities are at most n + 1.
-    Sampling first picks the split with probability proportional to the
-    number of pairs it carries, then produces both halves.  With operand
-    ``unrank`` the pair comes from one uniform integer draw and the law
-    is exact unconditionally; through operand samplers it is exact when
-    their failure rates do not depend on the slice size (in particular
-    when they never fail).
+    The sampler draws one rank up to the carrier census (FAIL below
+    1/64), finds the split k holding it, and unranks both halves from
+    its quotient and remainder by b.census(n - k) within that split.
     """
     def buckets(n):
         return [a.census(k) * b.census(n - k) for k in range(n + 1)]
-
-    exact = a.unrank is not None and b.unrank is not None
 
     def sampler(n, src):
         split = buckets(n)
         total = sum(split)
         if total == 0:
             raise EmptySlice(f"product slice empty at size {n}")
-        budget = trial_budget(1, Fraction(27, 64), 1, Fraction(1, 4))
-        for _ in range(budget):
-            r = gen_uniform(src, total)
-            if r is FAIL:
-                continue
-            acc = 0
-            for k, bucket in enumerate(split):
-                if acc + bucket >= r:
-                    break
-                acc += bucket
-            if exact:
-                offset = r - acc - 1
-                i, j = divmod(offset, b.census(n - k))
-                return (a.unrank(k, i + 1), b.unrank(n - k, j + 1))
-            # a size-0 bucket can only hold the empty word
-            s = "" if k == 0 else a.sample(k, src)
-            if s is FAIL:
-                continue
-            t = "" if n - k == 0 else b.sample(n - k, src)
-            if t is FAIL:
-                continue
-            return (s, t)
-        return FAIL
+        r = gen_uniform(src, total, Fraction(1, 64))
+        if r is FAIL:
+            return FAIL
+        for k, bucket in enumerate(split):
+            if r <= bucket:
+                break
+            r -= bucket
+        i, j = divmod(r - 1, b.census(n - k))
+        return (a.unrank(k, i + 1), b.unrank(n - k, j + 1))
 
     def ambiguity(w):
-        return sum(
-            1
-            for k in range(len(w) + 1)
-            if a.member(w[:k]) and b.member(w[k:])
-        )
+        return sum(1 for k in range(len(w) + 1) if a.member(w[:k]) and b.member(w[k:]))
 
     return Description(
         sampler=sampler,

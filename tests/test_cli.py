@@ -883,6 +883,26 @@ class TestExactBudgetGuard:
         )
 
 
+class TestBoundAndBudgetRefusals:
+    """A multiplicity bound past 2**13, and an epsilon whose budget rounds
+    a float to 1, exit 1 at once: run under a 5 s timeout."""
+
+    @pytest.mark.parametrize("tail, message", [
+        (["sample", "-n", "3", "--ambiguity", "200000"],
+         "multiplicity bound 200000 at size 3 above 8192"),
+        (["sample", "-n", "3", "--ambiguity", "1,100000,1"],
+         "multiplicity bound 1*n**100000+1 at size 3 above 8192"),
+        (["estimate", "-n", "3", "--epsilon", "1/10000000000"],
+         "estimate at epsilon 1/10000000000 and bound 1 plans 315616481884215597613 "
+         "carrier draws, above 1048576"),
+    ])
+    def test_refused_within_five_seconds(self, files, tail, message):
+        argv = [sys.executable, "-m", "countgen.cli", "cfg", tail[0], "-g", files["catalan.cfg"]]
+        done = subprocess.run(argv + tail[1:], capture_output=True, text=True, timeout=5)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: CeilingExceeded: {message}\n"
+
+
 # four parallel a-edges declared ambiguity 2: "a" has 4 paths, q(4) = -2
 FOUR_PATHS_NFA = "states 2\nalphabet a\nstart 0\nfinals 1\nambiguity 2\n" + "trans 0 a 1\n" * 4
 

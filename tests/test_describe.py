@@ -1,6 +1,8 @@
 """The many-to-one carrier engine: sampling, estimation, combinators."""
 
 import dataclasses
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import countgen.describe as describe_module
 from countgen.cfg import CnfGrammar, cfl_description
 from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, gen_uniform, lcm_upto, outcome_law
-from countgen.dfa import dfa_from_regex
+from countgen.dfa import dfa_from_regex, dfa_language
 from countgen.describe import (
     Bound,
     Description,
@@ -144,6 +146,65 @@ class TestTrialBudget:
             assert m % d == 0
 
 
+def reference_trial_budget(alpha, beta, epsilon, delta):
+    """``trial_budget`` as it was before its float guess had a fallback."""
+    alpha, beta, epsilon, delta = map(Fraction, (alpha, beta, epsilon, delta))
+    base = 1 - beta * epsilon
+    if alpha * base < delta:
+        return 1
+    guess = math.log(float(alpha / delta)) / -math.log(float(base))
+    t = max(1, math.ceil(guess))
+    if t <= 4096:
+        while alpha * base**t >= delta:
+            t += 1
+        while t > 1 and alpha * base ** (t - 1) < delta:
+            t -= 1
+    return t
+
+
+BUDGET_ALPHAS = [Fraction(1, 8), 1, Fraction(4, 3), Fraction(8, 3), 10**6, 10**400]
+BUDGET_BETAS = [Fraction(1, 16), Fraction(3, 8), Fraction(27, 64), Fraction(3, 4), 1]
+BUDGET_EPSILONS = [Fraction(1, 10**k) for k in (1, 2, 3, 6, 8, 12, 16, 20, 40, 400)] + [
+    Fraction(1, 3 * 192 * 14) ** 2, Fraction(1, 2), Fraction(9, 10), Fraction(15, 16)]
+BUDGET_DELTAS = [Fraction(3, 4), Fraction(1, 4), Fraction(1, 64), Fraction(1, 10**12), Fraction(1, 10**400)]
+
+
+class TestTrialBudgetFallback:
+    """Where a float overflows or rounds to 0 or 1 the guess falls back to
+    integer logarithms; every budget the float guess gave stays."""
+
+    def test_same_budgets_wherever_the_float_guess_held(self):
+        kept = fell_back = 0
+        for alpha in BUDGET_ALPHAS:
+            for beta in BUDGET_BETAS:
+                for epsilon in BUDGET_EPSILONS:
+                    if epsilon >= 1 / beta:
+                        continue
+                    for delta in BUDGET_DELTAS:
+                        t = trial_budget(alpha, beta, epsilon, delta)
+                        assert type(t) is int and t >= 1
+                        try:
+                            expected = reference_trial_budget(alpha, beta, epsilon, delta)
+                        except (ArithmeticError, ValueError):
+                            fell_back += 1
+                            continue
+                        assert t == expected, (alpha, beta, epsilon, delta)
+                        kept += 1
+        assert kept > 1000 and fell_back > 100
+
+    def test_base_rounding_to_one(self):
+        # float(1 - 10**-20) is 1.0; -log(1 - x) is x to within 10**-20
+        t = trial_budget(1, 1, Fraction(1, 10**20), Fraction(1, 4))
+        assert abs(t - math.log(4) * 10**20) < 10**6
+
+    def test_small_budgets_stay_exact_past_float_range(self):
+        # alpha / delta = 10**400 overflows a float; both budgets are verified
+        assert trial_budget(10**400, Fraction(1, 2), 1, 1) == 1329
+        assert 2**1328 <= 10**400 < 2**1329
+        # base 10**-350 rounds to 0.0: 10**400 * base**2 < 1 <= 10**400 * base
+        assert trial_budget(10**400, 1, 1 - Fraction(1, 10**350), 1) == 2
+
+
 class TestSampleDescribed:
     def test_two_copy_uniform_by_enumeration(self):
         desc = two_copy_description(["x", "y"])
@@ -215,47 +276,47 @@ def report_tuple(desc, n, src, trials=None):
 
 def reference_union(a, b):
     """``union(a, b)`` with the routing draw read as ``bit_size(total)``
-    raw bits per attempt, as before ``draw_uniform`` served it."""
+    raw bits per round, over ``trial_budget(1, 3/8, 1, 1/4)`` rounds."""
     def sampler(n, src):
         total = a.census(n) + b.census(n)
         if total == 0:
             raise EmptySlice(f"both operands empty at size {n}")
         width = bit_size(total)
         left = a.census(n)
-        exact = a.unrank is not None and b.unrank is not None
-        budget = describe_module.trial_budget(1, Fraction(3, 8), 1, Fraction(1, 4))
-        for _ in range(budget):
+        for _ in range(trial_budget(1, Fraction(3, 8), 1, Fraction(1, 4))):
             r = src.draw(width) + 1
-            if exact:
-                if r <= left:
-                    return ("L", a.unrank(n, r))
-                if r <= total:
-                    return ("R", b.unrank(n, r - left))
-                continue
-            wa = a.sample(n, src) if left else FAIL
-            wb = b.sample(n, src) if total > left else FAIL
             if r <= left:
-                if wa is not FAIL and (total == left or wb is not FAIL):
-                    return ("L", wa)
-            elif r <= total:
-                if wb is not FAIL and (left == 0 or wa is not FAIL):
-                    return ("R", wb)
+                return ("L", a.unrank(n, r))
+            if r <= total:
+                return ("R", b.unrank(n, r - left))
         return FAIL
 
     return dataclasses.replace(union(a, b), sampler=sampler)
 
 
-def without_unrank(lang):
-    """The same language with no ``unrank``: the union presamples it."""
-    return WordLanguage(lang.sample, lang.member, lang.census)
+def reference_product(a, b):
+    """``product(a, b)`` as a retry loop of ``gen_uniform`` rounds over
+    the carrier census, ``trial_budget(1, 27/64, 1, 1/4)`` of them, with
+    the split found by a running sum."""
+    def sampler(n, src):
+        split = [a.census(k) * b.census(n - k) for k in range(n + 1)]
+        total = sum(split)
+        if total == 0:
+            raise EmptySlice(f"product slice empty at size {n}")
+        for _ in range(trial_budget(1, Fraction(27, 64), 1, Fraction(1, 4))):
+            r = gen_uniform(src, total)
+            if r is FAIL:
+                continue
+            acc = 0
+            for k, bucket in enumerate(split):
+                if acc + bucket >= r:
+                    break
+                acc += bucket
+            i, j = divmod(r - acc - 1, b.census(n - k))
+            return (a.unrank(k, i + 1), b.unrank(n - k, j + 1))
+        return FAIL
 
-
-def flaky(lang):
-    """``lang`` without ``unrank``, its sampler failing on a leading 1 bit."""
-    def sample(n, src):
-        return FAIL if src.draw(1) else lang.sample(n, src)
-
-    return WordLanguage(sample, lang.member, lang.census)
+    return dataclasses.replace(product(a, b), sampler=sampler)
 
 
 class CountingSource:
@@ -275,18 +336,14 @@ class CountingSource:
 
 
 def union_pairs():
-    """(left, right, n) over both union routes, with forced routing
-    (total census 1) and empty sides."""
+    """(left, right, n) with forced routing (total census 1) and an empty
+    side."""
     xy, yz = finite_language(["xa", "ya"]), finite_language(["ya", "za", "zb"])
     one, empty = finite_language(["q"]), finite_language([])
     return {
         "exact": (xy, yz, 2),
         "exact-forced": (one, empty, 1),
         "exact-left-empty": (empty, yz, 2),
-        "presample": (without_unrank(xy), without_unrank(yz), 2),
-        "presample-flaky": (flaky(xy), without_unrank(yz), 2),
-        "presample-forced": (without_unrank(empty), without_unrank(one), 1),
-        "presample-right-empty": (flaky(yz), without_unrank(empty), 2),
     }
 
 
@@ -295,7 +352,7 @@ UNION_ROUTES = list(union_pairs())
 
 def engine_descriptions():
     """(description, n) for the engine: forced acceptance (d_max = 1),
-    lcm 2, 6 and 60, and unions on both routes."""
+    lcm 2, 6 and 60, and unions."""
     pairs = union_pairs()
     return {
         "forced-d1": (identity_description(["a", "b", "c"]), 1),
@@ -304,7 +361,6 @@ def engine_descriptions():
         "cfl": (cfl_description(CnfGrammar(("S",), ("a",), "S", {"S": [("S", "S")]},
                                            {"S": ["a"]}), Bound(const=5)), 4),
         "union-exact": (union(*pairs["exact"][:2]), 2),
-        "union-presample": (union(*pairs["presample-flaky"][:2]), 2),
         "union-forced": (union(*pairs["exact-forced"][:2]), 1),
     }
 
@@ -362,8 +418,7 @@ class TestOneRejectionLoop:
             assert src.bits_consumed == plain.bits_consumed
 
     @pytest.mark.parametrize("route", UNION_ROUTES)
-    def test_union_sampler_law_matches_reference(self, monkeypatch, route):
-        monkeypatch.setattr(describe_module, "trial_budget", lambda *args: 2)
+    def test_union_sampler_law_matches_reference(self, route):
         a, b, n = union_pairs()[route]
         desc, ref = union(a, b), reference_union(a, b)
 
@@ -374,12 +429,118 @@ class TestOneRejectionLoop:
         assert got == law(ref.sampler)
         assert any(out is not FAIL for out, _ in got)
 
-    @pytest.mark.parametrize("route", ["exact-forced", "presample-forced"])
+    @pytest.mark.parametrize("route", ["exact-forced"])
     def test_forced_routing_makes_no_draw(self, route):
         a, b, n = union_pairs()[route]
         src = CountingSource(CoinSource(0))
         assert union(a, b).sampler(n, src) in (("L", "q"), ("R", "q"))
         assert src.calls == 0
+
+
+# six DFA languages over {a, b}; empty slices and censuses from 0 to 256
+RANK_ROUTE_REGEXES = ["(a|b)*", "(ab)*", "a(a|b)*", "(a|b)*a", "(aa|b)*", "(a|bb)*ba"]
+COMBINATORS = {"union": (union, reference_union), "product": (product, reference_product)}
+
+
+def outcome(run):
+    """``run()``, or the name of the ``EmptySlice`` it raised."""
+    try:
+        return run()
+    except EmptySlice:
+        return "EmptySlice"
+
+
+class TestRankRoute:
+    """``union`` and ``product`` draw one rank and unrank it: the same
+    words, trials and bits as the retry loops they replaced."""
+
+    @pytest.mark.parametrize("name", COMBINATORS)
+    def test_same_draws_as_reference_on_dfa_languages(self, name):
+        combinator, reference = COMBINATORS[name]
+        langs = [dfa_language(dfa_from_regex(r, alphabet="ab")) for r in RANK_ROUTE_REGEXES]
+        fails = Counter()
+        for a in langs:
+            for b in langs:
+                desc, ref = combinator(a, b), reference(a, b)
+                for n in range(9):
+                    for seed in range(40):
+                        src, plain = CoinSource(seed), CoinSource(seed)
+                        got = outcome(lambda: desc.sampler(n, src))
+                        assert got == outcome(lambda: ref.sampler(n, plain))
+                        assert src.bits_consumed == plain.bits_consumed
+                        fails["sampler"] += got is FAIL
+                        src, plain = CoinSource(seed), CoinSource(seed)
+                        got = outcome(lambda: report_tuple(desc, n, src))
+                        assert got == outcome(lambda: report_tuple(ref, n, plain))
+                        assert src.bits_consumed == plain.bits_consumed
+                        fails["report"] += got[0] is FAIL
+        assert fails["sampler"] and fails["report"]
+
+    @pytest.mark.parametrize("name", COMBINATORS)
+    def test_no_operand_sampler_is_called(self, name):
+        def refuse(n, src):
+            raise AssertionError("operand sampler called")
+
+        a, b = (dataclasses.replace(finite_language(words), sample=refuse)
+                for words in (["a", "ab"], ["b", "a", ""]))
+        desc = COMBINATORS[name][0](a, b)
+        for seed in range(20):
+            value = desc.sampler(2, CoinSource(seed))
+            assert value is FAIL or desc.ambiguity(desc.project(value)) >= 1
+
+
+CEILING_CALLS = {
+    "sample": lambda desc, src: sample_report(desc, 3, src),
+    "estimate": lambda desc, src: estimate_census(desc, 3, Fraction(1, 2), src),
+    "exact": lambda desc, src: exact_count(desc, 3, src),
+}
+
+
+class TestBoundCeiling:
+    """A multiplicity bound above 2**13 is refused before any draw."""
+
+    @pytest.mark.parametrize("call", CEILING_CALLS)
+    @pytest.mark.parametrize("bound, message", [
+        (Bound(const=8193), "multiplicity bound 8193 at size 3 above 8192"),
+        (Bound(const=200000), "multiplicity bound 200000 at size 3 above 8192"),
+        (Bound(1, 100000, 1), "multiplicity bound 1*n**100000+1 at size 3 above 8192"),
+        (Bound(2, 10**18, -7), "multiplicity bound 2*n**1000000000000000000-7 at size 3 above 8192"),
+    ])
+    def test_refused_on_an_empty_tape(self, call, bound, message):
+        desc = dataclasses.replace(two_copy_description(["abc"]), bound=bound)
+        src = TapeSource(())
+        with pytest.raises(CeilingExceeded) as refused:
+            CEILING_CALLS[call](desc, src)
+        assert str(refused.value) == message
+        assert src.bits_consumed == 0
+
+    def test_bound_at_the_ceiling_draws_as_before(self):
+        desc = dataclasses.replace(two_copy_description(["x", "y"]), bound=Bound(const=8192))
+        for seed in range(3):
+            src, plain = CoinSource(seed), CoinSource(seed)
+            assert report_tuple(desc, 1, src) == reference_sample_report(desc, 1, plain)
+            assert src.bits_consumed == plain.bits_consumed
+
+    def test_shortcut_refuses_only_values_past_the_ceiling(self):
+        for coeff in range(4):
+            for power in range(42):
+                for const in (-10**6, -8192, -5, 0, 1, 7, 8000, 10**5):
+                    bound = Bound(coeff, power, const)
+                    for n in (0, 1, 2, 3, 5, 64, 1000):
+                        value = coeff * n**power + const
+                        try:
+                            got = bound(n)
+                        except CeilingExceeded:
+                            assert value > 8192
+                        except ValueError:
+                            assert value < 1
+                        else:
+                            assert got == value >= 1
+
+    @pytest.mark.parametrize("fields", [(-1, 1, 1), (1, -1, 1)])
+    def test_negative_coeff_or_power_refused(self, fields):
+        with pytest.raises(ValueError, match="coeff and power must be >= 0"):
+            Bound(*fields)
 
 
 class TestEstimateCensus:
@@ -651,6 +812,8 @@ class TestUnion:
         lang = finite_language(["a"])
         with pytest.raises(TypeError, match="census"):
             WordLanguage(lang.sample, lang.member)
+        with pytest.raises(TypeError, match="unrank"):
+            WordLanguage(lang.sample, lang.member, lang.census)
 
     def test_disjoint_union_uniform(self):
         a = finite_language(["aa", "ab"])
@@ -694,25 +857,6 @@ class TestUnion:
         for given_slice in (carrier, (t for t in carrier)):
             with pytest.raises(AssertionError, match="census mismatch"):
                 verify_description(wrong_census, 1, given_slice)
-
-    def test_unequal_failure_rates_cannot_skew(self):
-        # one operand fails half the time, the other never; the tagged
-        # union must still come out exactly uniform over all four words
-        flaky = finite_language(["aa", "ab"])
-
-        def flaky_sample(n, src):
-            if src.draw(1):
-                return FAIL
-            return flaky.sample(n, src)
-
-        a = WordLanguage(flaky_sample, flaky.member, flaky.census)
-        b = finite_language(["ba", "bb"])
-        solid = WordLanguage(b.sample, b.member, b.census)  # no unrank
-        desc = union(a, solid)
-        law = outcome_law(lambda src: sample_report(desc, 2, src, trials=1).value)
-        ok = 1 - law.get(FAIL, Fraction(0))
-        for w in ("aa", "ab", "ba", "bb"):
-            assert law[w] / ok == Fraction(1, 4)
 
     def test_unrank_route_is_exact_and_thrifty(self):
         a = finite_language(["aa", "ab"])
@@ -766,13 +910,8 @@ class TestProduct:
 
     def test_graded_sampler_uniform_two_words(self):
         # carrier slice at 2: (a,b), (a,a), (ab,"") -- so ab is covered
-        # twice, aa once, and the output law must still be uniform; strip
-        # unrank so the operand-sampler route is the one under test
-        a_full = finite_language(["a", "ab"])
-        b_full = finite_language(["b", "a", ""])
-        a = WordLanguage(a_full.sample, a_full.member, a_full.census)
-        b = WordLanguage(b_full.sample, b_full.member, b_full.census)
-        desc = product(a, b)
+        # twice, aa once, and the output law must still be uniform
+        desc = product(finite_language(["a", "ab"]), finite_language(["b", "a", ""]))
         assert desc.census(2) == 3
         assert desc.ambiguity("ab") == 2
         assert desc.ambiguity("aa") == 1
