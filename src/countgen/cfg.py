@@ -9,23 +9,26 @@ by the binary-production convolution; the same (growable) table drives a
 uniform tree sampler.  The table keeps, per variable, each binary
 production beside the rows of its two children, and builds, at the first
 draw at a (variable, length) pair, a split plan: the running sums of the
-nonzero split weights.  A node's draw then finds its split with one
-bisection, and the table keeps one prepared draw per yield length, so a
-repeated draw repeats no set-up.  A weighted Earley recognizer counts
-the derivation trees of a given word, which is the multiplicity needed
-to flatten trees into uniformly random words: it keeps, per span, only
-the completed variables and the productions waiting for their second
-child, and looks each column's prediction up in a per-grammar memo.
+nonzero split weights.  A node's draw unrolls ``draw_uniform``'s
+rejection, with the same bits, and finds its split with one bisection; a
+child with exactly one tree at its length is that tree, kept whole (a
+forced tree, whose draw reads no bits).  The table keeps one prepared
+draw per yield length, so a repeated draw repeats no set-up.  A weighted
+Earley recognizer counts the derivation trees of a given word, which is
+the multiplicity needed to flatten trees into uniformly random words: it
+keeps, per span, only the completed variables and the productions
+waiting for their second child, and looks each column's prediction up in
+a per-grammar memo.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
 from ._kept import kept
-from .coins import FAIL, bit_size, draw_uniform
+from .coins import FAIL, bit_size
 from .describe import Bound, Description
 from .exceptions import (
     EmptySlice,
@@ -162,22 +165,23 @@ class TreeTable(dict):
     - ``splits[i]`` holds ``(rows[b], rows[c], b, c)`` for each production
       a -> b c, in the grammar's order, with b and c variable indices;
     - ``letters[i]`` is ``grammar.unary[a]``;
-    - ``leaves[i]`` is the one tree of yield length 1 from a, the leaf
-      ``(a, t)``, when a has exactly one terminal production a -> t, and
-      None otherwise;
     - ``support[i]`` lists, in ascending order, the yield lengths l >= 1
       at which ``rows[i][l]`` is nonzero, so ``grow`` multiplies only
       the nonzero entries of a left child's row;
     - ``plans[i]`` maps a yield length l to the split plan of a at l
       (``split_plan``), built at the first draw there.
 
+    ``forced_trees`` maps ``(i, l)`` to the one tree of a at yield length
+    l where a has exactly one (``forced``), built when a split plan or a
+    prepared draw first holds it.
+
     ``samplers`` maps a yield length n to the prepared draw of a tree
     from the start variable at n, which ``sampler`` builds at the first
     draw there and returns from then on.
 
-    The rows grow in place, so all but the plans and the prepared draws
-    are built once per table, and a plan or a draw, which reads only rows
-    up to its length, never goes stale.
+    The rows grow in place, so all but the plans, the forced trees and the
+    prepared draws are built once per table, and none of those, which read
+    only rows up to their length, ever goes stale.
     """
 
     def __init__(self, g: CnfGrammar):
@@ -187,12 +191,9 @@ class TreeTable(dict):
         self.rows = rows
         self.splits = [tuple((rows[b], rows[c], b, c) for b, c in pairs) for pairs in g.pairs]
         self.letters = [g.unary[a] for a in g.variables]
-        self.leaves = [
-            (a, letters[0]) if len(letters) == 1 else None
-            for a, letters in zip(g.variables, self.letters)
-        ]
         self.support = [[] for _ in rows]
         self.plans = [{} for _ in rows]
+        self.forced_trees = {}
         self.samplers = {}
 
     def grow(self, n: int) -> "TreeTable":
@@ -221,14 +222,14 @@ class TreeTable(dict):
 
         The buckets are the productions a -> b c at each split k, in (k,
         production) order, weighing row_b[k] * row_c[length - k]; only the
-        nonzero ones are kept.  ``weights`` holds their running sums, so
-        rank r falls in the bucket at ``bisect_left(weights, r)``, and
-        ``picks`` holds that bucket's ``(k, b, c, left, right)``, where
-        ``left`` is b's leaf if k = 1 and ``right`` is c's leaf if
-        k = length - 1 (each None otherwise, or when the child variable
-        has no single leaf).
+        nonzero ones are kept.  ``weights`` holds their running sums, so a
+        0-based rank r falls in the bucket at ``bisect_right(weights, r)``,
+        and ``picks`` holds that bucket's ``(k, b, c, left, right)``, where
+        ``left`` is b's forced tree at k when row_b[k] is 1, and ``right``
+        is c's forced tree at length - k when row_c[length - k] is 1 (each
+        None otherwise).
         """
-        leaves = self.leaves
+        forced = self.forced
         weights, picks = [], []
         acc = 0
         for k in range(1, length):
@@ -239,11 +240,33 @@ class TreeTable(dict):
                     weights.append(acc)
                     picks.append((
                         k, b, c,
-                        leaves[b] if k == 1 else None,
-                        leaves[c] if k == length - 1 else None,
+                        forced(b, k) if row_b[k] == 1 else None,
+                        forced(c, length - k) if row_c[length - k] == 1 else None,
                     ))
         plan = self.plans[i][length] = weights, picks
         return plan
+
+    def forced(self, i: int, length: int) -> tuple:
+        """The one derivation tree of variable i at yield length ``length``,
+        where its count is 1, built from the rows and kept in
+        ``forced_trees``.  Its draw reads no bits: every node of it has
+        count 1, a forced choice, and takes the one nonzero split.
+        """
+        tree = self.forced_trees.get((i, length))
+        if tree is None:
+            name = self.grammar.variables[i]
+            if length == 1:
+                tree = (name, self.letters[i][0])
+            else:
+                k, b, c = next(
+                    (k, b, c)
+                    for k in range(1, length)
+                    for row_b, row_c, b, c in self.splits[i]
+                    if row_b[k] and row_c[length - k]
+                )
+                tree = (name, self.forced(b, k), self.forced(c, length - k))
+            self.forced_trees[i, length] = tree
+        return tree
 
     def sampler(self, n: int):
         """The draw of a uniform tree from the start variable at yield
@@ -251,11 +274,13 @@ class TreeTable(dict):
         returns the tree or FAIL.  Building grows the table to n; EmptySlice,
         keeping nothing, when the start variable has no tree there.
 
-        A node draws a rank r below its tree count, within kappa = 3 +
-        bit_size(n) attempts, and takes the split holding r from its split
-        plan with one bisection.  A child of yield length 1 whose variable
-        has one terminal is the leaf the plan holds: its draw would be a
-        forced choice, which reads no bits.
+        A node draws a 0-based rank r below its tree count, within kappa =
+        3 + bit_size(n) attempts, and takes the split holding r from its
+        split plan with one bisection.  This is ``draw_uniform`` unrolled,
+        with the same bits.  A child whose count is 1 is the forced tree
+        the plan holds, and a start variable with one tree at n is its
+        forced tree: their draws would be forced choices, which read no
+        bits.
         """
         draw = self.samplers.get(n)
         if draw is not None:
@@ -265,9 +290,17 @@ class TreeTable(dict):
         start = g.var_index[g.start]
         if rows[start][n] == 0:
             raise EmptySlice(f"no derivation trees of yield length {n}")
+        if rows[start][n] == 1:
+            tree = self.forced(start, n)
+
+            def draw(src):
+                return tree
+
+            self.samplers[n] = draw
+            return draw
         names, letters, plans = g.variables, self.letters, self.plans
         split_plan = self.split_plan
-        kappa = 3 + bit_size(n)
+        attempts = range(3 + bit_size(n))
 
         def draw(src):
             # Each draw leaves its closure to the cycle collector, since
@@ -276,16 +309,22 @@ class TreeTable(dict):
             # without it, no collection runs in the cfl workload's timed
             # phase, and its peak RSS then grows with the requests served.
             def generate(i, length):
-                r = draw_uniform(src, rows[i][length], kappa)
-                if r is FAIL:
+                # called only where the count is above 1
+                total = rows[i][length]
+                width = (total - 1).bit_length()
+                for _ in attempts:
+                    r = src.draw(width)
+                    if r < total:
+                        break
+                else:
                     return FAIL
                 if length == 1:
-                    return (names[i], letters[i][r - 1])
+                    return (names[i], letters[i][r])
                 plan = plans[i].get(length)
                 if plan is None:
                     plan = split_plan(i, length)
                 weights, picks = plan
-                k, b, c, left, right = picks[bisect_left(weights, r)]
+                k, b, c, left, right = picks[bisect_right(weights, r)]
                 if left is None:
                     left = generate(b, k)
                     if left is FAIL:
@@ -572,7 +611,7 @@ def cfl_description(g: CnfGrammar, bound: Bound) -> Description:
         project=tree_yield,
         ambiguity=lambda word: earley_count(g, word),
         bound=bound,
-        census=lambda n: g.tree_table.grow(n)[g.start][n],
+        census=lambda n: tree_census(g, g.start, n),
     )
 
 

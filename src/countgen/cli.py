@@ -363,7 +363,7 @@ _FLAGS = {
     "delta": ("--delta", dict(type=Fraction, default=Fraction(1, 4))),
     "epsilon": ("--epsilon", dict(type=Fraction, default=Fraction(1, 4))),
     "trials": ("--trials", dict(type=_positive_int, default=None)),
-    "ceiling": ("--ceiling", dict(type=int, default=512)),
+    "ceiling": ("--ceiling", dict(type=_positive_int, default=512)),
     "format": ("--format", dict(choices=("text", "json-lines"), default="text")),
     "oracle": ("--oracle", dict(action="store_true", default=False)),
     "repeat": ("--repeat", dict(type=_positive_int, default=1)),

@@ -233,8 +233,11 @@ def exact_count(desc: Description, n: int, src, ceiling: int = 512):
     estimator's trial budget, which grows with the square of the census
     and of the bound, is past its own ceiling.  At bound 1 census 192
     plans 1,047,139 draws and census 193 plans 1,058,075, above 2**20,
-    so ``ceiling`` decides only when it is below 193.
+    so ``ceiling`` decides only when it is below 193.  A ceiling below 1
+    is refused.
     """
+    if ceiling < 1:
+        raise ValueError("ceiling must be >= 1")
     total = desc.census(n)
     if total == 0:
         raise EmptySlice(f"carrier census is 0 at size {n}")

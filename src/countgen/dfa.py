@@ -6,7 +6,8 @@ grows to any length read.  Equivalent states accept the same words, so
 they have equal counts at every length (Myhill-Nerode): the table grows
 one row per class of equivalent states, shared by the states of the
 class, and no reader may mutate it.  It keeps one prepared sampler per
-slice length and confidence.
+slice length and confidence, whose draw unrolls ``draw_uniform`` and the
+letter search into one loop over the coin source, with the same bits.
 
 Rank, unrank and sampling are one walk down prefix cones (``rank``,
 ``unrank``, ``unrank_slice``; ``descend`` is the letter search) over any
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from ._kept import kept
-from .coins import FAIL, bit_size, draw_uniform
+from .coins import FAIL, bit_size
 from .describe import WordLanguage
 from .exceptions import EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from .specfile import integer, read_directives, single
@@ -198,28 +199,47 @@ class CensusTable:
         returns the word or FAIL.  Building grows the table to n; EmptySlice,
         keeping nothing, when the start state accepts no word of length n.
 
-        At each remaining length, a rank is drawn by rejection against the
-        census of the current state, within kappa = confidence +
-        bit_size(n) attempts, and ``descend`` picks the letter whose cone
-        holds it.
+        At each remaining length, a 0-based rank r is drawn by rejection
+        against the census of the current state, within kappa = confidence
+        + bit_size(n) attempts, and the letter whose cone holds r is taken,
+        as ``descend`` would.  This is ``draw_uniform`` unrolled, with the
+        same bits: each attempt draws the width of the census, and a census
+        of 1 is a forced choice that draws nothing (and fails only when
+        kappa is 0).
         """
         draw = self.samplers.get((n, confidence))
         if draw is not None:
             return draw
         if self.census(n) == 0:
             raise EmptySlice(f"no accepted words of length {n}")
-        counts, moves, start = self.counts, self.moves, self.start
-        lengths = range(n, 0, -1)
-        kappa = confidence + bit_size(n)
+        moves, start, start_row = self.moves, self.start, self.counts[self.start]
+        left = range(n - 1, -1, -1)
+        attempts = range(confidence + bit_size(n))
 
         def draw(src):
-            q = start
+            bits = src.draw
+            q, total = start, start_row[n]
             word = []
-            for length in lengths:
-                r = draw_uniform(src, counts[q][length], kappa)
-                if r is FAIL:
+            for j in left:
+                r = 0
+                if total > 1:
+                    width = (total - 1).bit_length()
+                    for _ in attempts:
+                        r = bits(width)
+                        if r < total:
+                            break
+                    else:
+                        return FAIL
+                elif not attempts:
                     return FAIL
-                letter, q, _ = descend(moves[q], length - 1, r)
+                # the cone taken holds the census of the next step
+                for letter, q, cone in moves[q]:
+                    total = cone[j]
+                    if r < total:
+                        break
+                    r -= total
+                else:
+                    raise AssertionError("rank exceeded slice census")
                 word.append(letter)
             return "".join(word)
 

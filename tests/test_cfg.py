@@ -172,6 +172,9 @@ class TestTreeCensus:
         desc = cfl_description(g, Bound(const=100))
         for n in (3, 9, 5, 1, 7):
             assert desc.census(n) == tree_census(g, g.start, n)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="^yield length must be >= 1$"):
+                desc.census(n)
 
     def test_every_reader_builds_one_table_per_grammar(self, monkeypatch):
         built, build = [], cfg.tree_census_table
@@ -368,8 +371,8 @@ def dyck_slice(n):
 # The grammars random_tree is checked on against reference_random_tree, with
 # the yield lengths sampled: every length to 12, then every third to 40 (a
 # Dyck slice grammar has one length).  Some random grammars have variables
-# with two terminals, so leaf draws remain beside the leaves random_tree
-# takes from TreeTable.leaves without a draw.
+# with two terminals, so leaf draws remain beside the forced trees
+# random_tree takes from TreeTable.forced without a draw.
 SAMPLED_LENGTHS = [*range(1, 13), *range(13, 41, 3)]
 SAMPLER_GRAMMARS = {
     **{f"test-{i}": (lambda g=g: g, SAMPLED_LENGTHS) for i, g in enumerate(GRAMMARS)},
@@ -472,7 +475,9 @@ class TestSplitSearch:
         visited = set()
 
         def recording(g, table, a, length, r):
-            visited.add((a, length))
+            # a node of count 1 is a forced tree the parent's plan holds
+            if table[a][length] > 1:
+                visited.add((a, length))
             return _locate_linear(g, table, a, length, r)
 
         drawn = 0
@@ -492,17 +497,23 @@ class TestSplitSearch:
 
 
 class TestLeafChildren:
-    def test_leaves_are_the_single_terminal_variables(self):
-        two_terminals = 0
-        for make, _ in SAMPLER_GRAMMARS.values():
-            g = make()
-            table = tree_census_table(g, 1)
-            assert table.leaves == [(a, g.unary[a][0]) if len(g.unary[a]) == 1 else None
-                                    for a in g.variables]
-            assert all(table.rows[i][1] == 1 for i, leaf in enumerate(table.leaves) if leaf)
+    def test_forced_trees_are_the_only_trees(self):
+        deep = two_terminals = 0
+        for make, lengths in SAMPLER_GRAMMARS.values():
+            g = fresh_copy(make())
+            for n in lengths[:8]:
+                if tree_census(g, g.start, n):
+                    for seed in range(4):
+                        random_tree(g, n, CoinSource(seed))
+            table = g.tree_table
+            for (i, length), tree in table.forced_trees.items():
+                assert table.rows[i][length] == 1
+                assert enumerate_trees(g, g.variables[i], length) == [tree]
+            deep += any(length > 1 for _, length in table.forced_trees)
             two_terminals += any(len(g.unary[a]) == 2 for a in g.reachable_variables())
-        # leaf draws remain in the sampler tests
-        assert two_terminals >= 5
+        # forced subtrees above yield length 1 are kept, and leaf draws
+        # remain in the sampler tests
+        assert deep >= 5 and two_terminals >= 5
 
     def test_law_and_bits_equal_reference(self, monkeypatch):
         # exact laws for n <= 4 wherever the tape tree has at most 2,000

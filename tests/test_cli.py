@@ -516,6 +516,20 @@ class TestRangeValidation:
         assert out == ""
         assert f"argument {flag}: {value} is below 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_ceiling_below_one_exits_one(self, files, capsys, value):
+        argv = ["cfg", "exact", "-g", files["catalan.cfg"], "-n", "3", "--ceiling", value]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument --ceiling: {value} is below 1\n")
+
+    @pytest.mark.parametrize("op", ["count", "sample", "estimate", "exact"])
+    def test_cfg_length_zero_is_refused(self, files, capsys, op):
+        # the described ops named an empty carrier slice instead
+        argv = ["cfg", op, "-g", files["catalan.cfg"], "-n", "0"]
+        assert run_cli(argv, capsys) == (1, "", "error: yield length must be >= 1\n")
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, files):

@@ -738,6 +738,14 @@ class TestExactCount:
         with pytest.raises(CeilingExceeded):
             exact_count(desc, 4, CoinSource(0), ceiling=512)
 
+    @pytest.mark.parametrize("ceiling", [0, -1])
+    def test_ceiling_below_one_refused(self, ceiling):
+        desc = identity_description(["a", "b", "c"])
+        src = TapeSource(())
+        with pytest.raises(ValueError, match="^ceiling must be >= 1$"):
+            exact_count(desc, 1, src, ceiling=ceiling)
+        assert src.bits_consumed == 0
+
     def test_budget_past_the_trial_ceiling_refused_before_a_draw(self):
         # census 300 is under the census ceiling, but epsilon 1/900 plans
         # about 2.6M carrier draws
