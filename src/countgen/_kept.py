@@ -10,7 +10,8 @@ class kept:
     ``__dict__``, which makes CPython 3.11 and later give up the object's
     inline attribute values, and every later read of any attribute on it
     then costs about three times as much.  ``object.__setattr__`` keeps
-    the inline values, and it passes a frozen dataclass's guard.
+    the inline values, and it passes a record's frozen ``__setattr__``
+    (``countgen._record``).
     """
 
     def __init__(self, compute):

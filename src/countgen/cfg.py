@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 
 from ._kept import kept
+from ._record import record
 from .coins import FAIL, bit_size
 from .describe import Bound, Description
 from .exceptions import (
@@ -45,7 +45,7 @@ _TREE_GUARD = 200_000
 # (A, left, right) inside.
 
 
-@dataclass(frozen=True)
+@record
 class Grammar:
     """General context-free grammar; productions map A -> tuples of symbols."""
 

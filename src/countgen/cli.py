@@ -20,12 +20,13 @@ import functools
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, NamedTuple, Optional
 
 from . import cfg, describe, dfa, nfa, pda, pseudobool, traces
+from ._record import record
 from .coins import FAIL, CoinSource, retries_for
 from .describe import Bound, SampleReport
 from .exceptions import FormatError
@@ -166,7 +167,8 @@ def _above_expectation(fam, problem, args, value):
 # when they run, so patched module attributes are seen.
 
 
-class Op(NamedTuple):
+@record
+class Op:
     """One op: ``call(subject, args, src)``, its oracle (None: ``--oracle``
     is refused) and the flags it reads.  ``prepare(spec, args)`` makes the
     subject once per run, before the ``--repeat`` loop.  An op that reads
@@ -174,17 +176,18 @@ class Op(NamedTuple):
     carries its own count."""
 
     call: Callable
-    oracle: Optional[Callable]
+    oracle: Callable | None
     flags: tuple
     prepare: Callable = lambda spec, args: spec
 
 
-class Family(NamedTuple):
+@record
+class Family:
     spec: tuple  # spec-file flags every op reads; pb ops name theirs in Op.flags
     load: Callable  # args -> spec
     ops: dict  # "sample --tree" is what cfg sample runs under --tree
-    member: Optional[Callable] = None  # (spec, word) -> bool, for brute oracles
-    alphabet: Optional[Callable] = None  # spec -> letters of the brute slices
+    member: Callable | None = None  # (spec, word) -> bool, for brute oracles
+    alphabet: Callable | None = None  # spec -> letters of the brute slices
 
 
 def _described(desc, ops=("sample", "estimate", "exact")) -> dict:
@@ -210,7 +213,8 @@ def _sample_tree(g, args, src):
     return tree if tree is FAIL else cfg.format_tree(tree)
 
 
-class _TraceSpec(NamedTuple):
+@record
+class _TraceSpec:
     automaton: dfa.Dfa
     alph: traces.IndepAlphabet
 

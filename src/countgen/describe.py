@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
+from ._record import record
 from .coins import FAIL, draw_uniform, gen_uniform, lcm_upto
 from .exceptions import (
     AmbiguityExceeded,
@@ -69,7 +69,7 @@ def trial_budget(alpha, beta, epsilon, delta) -> int:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class Bound:
     """Polynomial multiplicity bound n -> coeff * n**power + const."""
 
@@ -94,7 +94,7 @@ class Bound:
         return value
 
 
-@dataclass(frozen=True)
+@record
 class Description:
     """Carrier T with projection onto the structure S being sampled.
 
@@ -117,7 +117,7 @@ class Description:
     census: Callable
 
 
-@dataclass
+@record
 class SampleReport:
     value: object
     trials: int
@@ -313,7 +313,7 @@ def amplify_ras(estimator: Callable, advantage, delta_target) -> Callable:
 # Word languages and their union / product combinators.
 
 
-@dataclass(frozen=True)
+@record
 class WordLanguage:
     """A word language: slice sampler, membership, census and unranking.
 
@@ -426,7 +426,7 @@ def verify_description(desc: Description, n: int, carrier_slice) -> None:
 # Disjunctive normal form: the standard example of an ambiguous carrier.
 
 
-@dataclass(frozen=True)
+@record
 class DnfFormula:
     """DNF over n boolean variables; clauses are tuples of signed 1-based indices."""
 

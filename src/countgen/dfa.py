@@ -23,17 +23,17 @@ order; ranks are 1-based and a word counts itself when it is a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from ._kept import kept
+from ._record import record
 from .coins import FAIL, bit_size
 from .describe import WordLanguage
 from .exceptions import EmptySlice, FormatError, RankOutOfRange, SizeGuard
 from .specfile import integer, read_directives, single
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     alphabet: tuple
     trans: tuple  # trans[state][symbol_index] -> state

@@ -35,3 +35,7 @@ class EpsilonInLanguage(Exception):
 
 class FormatError(Exception):
     """A specification file does not parse."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable record was assigned or deleted."""

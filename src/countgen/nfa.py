@@ -18,18 +18,18 @@ declared alphabet order; ranks are 1-based and a member counts itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
 from ._kept import kept
+from ._record import record
 from .coins import FAIL, gen_uniform
 from .dfa import rank, read_automaton, unrank, unrank_slice
 from .exceptions import AmbiguityExceeded, EmptySlice, FormatError, SizeGuard
 
 
-@dataclass(frozen=True)
+@record
 class Nfa:
     alphabet: tuple
     matrices: tuple  # per symbol: dim x dim tuple of nonnegative ints
@@ -102,7 +102,7 @@ def _bounded_path_count(a: Nfa, word: str) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@record
 class QPoly:
     """Polynomial with q(0) = 0 and q(c) = 1 for 1 <= c <= degree."""
 

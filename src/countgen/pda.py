@@ -14,8 +14,8 @@ consumes input (stack untouched) or pushes/pops one symbol (no input).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
+from ._record import record
 from .cfg import CnfGrammar, Grammar, cfl_description, to_cnf
 from .describe import Bound, Description
 from .exceptions import FormatError, SizeGuard
@@ -26,7 +26,7 @@ _SEARCH_NODES = 200_000
 _SEARCH_DEPTH = 300
 
 
-@dataclass(frozen=True)
+@record
 class Pda:
     states: tuple
     input_alphabet: tuple
@@ -69,7 +69,7 @@ class Pda:
         return self.states[0]
 
 
-@dataclass(frozen=True)
+@record
 class SliceGrammar:
     """CNF grammar for one input length, with construction statistics.
 

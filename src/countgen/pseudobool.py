@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations
-from typing import NamedTuple
 
 from ._kept import kept
+from ._record import record
 from .exceptions import FormatError, SizeGuard
 from .specfile import integer, integer_lines, read_directives, single
 
@@ -41,7 +40,8 @@ _DEGREE_CEILING = 4096
 _SMALL_ADD = 64
 
 
-class _Plan(NamedTuple):
+@record
+class _Plan:
     """What evaluating and checking a circuit needs, built once per circuit."""
 
     steps: tuple  # per node to the output (kind, arg); an add's arg holds (child, w) per distinct child
@@ -50,7 +50,7 @@ class _Plan(NamedTuple):
     squared: int  # bitmask of the variables the output may hold squared
 
 
-@dataclass(frozen=True)
+@record
 class Circuit:
     """Arithmetic circuit: nodes reference earlier nodes only.
 
@@ -460,7 +460,7 @@ def permanent(a, method: str = "bruteforce") -> int:
 # Pseudo-boolean objectives and the optimizers.
 
 
-@dataclass(frozen=True)
+@record
 class PbProblem:
     """Objective circuit over {0,1}^n to maximize, checked multilinear (see
     ``Circuit.plan``).  To minimize an objective, maximize its negation."""

@@ -10,8 +10,8 @@ down-set structure of the occurrence order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._record import record
 from .describe import Bound, Description
 from .dfa import Dfa, automaton_dfa, dfa_language, read_automaton
 from .exceptions import SizeGuard
@@ -22,7 +22,7 @@ _CLOSURE_LIMIT = 100_000
 _REPRESENTATIVE_GUARD = 200_000
 
 
-@dataclass(frozen=True)
+@record
 class IndepAlphabet:
     """Ordered symbols plus a symmetric, irreflexive independence relation.
 

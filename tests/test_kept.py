@@ -1,5 +1,6 @@
 """``kept``: computed once, stored under its own name, invisible to the
-dataclass methods, and the only way the library keeps a worked-out value."""
+record and dataclass methods, and the only way the library keeps a
+worked-out value."""
 
 import ast
 import dataclasses
@@ -101,7 +102,7 @@ class TestKept:
             getattr(read, name)
         assert names and names <= vars(read).keys() and not names & vars(fresh).keys()
         assert read == fresh and (repr(read), hash(read)) == before == (repr(fresh), hash(fresh))
-        assert not names & {field.name for field in dataclasses.fields(read)}
+        assert not names & set(type(read).__match_args__)
 
 
 def _names(tree):
