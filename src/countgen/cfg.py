@@ -127,34 +127,6 @@ class CnfGrammar:
         grows it to the yield length it reads."""
         return tree_census_table(self, 0)
 
-    def productive_variables(self):
-        productive = {a for a in self.variables if self.unary[a]}
-        changed = True
-        while changed:
-            changed = False
-            for a in self.variables:
-                if a in productive:
-                    continue
-                if any(
-                    b in productive and c in productive for b, c in self.binary[a]
-                ):
-                    productive.add(a)
-                    changed = True
-        return productive
-
-    def reachable_variables(self):
-        reachable = {self.start}
-        frontier = [self.start]
-        while frontier:
-            a = frontier.pop()
-            for b, c in self.binary[a]:
-                for v in (b, c):
-                    if v not in reachable:
-                        reachable.add(v)
-                        frontier.append(v)
-        return reachable
-
-
 class TreeTable(dict):
     """table[a][l] = number of derivation trees from a with yield length l.
 
@@ -489,9 +461,20 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
     Eliminates empty and unit productions, lifts terminals out of long
     right-hand sides, binarizes, and prunes useless variables.  If the
     grammar derives the empty word this raises unless ``drop_epsilon``,
-    in which case the empty word alone is dropped.
+    in which case the empty word alone is dropped.  Productive, then
+    reachable, variables are found on the converted productions, so the
+    one ``CnfGrammar`` built is the pruned one.  It keeps the declared
+    variables first, then the minted ``@lift``/``@chain`` ones in the order
+    they were made.  Repeated variables, or a production whose left side
+    is no variable or whose right side names a symbol that is neither a
+    variable nor a terminal, raise ValueError.
     """
     variables = set(g.variables)
+    known = variables.union(g.terminals)
+    if len(variables) < len(g.variables) or not all(
+            lhs in variables and known.issuperset(rhs) for lhs, rhs in g.productions):
+        raise ValueError("variables must be distinct, and productions must rewrite a variable "
+                         "to variables and terminals")
     # nullable closure
     nullable = set()
     changed = True
@@ -506,45 +489,19 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
     # remove empty productions by expanding nullable occurrences
     expanded = set()
     for lhs, rhs in g.productions:
-        options = []
+        versions = [()]
         for sym in rhs:
-            if sym in nullable:
-                options.append((sym, None))
-            else:
-                options.append((sym,))
-        stack = [()]
-        for opts in options:
-            stack = [prefix + (o,) for prefix in stack for o in opts]
-        for version in stack:
-            cleaned = tuple(s for s in version if s is not None)
-            if cleaned:
-                expanded.add((lhs, cleaned))
-    # unit closure by reachability in the variable-to-variable graph
-    unit_edges = defaultdict(set)
+            versions = [v + (sym,) for v in versions] + (versions if sym in nullable else [])
+        expanded.update((lhs, v) for v in versions if v)
+    unit_edges = defaultdict(set)  # the variable-to-variable graph of unit productions
+    base = defaultdict(set)  # the other productions
     for lhs, rhs in expanded:
         if len(rhs) == 1 and rhs[0] in variables:
             unit_edges[lhs].add(rhs[0])
-    unit_reach = {}
-    for a in variables:
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            v = frontier.pop()
-            for w in unit_edges.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        unit_reach[a] = seen
-    base = defaultdict(set)
-    for lhs, rhs in expanded:
-        if len(rhs) == 1 and rhs[0] in variables:
-            continue
-        base[lhs].add(rhs)
-    closed = defaultdict(set)
-    for a in variables:
-        for b in unit_reach[a]:
-            closed[a] |= base[b]
-    # lift terminals inside long productions, then binarize
+        else:
+            base[lhs].add(rhs)
+    # close each variable under unit productions, lift terminals inside
+    # long productions, then binarize
     binary = defaultdict(set)
     unary = defaultdict(set)
     order = list(g.variables)
@@ -556,17 +513,22 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
             order.append(v)
 
     chain_count = 0
-    for a in dict.fromkeys(g.variables):
+    for a in g.variables:
+        reach, frontier = {a}, [a]  # the variables a reaches through unit productions
+        while frontier:
+            new = unit_edges[frontier.pop()] - reach
+            reach |= new
+            frontier.extend(new)
         # only right-hand sides that mint fresh variables need an order:
         # it fixes the numbering of @lift/@chain and their place in order
-        minting = []
-        for rhs in closed[a]:
+        minting = set()
+        for rhs in (rhs for v in reach for rhs in base[v]):
             if len(rhs) == 1:
                 unary[a].add(rhs[0])
             elif len(rhs) == 2 and rhs[0] in variables and rhs[1] in variables:
                 binary[a].add(rhs)
             else:
-                minting.append(rhs)
+                minting.add(rhs)
         for rhs in sorted(minting, key=lambda r: tuple(map(str, r))):
             symbols = []
             for sym in rhs:
@@ -584,19 +546,26 @@ def to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
                 binary[tail].add((symbols[-2], symbols[-1]))
                 symbols = symbols[:-2] + [tail]
             binary[a].add((symbols[0], symbols[1]))
-    candidate = CnfGrammar(order, g.terminals, g.start, binary, unary)
     # prune useless variables, keeping the start symbol: reachability runs
     # over the productions left once unproductive variables are dropped
-    productive = _restrict(candidate, candidate.productive_variables() | {g.start})
-    return _restrict(productive, productive.reachable_variables())
-
-
-def _restrict(g: CnfGrammar, keep) -> CnfGrammar:
-    """``g`` on the variables in ``keep``, with the productions among them."""
-    kept = [v for v in g.variables if v in keep]
-    binary = {a: [bc for bc in g.binary[a] if bc[0] in keep and bc[1] in keep] for a in kept}
-    unary = {a: g.unary[a] for a in kept}
-    return CnfGrammar(kept, g.terminals, g.start, binary, unary)
+    productive = set()
+    grew = True
+    while grew:
+        grew = False
+        for a in order:
+            if a not in productive and (unary[a] or any(
+                    b in productive and c in productive for b, c in binary[a])):
+                productive.add(a)
+                grew = True
+    productive.add(g.start)
+    live = {}  # reachable variable -> its productions among productive variables
+    frontier = [g.start]
+    while frontier:
+        a = frontier.pop()
+        if a not in live:
+            live[a] = [bc for bc in binary[a] if bc[0] in productive and bc[1] in productive]
+            frontier.extend(v for bc in live[a] for v in bc)
+    return CnfGrammar([v for v in order if v in live], g.terminals, g.start, live, unary)
 
 
 def cfl_description(g: CnfGrammar, bound: Bound) -> Description:

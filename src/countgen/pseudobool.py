@@ -603,32 +603,42 @@ def local_search(p: PbProblem, radius: int, start) -> tuple:
 
 
 def max_sat_circuit(n: int, clauses) -> Circuit:
-    """Satisfied-clause count as a multilinear circuit.
+    """Satisfied-clause count as a multilinear circuit: m minus the sum of
+    the clauses' miss products prod(1 - literal), m the nonempty clauses.
 
-    Each clause contributes 1 - prod(1 - literal); literals are x for a
-    positive occurrence and 1 - x for a negative one.  A repeated literal
-    counts once, and a clause that holds both x and not-x is the constant 1.
+    A literal misses as 1 - x when positive and as x when negative; each
+    1 - x node is made once, at the first positive occurrence of x.  A
+    clause's miss product is one ``mul`` (its one literal's miss for a
+    unit clause), and the output is one ``add`` that names the constant 1
+    once per clause and adds -1 times the sum of the miss products.  A
+    repeated literal counts once; a clause that holds both x and not-x is
+    always satisfied and adds 1 with no product; the empty clause, whose
+    miss product is the empty product 1, is never satisfied and adds 0.
     """
     builder = CircuitBuilder(n)
     one = builder.const(1)
     minus = builder.const(-1)
     variables = [builder.var(k) for k in range(n)]
-    negated = [builder.add(one, builder.mul(minus, v)) for v in variables]
-    clause_nodes = []
+    negated = {}  # positive literal k -> the node 1 - x_k
+    terms, misses = [], []
     for clause in clauses:
         literals = dict.fromkeys(clause)
-        misses = []
         for lit in literals:
-            k = abs(lit) - 1
-            if not 0 <= k < n:
+            if not 0 < abs(lit) <= n:
                 raise ValueError(f"literal {lit} out of range")
-            misses.append(negated[k] if lit > 0 else variables[k])
-        if any(-lit in literals for lit in literals):
-            clause_nodes.append(one)
+        if not literals:
             continue
-        all_miss = builder.mul(*misses) if len(misses) > 1 else misses[0]
-        clause_nodes.append(builder.add(one, builder.mul(minus, all_miss)))
-    return builder.build(builder.sum(clause_nodes))
+        terms.append(one)
+        if any(-lit in literals for lit in literals):
+            continue
+        for lit in literals:
+            if lit > 0 and lit not in negated:
+                negated[lit] = builder.add(one, builder.mul(minus, variables[lit - 1]))
+        factors = [negated[lit] if lit > 0 else variables[-lit - 1] for lit in literals]
+        misses.append(builder.mul(*factors) if len(factors) > 1 else factors[0])
+    if misses:
+        terms.append(builder.mul(minus, builder.sum(misses)))
+    return builder.build(builder.sum(terms))
 
 
 def max_cut_circuit(n: int, edges) -> Circuit:

@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from countgen import cfg, coins
+from countgen import cfg, coins, pda
 from countgen.cfg import (
     CnfGrammar,
     TreeTable,
@@ -26,7 +26,6 @@ from countgen.cfg import (
     tree_census_table,
     tree_yield,
     _fresh_terminal_wrapper,
-    _restrict,
 )
 from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, draw_uniform, outcome_law
 from countgen.describe import Bound, estimate_census, sample_report
@@ -36,9 +35,36 @@ from test_pda import ANBN as ANBN_PDA
 from test_pda import DYCK
 
 
+def productive_variables(g: CnfGrammar) -> set:
+    """The variables that derive some word."""
+    productive = {a for a in g.variables if g.unary[a]}
+    changed = True
+    while changed:
+        changed = False
+        for a in g.variables:
+            if a not in productive and any(
+                b in productive and c in productive for b, c in g.binary[a]
+            ):
+                productive.add(a)
+                changed = True
+    return productive
+
+
+def reachable_variables(g: CnfGrammar) -> set:
+    """The variables that occur in some derivation from the start symbol."""
+    reachable = {g.start}
+    frontier = [g.start]
+    while frontier:
+        for v in (v for bc in g.binary[frontier.pop()] for v in bc):
+            if v not in reachable:
+                reachable.add(v)
+                frontier.append(v)
+    return reachable
+
+
 def check_no_useless(g: CnfGrammar) -> None:
     """Every variable is both productive and reachable from the start."""
-    live = g.productive_variables() & g.reachable_variables()
+    live = productive_variables(g) & reachable_variables(g)
     dead = [a for a in g.variables if a not in live]
     if dead:
         raise ValueError(f"useless variables: {dead!r}")
@@ -510,7 +536,7 @@ class TestLeafChildren:
                 assert table.rows[i][length] == 1
                 assert enumerate_trees(g, g.variables[i], length) == [tree]
             deep += any(length > 1 for _, length in table.forced_trees)
-            two_terminals += any(len(g.unary[a]) == 2 for a in g.reachable_variables())
+            two_terminals += any(len(g.unary[a]) == 2 for a in reachable_variables(g))
         # forced subtrees above yield length 1 are kept, and leaf draws
         # remain in the sampler tests
         assert deep >= 5 and two_terminals >= 5
@@ -1030,7 +1056,7 @@ class TestEarleyCount:
         ambiguous = left_recursive = useless = 0
         for g in RANDOM_CHART_GRAMMARS:
             left_recursive += (g.start, g.start) in g.binary[g.start]
-            live = g.productive_variables() & g.reachable_variables()
+            live = productive_variables(g) & reachable_variables(g)
             useless += len(live) < len(g.variables)
             most = 0
             for n in range(1, 7):
@@ -1071,7 +1097,8 @@ class TestEarleyCount:
 
 
 def reference_to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
-    """``to_cnf`` as it was when it sorted every right-hand side by ``str``."""
+    """``to_cnf`` as it was when it sorted every right-hand side by ``str``
+    and pruned by building a candidate grammar and two restrictions of it."""
     variables = set(g.variables)
     nullable = set()
     changed = True
@@ -1155,8 +1182,16 @@ def reference_to_cnf(g: Grammar, drop_epsilon: bool = False) -> CnfGrammar:
                 symbols = symbols[:-2] + [tail]
             binary[a].add((symbols[0], symbols[1]))
     candidate = CnfGrammar(order, g.terminals, g.start, binary, unary)
-    productive = _restrict(candidate, candidate.productive_variables() | {g.start})
-    return _restrict(productive, productive.reachable_variables())
+    productive = _restrict(candidate, productive_variables(candidate) | {g.start})
+    return _restrict(productive, reachable_variables(productive))
+
+
+def _restrict(g: CnfGrammar, keep) -> CnfGrammar:
+    """``g`` on the variables in ``keep``, with the productions among them."""
+    kept = [v for v in g.variables if v in keep]
+    binary = {a: [bc for bc in g.binary[a] if bc[0] in keep and bc[1] in keep] for a in kept}
+    unary = {a: g.unary[a] for a in kept}
+    return CnfGrammar(kept, g.terminals, g.start, binary, unary)
 
 
 def random_raw_grammar(rng: random.Random) -> Grammar:
@@ -1292,6 +1327,35 @@ class TestToCnf:
                 if expected != "epsilon":
                     minted += len(expected[1]) > len(set(g.variables) & set(expected[1]))
         assert minted > 100  # fresh @lift/@chain variables were exercised
+
+    @pytest.mark.parametrize(
+        "variables, productions",
+        [
+            (("S", "S"), (("S", ("a",)),)),
+            (("S", "B"), (("S", ("a",)), ("B", ("z",)))),  # B is pruned
+            (("S",), (("S", ("a",)), ("T", ("a",)))),
+        ],
+        ids=["repeated-variable", "undeclared-symbol", "undeclared-left-side"],
+    )
+    def test_malformed_grammar_refused(self, variables, productions):
+        with pytest.raises(ValueError, match="^variables must be distinct, and productions"):
+            to_cnf(Grammar(variables, ("a",), "S", productions))
+
+    def test_builds_one_grammar(self, monkeypatch):
+        # the cfl benchmark grammar and the raw Dyck slice grammar at n = 8
+        raw = []
+        monkeypatch.setattr(pda, "to_cnf", lambda g, drop_epsilon: raw.append(g) or to_cnf(g, drop_epsilon))
+        build_slice_grammar(DYCK, 8)
+        grammars = [PALINDROME_PAIRS, *raw]
+        expected = [cnf_outcome(reference_to_cnf, g, True) for g in grammars]
+        built = []
+        init = CnfGrammar.__init__
+        monkeypatch.setattr(CnfGrammar, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+        for g, outcome in zip(grammars, expected, strict=True):
+            built.clear()
+            cnf = to_cnf(g, drop_epsilon=True)
+            assert built == [cnf]
+            assert cnf_outcome(lambda g, drop_epsilon: cnf, g, True) == outcome
 
     @pytest.mark.parametrize("machine", [DYCK, ANBN_PDA], ids=["dyck", "anbn"])
     @pytest.mark.parametrize("n", [4, 6, 8])

@@ -1,6 +1,7 @@
 """Circuits, conditional expectations, searches, and the permanent."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -187,6 +188,40 @@ def reference_local_search(p: PbProblem, radius: int, start) -> tuple:
             if improved:
                 break
     return current
+
+
+def reference_max_sat_circuit(n: int, clauses) -> Circuit:
+    """The slow path: 1 + (-1) * prod(misses) per clause, with 1 - x built
+    for every variable up front; the empty clause's miss product is 1."""
+    builder = CircuitBuilder(n)
+    one = builder.const(1)
+    minus = builder.const(-1)
+    variables = [builder.var(k) for k in range(n)]
+    negated = [builder.add(one, builder.mul(minus, v)) for v in variables]
+    clause_nodes = []
+    for clause in clauses:
+        literals = dict.fromkeys(clause)
+        misses = []
+        for lit in literals:
+            k = abs(lit) - 1
+            if not 0 <= k < n:
+                raise ValueError(f"literal {lit} out of range")
+            misses.append(negated[k] if lit > 0 else variables[k])
+        if any(-lit in literals for lit in literals):
+            clause_nodes.append(one)
+            continue
+        all_miss = builder.mul(*misses) if len(misses) > 1 else (misses or [one])[0]
+        clause_nodes.append(builder.add(one, builder.mul(minus, all_miss)))
+    return builder.build(builder.sum(clause_nodes))
+
+
+def random_cnf(rng, n):
+    """Clauses of 0 to 4 literals over x1..xn, so that unit, repeated-literal,
+    tautological and empty clauses all occur."""
+    return [
+        tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.choice((0, 1, 2, 3, 3, 4))))
+        for _ in range(rng.randint(0, 3 * n))
+    ]
 
 
 GOALS = ["max", "min"]
@@ -800,14 +835,23 @@ class TestBuilders:
         assert c.nodes[c.out] == ("const", 1)
         assert eval_circuit(c, [Fraction(1, 3), 5]) == 1
 
-    def test_clause_without_repeats_builds_the_same_nodes(self):
+    def test_clause_layout(self):
+        # m - sum of miss products: 1 - x1 for the positive literal, one mul
+        # for the clause, and one output add over the constant and -1 * misses
         c = max_sat_circuit(2, [(1, -2)])
         assert c.nodes == (
             ("const", 1), ("const", -1), ("in", 0), ("in", 1),
-            ("mul", (1, 2)), ("add", (0, 4)), ("mul", (1, 3)), ("add", (0, 6)),
-            ("mul", (5, 3)), ("mul", (1, 8)), ("add", (0, 9)),
+            ("mul", (1, 2)), ("add", (0, 4)), ("mul", (5, 3)),
+            ("mul", (1, 6)), ("add", (0, 7)),
         )
-        assert c.out == 10
+        assert c.out == 8
+
+    def test_empty_clause_adds_nothing(self):
+        for clauses in ([()], [(), (1,), (-1, 2), ()], [(), (2, -2)]):
+            c = max_sat_circuit(2, clauses)
+            for bits in iproduct((0, 1), repeat=2):
+                assert eval_circuit(c, bits) == sat_value(clauses, bits)
+        assert eval_circuit(max_sat_circuit(2, [()]), [Fraction(1, 2)] * 2) == 0
 
     def test_self_loop_adds_no_term(self):
         c = max_cut_circuit(2, [(0, 0)])
@@ -845,6 +889,48 @@ class TestBuilders:
         a = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
         assert not msf_perm_circuit(a).plan.squared
         assert perm_circuit(a).plan.squared == 0b111
+
+
+class TestMaxSatAgainstReference:
+    """The m - sum-of-misses circuit against the per-clause builder it replaced."""
+
+    def problems(self):
+        rng = random.Random(30)
+        kinds = Counter()
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            clauses = random_cnf(rng, n)
+            for clause in clauses:
+                literals = set(clause)
+                kinds["empty"] += not clause
+                kinds["unit"] += len(literals) == 1
+                kinds["repeated"] += len(literals) < len(clause)
+                kinds["tautology"] += any(-lit in literals for lit in literals)
+            yield n, clauses
+        assert min(kinds.values()) >= 20 and len(kinds) == 4
+
+    def test_same_values(self):
+        for n, clauses in self.problems():
+            c, reference = max_sat_circuit(n, clauses), reference_max_sat_circuit(n, clauses)
+            assert len(c.nodes) <= len(reference.nodes)
+            assert not c.plan.squared
+            for point in [*iproduct((0, 1), repeat=n), [Fraction(1, 2)] * n]:
+                assert eval_circuit(c, point) == eval_circuit(reference, point)
+            for bits in iproduct((0, 1), repeat=n):
+                assert eval_circuit(c, bits) == sat_value(clauses, bits)
+
+    def test_same_assignments(self):
+        rng = random.Random(31)
+        for n, clauses in self.problems():
+            p = PbProblem(n, max_sat_circuit(n, clauses))
+            reference = PbProblem(n, reference_max_sat_circuit(n, clauses))
+            assert derandomize(p) == derandomize(reference)
+            seed = rng.randrange(2**32)
+            found = random_search(p, Fraction(1, 4), Fraction(1, 4), CoinSource(seed))
+            assert found == random_search(reference, Fraction(1, 4), Fraction(1, 4), CoinSource(seed))
+            start = tuple(rng.randint(0, 1) for _ in range(n))
+            radius = rng.randint(1, 2)
+            assert local_search(p, radius, start) == local_search(reference, radius, start)
 
 
 class TestLoaders:
