@@ -5,16 +5,16 @@ A CNF grammar numbers its variables by their position in the variable
 order, and the hot paths name variables by that index: ``to_cnf`` and PDA
 slice grammars mint tuple variables, which a dict would hash again at
 every use.  Derivation trees of a fixed yield length are counted exactly
-by the binary-production convolution; the same (growable) table drives a
-uniform tree sampler.  The table keeps, per variable, each binary
-production beside the rows of its two children, and builds, at the first
-draw at a (variable, length) pair, a split plan: the running sums of the
-nonzero split weights.  A node's draw unrolls ``draw_uniform``'s
-rejection, with the same bits, and finds its split with one bisection; a
-child with exactly one tree at its length is that tree, kept whole (a
-forced tree, whose draw reads no bits).  The table keeps one prepared
-draw per yield length, so a repeated draw repeats no set-up.  A weighted
-Earley recognizer counts the derivation trees of a given word, which is
+by the binary-production convolution; the same (growable) table ranks
+and samples trees.  Per variable it keeps each binary production beside
+its two child rows and, at the first draw or unrank at a (variable,
+length) pair, a split plan: the running sums of the nonzero split
+weights.  ``TreeTable.unrank`` walks from a rank down the plans, one
+bisection a node; a draw unrolls ``draw_uniform``'s rejection at each
+node, with the same bits, and walks the same plans.  A tree of count 1
+is forced: built once, kept whole, and drawn with no bits.  One prepared
+draw per yield length is kept, so a repeated draw repeats no set-up.  A
+weighted Earley recognizer counts the derivation trees of a given word,
 the multiplicity needed to flatten trees into uniformly random words: it
 keeps, per span, only the completed variables and the productions
 waiting for their second child, and looks each column's prediction up in
@@ -141,11 +141,11 @@ class TreeTable(dict):
       at which ``rows[i][l]`` is nonzero, so ``grow`` multiplies only
       the nonzero entries of a left child's row;
     - ``plans[i]`` maps a yield length l to the split plan of a at l
-      (``split_plan``), built at the first draw there.
+      (``split_plan``), built at the first draw or unrank there.
 
-    ``forced_trees`` maps ``(i, l)`` to the one tree of a at yield length
-    l where a has exactly one (``forced``), built when a split plan or a
-    prepared draw first holds it.
+    ``forced_trees`` maps ``(i, l)``, l >= 2, to the one tree of a at
+    yield length l where a has exactly one, built when ``unrank`` first
+    reaches it.
 
     ``samplers`` maps a yield length n to the prepared draw of a tree
     from the start variable at n, which ``sampler`` builds at the first
@@ -201,7 +201,6 @@ class TreeTable(dict):
         is c's forced tree at length - k when row_c[length - k] is 1 (each
         None otherwise).
         """
-        forced = self.forced
         weights, picks = [], []
         acc = 0
         for k in range(1, length):
@@ -212,33 +211,39 @@ class TreeTable(dict):
                     weights.append(acc)
                     picks.append((
                         k, b, c,
-                        forced(b, k) if row_b[k] == 1 else None,
-                        forced(c, length - k) if row_c[length - k] == 1 else None,
+                        self.unrank(b, k, 0) if row_b[k] == 1 else None,
+                        self.unrank(c, length - k, 0) if row_c[length - k] == 1 else None,
                     ))
         plan = self.plans[i][length] = weights, picks
         return plan
 
-    def forced(self, i: int, length: int) -> tuple:
-        """The one derivation tree of variable i at yield length ``length``,
-        where its count is 1, built from the rows and kept in
-        ``forced_trees``.  Its draw reads no bits: every node of it has
-        count 1, a forced choice, and takes the one nonzero split.
+    def unrank(self, i: int, length: int, r: int) -> tuple:
+        """The tree of variable i at yield length ``length`` with 0-based
+        rank r, in split-plan order: split k, production, left rank, right
+        rank; the table must cover ``length``.  A leaf is ``letters[i][r]``.
+        A count of 1 gives the forced tree, built from the first nonzero
+        split, kept in ``forced_trees`` and given no plan.  Otherwise the
+        bucket at ``bisect_right(weights, r)`` of the kept plan names the
+        split, and the rank within it divides into the two child ranks.
         """
-        tree = self.forced_trees.get((i, length))
-        if tree is None:
-            name = self.grammar.variables[i]
-            if length == 1:
-                tree = (name, self.letters[i][0])
-            else:
-                k, b, c = next(
-                    (k, b, c)
-                    for k in range(1, length)
-                    for row_b, row_c, b, c in self.splits[i]
-                    if row_b[k] and row_c[length - k]
-                )
-                tree = (name, self.forced(b, k), self.forced(c, length - k))
-            self.forced_trees[i, length] = tree
-        return tree
+        name = self.grammar.variables[i]
+        if length == 1:
+            return (name, self.letters[i][r])
+        if self.rows[i][length] == 1:
+            tree = self.forced_trees.get((i, length))
+            if tree is None:
+                k, b, c = next((k, b, c) for k in range(1, length)
+                               for row_b, row_c, b, c in self.splits[i]
+                               if row_b[k] and row_c[length - k])
+                tree = self.forced_trees[i, length] = (
+                    name, self.unrank(b, k, 0), self.unrank(c, length - k, 0))
+            return tree
+        weights, picks = self.plans[i].get(length) or self.split_plan(i, length)
+        j = bisect_right(weights, r)
+        k, b, c, left, right = picks[j]
+        q, s = divmod(r - (weights[j - 1] if j else 0), self.rows[c][length - k])
+        left = self.unrank(b, k, q) if left is None else left
+        return (name, left, self.unrank(c, length - k, s) if right is None else right)
 
     def sampler(self, n: int):
         """The draw of a uniform tree from the start variable at yield
@@ -249,10 +254,8 @@ class TreeTable(dict):
         A node draws a 0-based rank r below its tree count, within kappa =
         3 + bit_size(n) attempts, and takes the split holding r from its
         split plan with one bisection.  This is ``draw_uniform`` unrolled,
-        with the same bits.  A child whose count is 1 is the forced tree
-        the plan holds, and a start variable with one tree at n is its
-        forced tree: their draws would be forced choices, which read no
-        bits.
+        with the same bits.  A forced tree (``unrank``), as a child in the
+        plan or at the start variable, is taken whole and reads no bits.
         """
         draw = self.samplers.get(n)
         if draw is not None:
@@ -263,7 +266,7 @@ class TreeTable(dict):
         if rows[start][n] == 0:
             raise EmptySlice(f"no derivation trees of yield length {n}")
         if rows[start][n] == 1:
-            tree = self.forced(start, n)
+            tree = self.unrank(start, n, 0)
 
             def draw(src):
                 return tree
@@ -354,28 +357,16 @@ def format_tree(tree) -> str:
     return f"({tree[0]} {format_tree(tree[1])} {format_tree(tree[2])})"
 
 
-def enumerate_trees(g: CnfGrammar, a, n: int):
-    """All derivation trees from ``a`` with yield length n (oracle use)."""
+def enumerate_trees(g: CnfGrammar, a, n: int) -> list:
+    """All derivation trees from ``a`` with yield length n, in rank order
+    (``TreeTable.unrank``); SizeGuard above ``_TREE_GUARD`` trees."""
     if n < 1:
         raise ValueError("yield length must be >= 1")
     table = g.tree_table.grow(n)
-    if table[a][n] > _TREE_GUARD:
+    i = g.var_index[a]
+    if table.rows[i][n] > _TREE_GUARD:
         raise SizeGuard("too many trees to enumerate")
-
-    def build(sym, length):
-        if length == 1:
-            for t in g.unary[sym]:
-                yield (sym, t)
-            return
-        for b, c in g.binary[sym]:
-            for k in range(1, length):
-                if table[b][k] == 0 or table[c][length - k] == 0:
-                    continue
-                for left in build(b, k):
-                    for right in build(c, length - k):
-                        yield (sym, left, right)
-
-    return list(build(a, n))
+    return [table.unrank(i, n, r) for r in range(table.rows[i][n])]
 
 
 # ---------------------------------------------------------------------------

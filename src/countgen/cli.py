@@ -29,7 +29,7 @@ from . import cfg, describe, dfa, nfa, pda, pseudobool, traces
 from ._record import record
 from .coins import FAIL, CoinSource, retries_for
 from .describe import Bound, SampleReport
-from .exceptions import FormatError
+from .exceptions import FormatError, SizeGuard
 from .pseudobool import PbProblem
 
 
@@ -134,6 +134,14 @@ def _brute_rank(fam, spec, args) -> int:
 def _sampled(fam, spec, args, value):
     if len(value) != args.n or not fam.member(spec, value):
         raise OracleMismatch(f"sampled {value!r} is not a member of length {args.n}")
+
+
+def _tree_census(fam, g, args) -> int:
+    """Earley tree counts summed over ``alphabet**n``, up to _TREE_GUARD words."""
+    letters, guard = len(g.terminals), cfg._TREE_GUARD
+    if letters > 1 and args.n > guard.bit_length() or letters ** args.n > guard:
+        raise SizeGuard(f"{letters}**{args.n} words to check, above {guard}")
+    return sum(cfg.earley_count(g, w) for w in _words(g.terminals, args.n))
 
 
 def _sampled_tree(fam, g, args, value):
@@ -297,8 +305,7 @@ _FAMILIES = {
         alphabet=lambda g: g.terminals,
         ops={
             "count": Op(lambda g, args, src: cfg.tree_census(g, g.start, args.n),
-                        _equal(lambda fam, g, args: len(cfg.enumerate_trees(g, g.start, args.n))),
-                        ("n",)),
+                        _equal(_tree_census), ("n",)),
             **_described(lambda g, args: cfg.cfl_description(g, args.ambiguity)),
             "sample --tree": Op(_sample_tree, _sampled_tree, ("n", "tree", "seed")),
         },

@@ -24,7 +24,6 @@ from .exceptions import (
     EmptyLanguage,
     EmptySlice,
 )
-from .pseudobool import load_clauses
 
 # Budgets up to this size are verified exactly; a larger one is the
 # float guess, unverified (ROADMAP item 9).
@@ -454,12 +453,6 @@ class DnfFormula:
 
     def clause_weight(self, j: int) -> int:
         return 1 << (self.n - len(self.clauses[j]))
-
-
-def load_dnf(text: str) -> DnfFormula:
-    """Parse the clause format: first line ``n m``, then one clause per line."""
-    n, clauses = load_clauses(text)
-    return DnfFormula(n, tuple(clauses))
 
 
 def dnf_description(formula: DnfFormula) -> Description:

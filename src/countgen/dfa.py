@@ -391,9 +391,9 @@ def read_automaton(text: str) -> tuple:
     indep)``.  ``starts`` and ``finals`` gather the states of every
     ``start`` and ``finals`` line, ``edges`` holds ``(q, symbol index, p)``
     per ``trans`` line in file order, ``ambiguity`` is None when no line
-    gives it, and ``indep`` holds the letter pair of each ``indep`` line,
-    for the trace layer, which checks the letters.  Raises FormatError on
-    any malformed line.
+    gives it, and ``indep`` holds ``(line number, letter pair)`` per
+    ``indep`` line, for the trace layer, which checks the letters.  Raises
+    FormatError on any malformed line.
     """
     lines = read_directives(text, _ARITY)
     number, (n_states,) = single(lines, "states")
@@ -422,7 +422,7 @@ def read_automaton(text: str) -> tuple:
         if sym not in index:
             raise FormatError(f"edge symbol {sym!r} not in alphabet")
     edges = [(q, index[sym], p) for q, sym, p in edges]
-    indep = [tuple(args) for _, args in lines["indep"]]
+    indep = [(number, tuple(args)) for number, args in lines["indep"]]
     return n_states, alphabet, starts, finals, edges, ambiguity, indep
 
 

@@ -373,22 +373,6 @@ def load_matrix(text: str):
     return tuple(tuple(r) for _, r in rows)
 
 
-def perm_circuit(a) -> Circuit:
-    """Row-product circuit: the product over rows of their variable sums."""
-    n = len(a)
-    builder = CircuitBuilder(n)
-    variables = [builder.var(j) for j in range(n)]
-    rows = []
-    for i in range(n):
-        selected = [variables[j] for j in range(n) if a[i][j]]
-        if selected:
-            rows.append(builder.add(*selected))
-        else:
-            rows.append(builder.const(0))
-    out = rows[0] if n == 1 else builder.mul(*rows)
-    return builder.build(out)
-
-
 def _msf_expansion(a) -> dict:
     """Square-free image of the row-product polynomial, by expansion.
 
@@ -657,22 +641,6 @@ def max_cut_circuit(n: int, edges) -> Circuit:
         neg = builder.mul(minus, prod)
         terms.extend([variables[u], variables[v], neg, neg])
     return builder.build(builder.sum(terms))
-
-
-def sat_value(clauses, assignment) -> int:
-    """Direct satisfied-clause count (oracle for the circuit objective)."""
-    total = 0
-    for clause in clauses:
-        for lit in clause:
-            bit = assignment[abs(lit) - 1]
-            if (bit == 1) == (lit > 0):
-                total += 1
-                break
-    return total
-
-
-def cut_value(edges, assignment) -> int:
-    return sum(1 for u, v in edges if assignment[u] != assignment[v])
 
 
 def load_clauses(text: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ._record import record
 from .describe import Bound, Description
 from .dfa import Dfa, automaton_dfa, dfa_language, read_automaton
-from .exceptions import SizeGuard
+from .exceptions import FormatError, SizeGuard
 
 # Largest commutation class the swap oracle lists, and largest state
 # space the representative count explores.
@@ -42,10 +42,9 @@ class IndepAlphabet:
         if len(known) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
         for pair in self.pairs:
-            if len(pair) != 2:
-                raise ValueError("independence pairs must join two distinct letters")
-            if not pair <= known:
-                raise ValueError(f"pair {set(pair)!r} uses unknown letters")
+            fault = _pair_fault(pair, known)
+            if fault:
+                raise ValueError(fault)
         # Set here, not kept (see countgen._kept): normal_form reads them
         # on every call, and a plain attribute reads faster than a kept one.
         symbols = self.symbols
@@ -60,6 +59,16 @@ class IndepAlphabet:
 
     def independent(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.pairs
+
+
+def _pair_fault(pair: frozenset, known: set):
+    """Why ``pair`` is no independence pair over the letters ``known``, or
+    None; the letters of a pair are named in sorted order."""
+    if len(pair) != 2:
+        return "independence pairs must join two distinct letters"
+    if not pair <= known:
+        return f"pair {tuple(sorted(pair))!r} uses unknown letters"
+    return None
 
 
 def indep_alphabet(symbols, pairs) -> IndepAlphabet:
@@ -194,7 +203,14 @@ def trace_description(dfa: Dfa, alph: IndepAlphabet, bound: Bound) -> Descriptio
 
 def load_trace(text: str) -> tuple:
     """Parse a trace file, a DFA file plus ``indep a b`` lines, in one
-    pass: ``(Dfa, IndepAlphabet)`` over the DFA's alphabet."""
+    pass: ``(Dfa, IndepAlphabet)`` over the DFA's alphabet.  A pair that
+    repeats a letter or names one outside the alphabet is a FormatError
+    naming its ``indep`` line."""
     spec = read_automaton(text)
     automaton = automaton_dfa(spec)
-    return automaton, indep_alphabet(automaton.alphabet, spec[-1])
+    known = set(automaton.alphabet)
+    for number, pair in spec[-1]:
+        fault = _pair_fault(frozenset(pair), known)
+        if fault:
+            raise FormatError(f"line {number}: {fault}")
+    return automaton, indep_alphabet(automaton.alphabet, [pair for _, pair in spec[-1]])

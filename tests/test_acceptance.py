@@ -16,7 +16,6 @@ from countgen.cfg import (
     CnfGrammar,
     Grammar,
     earley_count,
-    enumerate_trees,
     random_tree,
     to_cnf,
     tree_census,
@@ -35,12 +34,10 @@ from countgen.pda import Pda, build_slice_grammar, count_accepting
 from countgen.pseudobool import (
     PbProblem,
     cond_expectation,
-    cut_value,
     derandomize,
     max_cut_circuit,
     max_sat_circuit,
     permanent,
-    sat_value,
 )
 from countgen.traces import (
     count_representatives,
@@ -48,6 +45,8 @@ from countgen.traces import (
     normal_form,
     swap_closure,
 )
+from test_cfg import reference_enumerate_trees
+from test_pseudobool import cut_value, sat_value
 
 
 def ok(number: int, message: str) -> None:
@@ -278,7 +277,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_random_tree(self):
         for g, n in [(CATALAN, 3), (MIXED, 2), (MIXED, 3)]:
-            trees = enumerate_trees(g, g.start, n)
+            trees = reference_enumerate_trees(g, g.start, n)
             law = outcome_law(lambda src: random_tree(g, n, src))
             good = 1 - law.get(FAIL, Fraction(0))
             for t in trees:

@@ -29,7 +29,13 @@ from countgen.cfg import (
 )
 from countgen.coins import FAIL, CoinSource, TapeSource, bit_size, draw_uniform, outcome_law
 from countgen.describe import Bound, estimate_census, sample_report
-from countgen.exceptions import AmbiguityExceeded, EmptySlice, EpsilonInLanguage, TapeExhausted
+from countgen.exceptions import (
+    AmbiguityExceeded,
+    EmptySlice,
+    EpsilonInLanguage,
+    SizeGuard,
+    TapeExhausted,
+)
 from countgen.pda import build_slice_grammar
 from test_pda import ANBN as ANBN_PDA
 from test_pda import DYCK
@@ -77,6 +83,42 @@ def validate_cfl_bound(g: CnfGrammar, bound: Bound, up_to: int) -> None:
             count = earley_count(g, w)
             if count > bound(n):
                 raise AmbiguityExceeded(f"{w!r} has {count} trees, bound {bound(n)}")
+
+
+def reference_enumerate_trees(g: CnfGrammar, a, n: int, rows=None) -> list:
+    """All derivation trees from ``a`` with yield length n, by recursion in
+    (production, split) order over the full-convolution rows (given, or
+    computed to n)."""
+    rows = rows or reference_tree_rows(g, n)
+
+    def build(sym, length):
+        if length == 1:
+            for t in g.unary[sym]:
+                yield (sym, t)
+            return
+        for b, c in g.binary[sym]:
+            for k in range(1, length):
+                if rows[b][k] and rows[c][length - k]:
+                    for left in build(b, k):
+                        for right in build(c, length - k):
+                            yield (sym, left, right)
+
+    return list(build(a, n))
+
+
+def rank_tree(table: TreeTable, tree) -> int:
+    """The 0-based rank of ``tree`` among the trees of its root at its yield
+    length, in split-plan order (split k, production, left rank, right
+    rank), from the rows alone."""
+    g, a = table.grammar, tree[0]
+    if len(tree) == 2:
+        return g.unary[a].index(tree[1])
+    length, k = len(tree_yield(tree)), len(tree_yield(tree[1]))
+    b, c = tree[1][0], tree[2][0]
+    j = g.binary[a].index((b, c))
+    below = sum(table[x][m] * table[y][length - m]
+                for m in range(1, k + 1) for x, y in g.binary[a][: j if m == k else None])
+    return below + rank_tree(table, tree[1]) * table[c][length - k] + rank_tree(table, tree[2])
 
 
 CATALAN = CnfGrammar(
@@ -181,7 +223,7 @@ class TestTreeCensus:
     @pytest.mark.parametrize("g", GRAMMARS)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_tree_enumeration(self, g, n):
-        assert tree_census(g, g.start, n) == len(enumerate_trees(g, g.start, n))
+        assert tree_census(g, g.start, n) == len(reference_enumerate_trees(g, g.start, n))
 
     @pytest.mark.parametrize("g", GRAMMARS)
     def test_grown_out_of_order_matches_fresh(self, g):
@@ -231,7 +273,7 @@ class TestTreeCensus:
 
 class TestRandomTree:
     def test_two_trees_uniform_by_enumeration(self):
-        trees = enumerate_trees(CATALAN, "S", 3)
+        trees = reference_enumerate_trees(CATALAN, "S", 3)
         assert len(trees) == 2
         law = outcome_law(lambda src: random_tree(CATALAN, 3, src))
         ok = 1 - law.get(FAIL, Fraction(0))
@@ -239,7 +281,7 @@ class TestRandomTree:
             assert law[t] / ok == Fraction(1, 2)
 
     def test_exact_uniformity_n4(self):
-        trees = enumerate_trees(CATALAN, "S", 4)
+        trees = reference_enumerate_trees(CATALAN, "S", 4)
         law = outcome_law(lambda src: random_tree(CATALAN, 4, src))
         ok = 1 - law.get(FAIL, Fraction(0))
         assert law.get(FAIL, Fraction(0)) < Fraction(1, 4)
@@ -398,7 +440,7 @@ def dyck_slice(n):
 # the yield lengths sampled: every length to 12, then every third to 40 (a
 # Dyck slice grammar has one length).  Some random grammars have variables
 # with two terminals, so leaf draws remain beside the forced trees
-# random_tree takes from TreeTable.forced without a draw.
+# random_tree takes whole (TreeTable.unrank) without a draw.
 SAMPLED_LENGTHS = [*range(1, 13), *range(13, 41, 3)]
 SAMPLER_GRAMMARS = {
     **{f"test-{i}": (lambda g=g: g, SAMPLED_LENGTHS) for i, g in enumerate(GRAMMARS)},
@@ -534,7 +576,7 @@ class TestLeafChildren:
             table = g.tree_table
             for (i, length), tree in table.forced_trees.items():
                 assert table.rows[i][length] == 1
-                assert enumerate_trees(g, g.variables[i], length) == [tree]
+                assert reference_enumerate_trees(g, g.variables[i], length) == [tree]
             deep += any(length > 1 for _, length in table.forced_trees)
             two_terminals += any(len(g.unary[a]) == 2 for a in reachable_variables(g))
         # forced subtrees above yield length 1 are kept, and leaf draws
@@ -593,6 +635,64 @@ class TestLeafChildren:
         assert outcomes == [run(reference_random_tree, tape[:cut])
                             for cut in range(len(tape) + 1)]
         assert any(out == "exhausted" and used > 0 for out, used in outcomes)
+
+
+# A slice of at most this many trees has every rank checked; a larger one
+# a seeded sample of ranks and both ends.
+_RANKS_CHECKED = 300
+
+
+class TestUnrank:
+    @pytest.mark.parametrize("name", SAMPLER_GRAMMARS)
+    def test_rank_inverts_unrank(self, name):
+        g = SAMPLER_GRAMMARS[name][0]()
+        table = tree_census_table(g, 10)
+        rng = random.Random(name)
+        checked = 0
+        for n in range(1, 11):
+            for i, a in enumerate(g.variables):
+                count = table[a][n]
+                ranks = range(count) if count <= _RANKS_CHECKED else [
+                    0, *rng.sample(range(count), _RANKS_CHECKED), count - 1]
+                for r in ranks:
+                    tree = table.unrank(i, n, r)
+                    assert tree[0] == a and len(tree_yield(tree)) == n
+                    assert rank_tree(table, tree) == r
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("name", SAMPLER_GRAMMARS)
+    def test_lister_equals_reference(self, name):
+        # unrank maps 0..count-1 one-to-one onto the recursive lister's
+        # trees, and takes the rank of each of them back to that tree
+        g = SAMPLER_GRAMMARS[name][0]()
+        rows = reference_tree_rows(g, 10)
+        table = g.tree_table.grow(10)
+        for n in range(1, 11):
+            for i, a in enumerate(g.variables):
+                if rows[a][n] <= 2000:
+                    trees = enumerate_trees(g, a, n)
+                    assert len(set(trees)) == len(trees) == rows[a][n]
+                    reference = reference_enumerate_trees(g, a, n, rows)
+                    assert set(trees) == set(reference)
+                    for tree in reference:
+                        assert table.unrank(i, n, rank_tree(table, tree)) == tree
+
+    def test_forced_trees_have_no_plans(self):
+        # a count-1 tree is built from the first nonzero split and planned nowhere
+        g = fresh_copy(ANBN)
+        tree = enumerate_trees(g, "S", 6)
+        assert tree == reference_enumerate_trees(g, "S", 6) == [g.tree_table.forced_trees[0, 6]]
+        assert not any(g.tree_table.plans)
+
+    def test_lister_refuses_above_the_guard(self, monkeypatch):
+        assert tree_census(CATALAN, "S", 13) == 208_012 > cfg._TREE_GUARD
+        with pytest.raises(SizeGuard, match="^too many trees to enumerate$"):
+            enumerate_trees(CATALAN, "S", 13)
+        monkeypatch.setattr(cfg, "_TREE_GUARD", 5)
+        assert len(enumerate_trees(CATALAN, "S", 4)) == 5
+        with pytest.raises(SizeGuard):
+            enumerate_trees(CATALAN, "S", 5)
 
 
 def reference_tree_rows(g, n):

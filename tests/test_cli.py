@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -127,6 +128,22 @@ trans 1 a 0
 trans 1 b 1
 trans 1 c 1
 indep a b
+"""
+
+# concatenations of two nonempty even palindromes: 4 words of length 4
+PAIRS_CFG = """
+var S A B
+term a b
+start S
+S -> A B
+A -> a A a
+A -> b A b
+A -> a a
+A -> b b
+B -> a B a
+B -> b B b
+B -> a a
+B -> b b
 """
 
 DYCK_PDA = """
@@ -340,6 +357,70 @@ class TestOracles:
         squarings = "".join(f"{i} mul {i - 1} {i - 1}\n" for i in range(1, 21))
         spec.write_text(f"0 in 1\n{squarings}21 in 2\n22 add 20 21\nout 21\n")
         assert run_cli(["pb", "derand", "--circuit", str(spec)], capsys) == (0, "01\n", "")
+
+
+class TestCfgOracleGuards:
+    """``cfg count --oracle`` sums Earley tree counts over every word of
+    length n, and ``cfg sample --tree --oracle`` lists the trees; each
+    refuses above ``cfg._TREE_GUARD`` words or trees, with exit 1."""
+
+    def test_count_oracle_sums_earley_counts(self, files, capsys, monkeypatch):
+        # the oracle reads no tree-table row: it lists no tree
+        monkeypatch.setattr(cfg.TreeTable, "unrank", None)
+        assert run_cli(["cfg", "count", "-g", files["catalan.cfg"], "-n", "6", "--oracle"],
+                       capsys) == (0, "42\noracle ok\n", "")
+
+    def test_corrupted_row_is_an_oracle_mismatch(self, files, capsys, monkeypatch):
+        load = cfg.to_cnf
+
+        def corrupted(g):
+            cnf = load(g)
+            cnf.tree_table.grow(4)[cnf.start][4] += 1
+            return cnf
+
+        monkeypatch.setattr(cfg, "to_cnf", corrupted)
+        assert run_cli(["cfg", "count", "-g", files["catalan.cfg"], "-n", "4", "--oracle"],
+                       capsys) == (1, "", "oracle mismatch: count 6 != brute 5\n")
+
+    @pytest.mark.parametrize("n, refused", [(4, False), (5, True), (6, True)])
+    def test_count_oracle_word_guard(self, tmp_path, capsys, monkeypatch, n, refused):
+        # 2**n words: n = 5 is refused by the power, n = 6 before it is taken
+        monkeypatch.setattr(cfg, "_TREE_GUARD", 16)
+        spec = tmp_path / "pairs.cfg"
+        spec.write_text(PAIRS_CFG)
+        code, out, err = run_cli(["cfg", "count", "-g", str(spec), "-n", str(n), "--oracle"],
+                                 capsys)
+        if refused:
+            assert (code, out) == (1, "")
+            assert err == f"error: SizeGuard: 2**{n} words to check, above 16\n"
+        else:
+            assert (code, out, err) == (0, "4\noracle ok\n", "")
+
+    def test_count_oracle_refused_at_the_real_guard(self, tmp_path, capsys):
+        spec = tmp_path / "pairs.cfg"
+        spec.write_text(PAIRS_CFG)
+        assert run_cli(["cfg", "count", "-g", str(spec), "-n", "24", "--oracle"], capsys) == (
+            1, "", "error: SizeGuard: 2**24 words to check, above 200000\n")
+
+    def test_tree_oracle_census_guard(self, files, capsys):
+        # Catalan at yield 13 has 208,012 trees, above the guard
+        argv = ["cfg", "sample", "-g", files["catalan.cfg"], "-n", "13", "--tree", "--oracle"]
+        assert run_cli(argv, capsys) == (1, "", "error: SizeGuard: too many trees to enumerate\n")
+
+
+class TestTraceIndepErrors:
+    @pytest.mark.parametrize("pair, message", [
+        ("b b", "line 11: independence pairs must join two distinct letters"),
+        ("a z", "line 11: pair ('a', 'z') uses unknown letters"),
+    ])
+    def test_bad_indep_line_is_byte_identical(self, tmp_path, pair, message):
+        spec = tmp_path / "bad.trace"
+        spec.write_text(TRACE_FILE + f"indep {pair}\n")
+        argv = [sys.executable, "-m", "countgen.cli", "trace", "count", "-a", str(spec), "-w", "ab"]
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
 
 
 class TestFormatsAndErrors:

@@ -22,7 +22,6 @@ from countgen.describe import (
     dnf_description,
     estimate_census,
     exact_count,
-    load_dnf,
     product,
     sample_report,
     trial_budget,
@@ -35,7 +34,14 @@ from countgen.exceptions import (
     EmptyLanguage,
     EmptySlice,
 )
+from countgen.pseudobool import load_clauses
 from countgen.traces import indep_alphabet, trace_description
+
+
+def load_dnf(text: str) -> DnfFormula:
+    """Parse the clause format: first line ``n m``, then one clause per line."""
+    n, clauses = load_clauses(text)
+    return DnfFormula(n, tuple(clauses))
 
 
 def finite_language(words) -> WordLanguage:

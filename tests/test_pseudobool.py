@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from countgen import pseudobool
 from countgen.coins import CoinSource, TapeSource
-from countgen.describe import load_dnf
 from countgen.exceptions import FormatError, SizeGuard
 from countgen.pseudobool import (
     Circuit,
     CircuitBuilder,
     PbProblem,
     cond_expectation,
-    cut_value,
     derandomize,
     eval_circuit,
     load_circuit,
@@ -30,11 +28,42 @@ from countgen.pseudobool import (
     max_sat_circuit,
     msf_coefficient,
     msf_perm_circuit,
-    perm_circuit,
     permanent,
     random_search,
-    sat_value,
 )
+from test_describe import load_dnf
+
+
+def perm_circuit(a) -> Circuit:
+    """Row-product circuit: the product over rows of their variable sums."""
+    n = len(a)
+    builder = CircuitBuilder(n)
+    variables = [builder.var(j) for j in range(n)]
+    rows = []
+    for i in range(n):
+        selected = [variables[j] for j in range(n) if a[i][j]]
+        if selected:
+            rows.append(builder.add(*selected))
+        else:
+            rows.append(builder.const(0))
+    out = rows[0] if n == 1 else builder.mul(*rows)
+    return builder.build(out)
+
+
+def sat_value(clauses, assignment) -> int:
+    """Direct satisfied-clause count (oracle for the circuit objective)."""
+    total = 0
+    for clause in clauses:
+        for lit in clause:
+            bit = assignment[abs(lit) - 1]
+            if (bit == 1) == (lit > 0):
+                total += 1
+                break
+    return total
+
+
+def cut_value(edges, assignment) -> int:
+    return sum(1 for u, v in edges if assignment[u] != assignment[v])
 
 
 def reference_eval_circuit(c: Circuit, point) -> Fraction:

@@ -6,7 +6,6 @@ import pytest
 
 from countgen.cfg import load_grammar
 from countgen.cli import dispatch
-from countgen.describe import load_dnf
 from countgen.dfa import load_dfa
 from countgen.exceptions import FormatError
 from countgen.nfa import load_nfa
@@ -14,6 +13,7 @@ from countgen.pda import Pda, load_pda
 from countgen.pseudobool import load_circuit, load_clauses, load_graph, load_matrix
 from countgen.specfile import integer_lines, read_directives, spec_lines
 from countgen.traces import load_trace
+from test_describe import load_dnf
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "countgen"
 

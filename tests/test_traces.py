@@ -390,9 +390,15 @@ def load_indep(text):
 
 def reference_load_trace(text):
     """The two-pass loader the CLI used before: the DFA, then a second read
-    for the ``indep`` lines."""
+    for the ``indep`` lines, each pair checked against the alphabet and
+    refused with the number of its line."""
     automaton = load_dfa(text)
     lines = read_directives(text, {"indep": 2}, other=lambda number, tokens: None)
+    for number, (a, b) in lines["indep"]:
+        if a == b:
+            raise FormatError(f"line {number}: independence pairs must join two distinct letters")
+        if a not in automaton.alphabet or b not in automaton.alphabet:
+            raise FormatError(f"line {number}: pair {tuple(sorted((a, b)))!r} uses unknown letters")
     return automaton, indep_alphabet(automaton.alphabet, [tuple(args) for _, args in lines["indep"]])
 
 
@@ -426,6 +432,22 @@ class TestLoader:
     )
     def test_one_pass_equals_two_pass(self, text):
         assert outcome(load_trace, text) == outcome(reference_load_trace, text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("indep b b", "line 9: independence pairs must join two distinct letters"),
+        ("indep z a", "line 9: pair ('a', 'z') uses unknown letters"),
+        ("indep a z", "line 9: pair ('a', 'z') uses unknown letters"),
+    ])
+    def test_bad_pair_names_its_line(self, line, message):
+        with pytest.raises(FormatError) as caught:
+            load_trace(ABC_DFA + "indep a b\n" + line + "\n")
+        assert str(caught.value) == message
+
+    def test_unknown_pair_message_is_sorted(self):
+        for pair in (("z", "a"), ("a", "z")):
+            with pytest.raises(ValueError) as caught:
+                indep_alphabet("ab", [pair])
+            assert str(caught.value) == "pair ('a', 'z') uses unknown letters"
 
     def test_indep_lines(self):
         alph = load_indep("indep a b\nindep b c\n")
